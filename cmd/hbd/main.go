@@ -28,9 +28,9 @@
 // with 503 + Retry-After (-maxinflight), and handler panics answer 500
 // and increment hbd_panics_total instead of killing the daemon.
 //
-// Instances above -maxorder are served by the label-arithmetic implicit
-// engine up to -implicitmaxorder, so a query against HB(10,10) (~10.5M
-// nodes) answers from a cold daemon without building a graph.
+// Every instance up to -maxorder nodes is served by the label-arithmetic
+// implicit engine, so a query against HB(10,10) (~10.5M nodes) answers
+// from a cold daemon without building a graph.
 package main
 
 import (
@@ -58,8 +58,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	poolMax := fs.Int("pool", 0, "serve: max resident HB instances (0 = default)")
 	cacheSize := fs.Int("cache", 0, "serve: route-cache entries (0 = default, -1 disables)")
 	shards := fs.Int("shards", 0, "serve: route-cache shards (0 = default)")
-	maxOrder := fs.Int("maxorder", 0, "serve: max nodes on the dense tier (0 = default)")
-	implicitMaxOrder := fs.Int("implicitmaxorder", 0, "serve: max nodes on the implicit tier (0 = default, negative disables)")
+	maxOrder := fs.Int("maxorder", 0, "serve: max nodes of a served instance (0 = default 2^24)")
 	grace := fs.Duration("grace", 10*time.Second, "serve: shutdown drain budget")
 	timeout := fs.Duration("timeout", 0, "serve: per-request deadline (0 = default, negative disables)")
 	maxInFlight := fs.Int("maxinflight", 0, "serve: 503 load-shedding bound (0 = default, negative disables)")
@@ -89,7 +88,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	eject := fs.Int("eject", 0, "router: consecutive failures before ejection (0 = default)")
 	readmit := fs.Int("readmit", 0, "router: consecutive probe successes before re-admission (0 = default)")
 	replication := fs.Int("replication", 0, "router: alive owners per key (0 = default 2)")
-	scatterMin := fs.Int("scattermin", 0, "router: smallest /batch split across the ring (0 = default, negative disables scatter)")
 
 	router := fs.String("router", "http://127.0.0.1:8090", "clusterload: router base URL")
 	shedBudget := fs.Float64("shedbudget", 0, "clusterload: allowed non-2xx fraction on the router leg (0 = default 1%, negative = zero tolerance)")
@@ -100,14 +98,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	switch *mode {
 	case "serve":
 		srv := hbserve.NewServer(hbserve.Config{
-			PoolMax:          *poolMax,
-			MaxOrder:         *maxOrder,
-			ImplicitMaxOrder: *implicitMaxOrder,
-			CacheSize:        *cacheSize,
-			CacheShard:       *shards,
-			RequestTimeout:   *timeout,
-			MaxInFlight:      *maxInFlight,
-			BatchWorkers:     *batchWorkers,
+			PoolMax:        *poolMax,
+			MaxOrder:       *maxOrder,
+			CacheSize:      *cacheSize,
+			CacheShard:     *shards,
+			RequestTimeout: *timeout,
+			MaxInFlight:    *maxInFlight,
+			BatchWorkers:   *batchWorkers,
 		})
 		if *snapshotDir != "" {
 			loaded, err := srv.LoadSnapshots(*snapshotDir)
@@ -202,17 +199,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	case "router":
 		rt, err := hbserve.NewRouter(hbserve.ClusterConfig{
-			Replicas:        splitList(*replicas),
-			VNodes:          *vnodes,
-			QueueDepth:      *queueDepth,
-			MaxAttempts:     *attempts,
-			ForwardTimeout:  *timeout,
-			ProbeInterval:   *probeInterval,
-			ProbeTimeout:    *probeTimeout,
-			EjectAfter:      *eject,
-			ReadmitAfter:    *readmit,
-			Replication:     *replication,
-			ScatterMinPairs: *scatterMin,
+			Replicas:       splitList(*replicas),
+			VNodes:         *vnodes,
+			QueueDepth:     *queueDepth,
+			MaxAttempts:    *attempts,
+			ForwardTimeout: *timeout,
+			ProbeInterval:  *probeInterval,
+			ProbeTimeout:   *probeTimeout,
+			EjectAfter:     *eject,
+			ReadmitAfter:   *readmit,
+			Replication:    *replication,
 		})
 		if err != nil {
 			fmt.Fprintf(stderr, "hbd: %v\n", err)

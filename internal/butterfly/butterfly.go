@@ -19,8 +19,10 @@ package butterfly
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"repro/internal/bitvec"
+	"repro/internal/graph"
 )
 
 // Node is a butterfly vertex id in [0, n·2^n): id = PI·2^n + mask.
@@ -30,6 +32,11 @@ type Node = int
 type Butterfly struct {
 	n    int
 	size int // n * 2^n
+
+	// The adjacency the flow-based algorithms run on, built on first use
+	// by Dense.
+	denseOnce sync.Once
+	dense     *graph.Dense
 }
 
 // MaxDim bounds n so that node ids and dense adjacency stay comfortable;

@@ -2,27 +2,16 @@ package butterfly
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/graph"
 )
 
-// dense caches the materialised adjacency of b for the flow-based
-// algorithms; it is built at most once.
-type denseCache struct {
-	once sync.Once
-	d    *graph.Dense
-}
-
-var denseCaches sync.Map // *Butterfly -> *denseCache
-
-// Dense returns the materialised adjacency of b, building and caching it
-// on first use. Safe for concurrent use.
+// Dense returns the materialised adjacency of b, building it on first
+// use and keeping it with b, so it is freed with the instance. Safe for
+// concurrent use.
 func (b *Butterfly) Dense() *graph.Dense {
-	ci, _ := denseCaches.LoadOrStore(b, &denseCache{})
-	c := ci.(*denseCache)
-	c.once.Do(func() { c.d = graph.Build(b) })
-	return c.d
+	b.denseOnce.Do(func() { b.dense = graph.Build(b) })
+	return b.dense
 }
 
 // DisjointPaths returns 4 pairwise internally vertex-disjoint paths from

@@ -24,9 +24,11 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/bitvec"
 	"repro/internal/butterfly"
+	"repro/internal/graph"
 	"repro/internal/hypercube"
 )
 
@@ -40,6 +42,10 @@ type HyperButterfly struct {
 	cube  *hypercube.Cube
 	bf    *butterfly.Butterfly
 	bSize int
+
+	// The product adjacency, built on first use by Dense.
+	denseOnce sync.Once
+	dense     *graph.Dense
 }
 
 // New returns HB(m,n) for 0 <= m <= 30 and 3 <= n <= butterfly.MaxDim.

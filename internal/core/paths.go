@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/graph"
 )
@@ -24,20 +23,12 @@ import (
 // unit-capacity max-flow, which yields the same m+4 count with a
 // correctness guarantee; the substitution is recorded in DESIGN.md.
 
-var denseCaches sync.Map // *HyperButterfly -> *denseCache
-
-type denseCache struct {
-	once sync.Once
-	d    *graph.Dense
-}
-
-// Dense returns the materialised adjacency of hb, building and caching
-// it on first use. Safe for concurrent use.
+// Dense returns the materialised adjacency of hb, building it on first
+// use and keeping it with hb, so it is freed with the instance. Safe
+// for concurrent use.
 func (hb *HyperButterfly) Dense() *graph.Dense {
-	ci, _ := denseCaches.LoadOrStore(hb, &denseCache{})
-	c := ci.(*denseCache)
-	c.once.Do(func() { c.d = graph.Build(hb) })
-	return c.d
+	hb.denseOnce.Do(func() { hb.dense = graph.Build(hb) })
+	return hb.dense
 }
 
 // DisjointPaths returns m+4 pairwise internally vertex-disjoint paths

@@ -1,6 +1,10 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/graph"
+)
 
 // Topology is the label-arithmetic view of a hyper-butterfly network:
 // every operation is computed from (m, n, level, row) labels alone, so a
@@ -12,6 +16,9 @@ import "fmt"
 //
 // Order/AppendNeighbors make every Topology a graph.Graph, so the
 // sampled estimators and verifiers run on implicit instances unchanged.
+// Dense is the one exception to label arithmetic: it materialises the
+// adjacency on first use, for BFS oracles on instances small enough to
+// afford one.
 type Topology interface {
 	// Structure.
 	Order() int
@@ -35,6 +42,9 @@ type Topology interface {
 
 	// Theorem 5 vertex-disjoint paths.
 	DisjointPaths(u, v Node) ([][]Node, error)
+
+	// Dense returns the materialised adjacency, built on first use.
+	Dense() *graph.Dense
 }
 
 // Compile-time checks that both backends satisfy the interface.

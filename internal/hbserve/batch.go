@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -41,11 +42,6 @@ const (
 	maxBatchPairs = 1 << 16
 	// maxBatchBody bounds the request body read.
 	maxBatchBody = 16 << 20
-	// batchCacheMaxPairs bounds which batches enter the route cache:
-	// small batches (conformance probes, repeated UI queries) hit; load
-	// test batches of ~1k pairs bypass so the cache is not churned by
-	// high-cardinality bodies.
-	batchCacheMaxPairs = 256
 
 	ctJSON     = "application/json"
 	ctBatchBin = "application/x-hbbatch"
@@ -85,12 +81,21 @@ type batchRequest struct {
 
 // batchScratch is the pooled per-request working set: the kernel's
 // column scratch plus the extra columns the composed ops (paths,
-// faultroute) fill.
+// faultroute) fill, and the encoded response.
 type batchScratch struct {
 	bs    core.BatchScratch
 	off   []int32 // faultroute: node offsets; paths: pair -> path offsets
 	poff  []int32 // paths: path -> node offsets
 	nodes []int
+	out   []byte
+
+	// What a single-pair GET renders beyond the columns: the error of
+	// the last failed pair (paths, faultroute) and the fault router's
+	// strategy for the last routed pair and guarantee verdict
+	// (faultroute).
+	err      error
+	strategy string
+	within   bool
 }
 
 var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
@@ -128,24 +133,16 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	start := time.Now()
-	compute := func() ([]byte, error) { return s.computeBatch(top, d, req) }
-	var (
-		body  []byte
-		cache = "bypass"
-	)
-	if req.cacheable() {
-		var hit bool
-		body, hit, err = s.cache.GetOrCompute(req.cacheKey(), compute)
-		cache = cacheState(hit)
-	} else {
-		body, err = compute()
-	}
+	sc := batchScratchPool.Get().(*batchScratch)
+	defer batchScratchPool.Put(sc)
+	cols, err := s.runBatch(top, d, req, sc)
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
+	sc.out = req.appendAnswer(sc.out[:0], &cols)
 	s.metrics.BatchObserve(req.codec, batchOpNames[req.op], len(req.src), time.Since(start))
-	writeBody(w, req.contentType(), cache, body)
+	writeBody(w, req.contentType(), "", sc.out)
 }
 
 func (r *batchRequest) contentType() string {
@@ -155,35 +152,19 @@ func (r *batchRequest) contentType() string {
 	return ctJSON
 }
 
-// cacheable: fault sets are high-cardinality (same policy as
-// /faultroute) and big batches would churn the LRU for little reuse.
-func (r *batchRequest) cacheable() bool {
-	return r.op != batchOpFaultRoute && len(r.src) <= batchCacheMaxPairs
-}
-
-// cacheKey is the full request identity: codec (bodies differ per
-// codec), op, dims, and the raw pair columns — no hashing, so distinct
-// batches can never alias.
-func (r *batchRequest) cacheKey() string {
-	key := make([]byte, 0, 32+8*len(r.src))
-	key = append(key, "batch|"...)
-	key = append(key, r.codec...)
-	key = append(key, '|')
-	key = append(key, batchOpNames[r.op]...)
-	key = strconv.AppendInt(append(key, '|'), int64(r.m), 10)
-	key = strconv.AppendInt(append(key, '|'), int64(r.n), 10)
-	key = append(key, '|')
-	for i := range r.src {
-		key = binary.LittleEndian.AppendUint32(key, uint32(r.src[i]))
-		key = binary.LittleEndian.AppendUint32(key, uint32(r.dst[i]))
+// appendAnswer appends the rendering of an answer to r in r's codec.
+func (r *batchRequest) appendAnswer(out []byte, c *batchColumns) []byte {
+	if r.codec == "bin" {
+		return appendBatchBin(out, c)
 	}
-	return string(key)
+	return appendBatchJSON(out, c)
 }
 
 // EncodeBatchJSONRequest renders a /batch request body in the JSON
-// codec (the load generator prebuilds its bodies with it).
-func EncodeBatchJSONRequest(op string, m, n int, src, dst []int) []byte {
-	out := make([]byte, 0, 48+12*(len(src)+len(dst)))
+// codec (the load generator prebuilds its bodies with it). The faults
+// column is written only when non-empty.
+func EncodeBatchJSONRequest(op string, m, n int, faults, src, dst []int) []byte {
+	out := make([]byte, 0, 48+12*(len(faults)+len(src)+len(dst)))
 	out = append(out, `{"m":`...)
 	out = strconv.AppendInt(out, int64(m), 10)
 	out = append(out, `,"n":`...)
@@ -191,6 +172,9 @@ func EncodeBatchJSONRequest(op string, m, n int, src, dst []int) []byte {
 	out = append(out, `,"op":"`...)
 	out = append(out, op...)
 	out = append(out, '"')
+	if len(faults) > 0 {
+		out = appendJSONInts(out, "faults", faults)
+	}
 	out = appendJSONInts(out, "src", src)
 	out = appendJSONInts(out, "dst", dst)
 	return append(out, '}')
@@ -379,11 +363,10 @@ type batchColumns struct {
 	nodes  []int
 }
 
-func (s *Server) computeBatch(top core.Topology, d Dims, req *batchRequest) ([]byte, error) {
-	sc := batchScratchPool.Get().(*batchScratch)
-	defer batchScratchPool.Put(sc)
+// runBatch answers req with the per-op kernels. The returned columns
+// alias sc, so they are read before sc goes back to its pool.
+func (s *Server) runBatch(top core.Topology, d Dims, req *batchRequest, sc *batchScratch) (batchColumns, error) {
 	cols := batchColumns{op: req.op, m: req.m, n: req.n, faults: req.faults}
-
 	switch req.op {
 	case batchOpDist, batchOpRoute:
 		kop := core.BatchDist
@@ -391,13 +374,13 @@ func (s *Server) computeBatch(top core.Topology, d Dims, req *batchRequest) ([]b
 			kop = core.BatchRoute
 		}
 		if err := core.RouteBatch(top, kop, req.src, req.dst, s.batchWorkers, &sc.bs); err != nil {
-			return nil, badRequest("%v", err)
+			return cols, badRequest("%v", err)
 		}
 		cols.status, cols.dist, cols.off, cols.nodes = sc.bs.Status, sc.bs.Dist, sc.bs.Off, sc.bs.Nodes
 
 	case batchOpFaultRoute:
 		if err := s.faultRouteBatch(top, d, req, sc); err != nil {
-			return nil, err
+			return cols, err
 		}
 		cols.status, cols.off, cols.nodes = sc.bs.Status, sc.off, sc.nodes
 
@@ -405,11 +388,7 @@ func (s *Server) computeBatch(top core.Topology, d Dims, req *batchRequest) ([]b
 		pathsBatch(top, req, sc)
 		cols.status, cols.off, cols.poff, cols.nodes = sc.bs.Status, sc.off, sc.poff, sc.nodes
 	}
-
-	if req.codec == "bin" {
-		return encodeBatchBin(&cols), nil
-	}
-	return encodeBatchJSON(&cols), nil
+	return cols, nil
 }
 
 // faultRouteBatch routes every pair around one shared fault set through
@@ -424,6 +403,7 @@ func (s *Server) faultRouteBatch(top core.Topology, d Dims, req *batchRequest, s
 	sc.bs.Status = sc.bs.Status[:0]
 	sc.off = append(sc.off[:0], 0)
 	sc.nodes = sc.nodes[:0]
+	sc.err = nil
 	ir.mu.Lock()
 	defer ir.mu.Unlock()
 	if err := ir.r.SetFaults(req.faults); err != nil {
@@ -441,6 +421,7 @@ func (s *Server) faultRouteBatch(top core.Topology, d Dims, req *batchRequest, s
 				// A per-pair routing failure (faulty endpoint, fault set
 				// disconnects the pair) is an answer, not a request error.
 				status = core.BatchFailed
+				sc.err = err
 			} else {
 				sc.nodes = append(sc.nodes, path...)
 			}
@@ -448,6 +429,7 @@ func (s *Server) faultRouteBatch(top core.Topology, d Dims, req *batchRequest, s
 		sc.bs.Status = append(sc.bs.Status, status)
 		sc.off = append(sc.off, int32(len(sc.nodes)))
 	}
+	sc.strategy, sc.within = ir.r.LastStrategy(), ir.r.WithinGuarantee()
 	return nil
 }
 
@@ -459,6 +441,7 @@ func pathsBatch(top core.Topology, req *batchRequest, sc *batchScratch) {
 	sc.off = append(sc.off[:0], 0)
 	sc.poff = append(sc.poff[:0], 0)
 	sc.nodes = sc.nodes[:0]
+	sc.err = nil
 	npaths := 0
 	for i := range req.src {
 		u, v := req.src[i], req.dst[i]
@@ -470,6 +453,7 @@ func pathsBatch(top core.Topology, req *batchRequest, sc *batchScratch) {
 			paths, err := top.DisjointPaths(u, v)
 			if err != nil {
 				status = core.BatchFailed // equal endpoints
+				sc.err = err
 			} else {
 				for _, p := range paths {
 					sc.nodes = append(sc.nodes, p...)
@@ -485,11 +469,11 @@ func pathsBatch(top core.Topology, req *batchRequest, sc *batchScratch) {
 
 // encoding -----------------------------------------------------------
 
-// encodeBatchJSON renders the columns by hand (strconv appends into one
+// appendBatchJSON renders the columns by hand (strconv appends into one
 // pre-sized buffer): at thousands of pairs per request, reflective
 // json.Marshal of the arrays would dominate the batch compute.
-func encodeBatchJSON(c *batchColumns) []byte {
-	out := make([]byte, 0, 64+12*len(c.status)*3+12*len(c.nodes))
+func appendBatchJSON(out []byte, c *batchColumns) []byte {
+	out = slices.Grow(out, 64+12*len(c.status)*3+12*len(c.nodes))
 	out = append(out, `{"m":`...)
 	out = strconv.AppendInt(out, int64(c.m), 10)
 	out = append(out, `,"n":`...)
@@ -559,10 +543,10 @@ func appendJSONName(out []byte, name string) []byte {
 	return append(out, '"', ':', '[')
 }
 
-// encodeBatchBin renders the response framing: a header frame (magic,
+// appendBatchBin renders the response framing: a header frame (magic,
 // version, op, pair count, total path count) followed by one frame per
 // column in the README-documented order.
-func encodeBatchBin(c *batchColumns) []byte {
+func appendBatchBin(out []byte, c *batchColumns) []byte {
 	le := binary.LittleEndian
 	npairs := len(c.status)
 	totalPaths := 0
@@ -570,7 +554,7 @@ func encodeBatchBin(c *batchColumns) []byte {
 		totalPaths = len(c.poff) - 1
 	}
 	size := 4 + 16 + (4 + npairs) + (4 + 4*len(c.dist)) + (4 + 4*len(c.off)) + (4 + 4*len(c.poff)) + (4 + 4*len(c.nodes))
-	out := make([]byte, 0, size)
+	out = slices.Grow(out, size)
 
 	out = le.AppendUint32(out, 16) // header frame
 	out = le.AppendUint32(out, batchBinMagic)
@@ -611,11 +595,4 @@ func appendBinIntFrame(out []byte, vals []int) []byte {
 		out = binary.LittleEndian.AppendUint32(out, uint32(v))
 	}
 	return out
-}
-
-func cacheState(hit bool) string {
-	if hit {
-		return "hit"
-	}
-	return "miss"
 }

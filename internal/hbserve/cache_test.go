@@ -166,11 +166,9 @@ func TestPoolLazyBuildAndEviction(t *testing.T) {
 }
 
 func TestPoolRejectsOversized(t *testing.T) {
-	// ImplicitMaxOrder < 0 disables the implicit tier, restoring the
-	// strict pre-tier rejection semantics.
-	p := &Pool{MaxOrder: 1000, ImplicitMaxOrder: -1}
+	p := &Pool{MaxOrder: 1000}
 	if _, err := p.Get(Dims{M: 3, N: 8}); err == nil {
-		t.Error("accepted an instance over MaxOrder with the implicit tier disabled")
+		t.Error("accepted an instance over MaxOrder")
 	}
 	if _, err := p.Get(Dims{M: -1, N: 3}); err == nil {
 		t.Error("accepted m=-1")
@@ -183,32 +181,26 @@ func TestPoolRejectsOversized(t *testing.T) {
 	}
 }
 
-// TestPoolImplicitTier pins the two-tier order policy: at or below
-// MaxOrder the pool hands out the dense-capable backend, between
-// MaxOrder and ImplicitMaxOrder the label-arithmetic one, and above
-// ImplicitMaxOrder it rejects.
+// TestPoolImplicitTier pins the one-cap order policy: up to MaxOrder
+// every instance is the label-arithmetic backend, above it the pool
+// rejects.
 func TestPoolImplicitTier(t *testing.T) {
-	p := &Pool{MaxOrder: 1000, ImplicitMaxOrder: 20000}
-	small, err := p.Get(Dims{M: 1, N: 3}) // order 48
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := small.(*core.HyperButterfly); !ok {
-		t.Errorf("order 48 got %T, want the dense tier", small)
-	}
-	big, err := p.Get(Dims{M: 3, N: 8}) // order 16384
-	if err != nil {
-		t.Fatal(err)
-	}
-	imp, ok := big.(*core.Implicit)
-	if !ok {
-		t.Fatalf("order 16384 got %T, want the implicit tier", big)
-	}
-	if imp.Order() != 16384 {
-		t.Errorf("implicit instance order %d, want 16384", imp.Order())
+	p := &Pool{MaxOrder: 20000}
+	for _, d := range []Dims{{M: 1, N: 3}, {M: 3, N: 8}} { // orders 48 and 16384
+		top, err := p.Get(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		imp, ok := top.(*core.Implicit)
+		if !ok {
+			t.Fatalf("%v got %T, want the implicit backend", d, top)
+		}
+		if want := d.N << uint(d.M+d.N); imp.Order() != want {
+			t.Errorf("%v order %d, want %d", d, imp.Order(), want)
+		}
 	}
 	if _, err := p.Get(Dims{M: 4, N: 9}); err == nil {
-		t.Error("accepted order 9*2^13 over ImplicitMaxOrder")
+		t.Error("accepted order 9*2^13 over MaxOrder")
 	}
 }
 

@@ -62,11 +62,6 @@ type ClusterConfig struct {
 	// first R distinct alive replicas on its clockwise walk. 0 means
 	// DefaultReplication; it is capped at the replica count.
 	Replication int
-	// ScatterMinPairs is the smallest /batch request the router splits
-	// across the fleet; below it the whole body forwards to one owner
-	// (scattering a tiny batch costs more than it parallelises). 0
-	// means DefaultScatterMinPairs, < 0 disables scattering entirely.
-	ScatterMinPairs int
 
 	// Health-check knobs; zero values select the Default* constants.
 	ProbeInterval time.Duration
@@ -88,10 +83,6 @@ const DefaultForwardTimeout = 10 * time.Second
 // all on the next point clockwise.
 const DefaultReplication = 2
 
-// DefaultScatterMinPairs is the scatter threshold: below it the
-// per-sub-batch HTTP round trip dominates the split's win.
-const DefaultScatterMinPairs = 64
-
 // Router is the consistent-hash forwarding proxy over a replica fleet.
 type Router struct {
 	cfg         ClusterConfig
@@ -103,7 +94,6 @@ type Router struct {
 	queue       chan struct{}
 	attempts    int
 	replication int
-	scatterMin  int
 	start       time.Time
 
 	retries   atomic.Uint64 // transport-failed attempts retried elsewhere
@@ -120,10 +110,12 @@ type Router struct {
 	inflight   []atomic.Int64
 
 	// bodyPool holds request-body buffers and gathered sub-responses;
-	// copyPool holds the fixed chunks relay streams through. Both keep
-	// the per-forward allocation profile flat under load.
-	bodyPool sync.Pool
-	copyPool sync.Pool
+	// copyPool holds the fixed chunks relay streams through;
+	// scatterPool holds scatterScratch. They keep the per-forward
+	// allocation profile flat under load.
+	bodyPool    sync.Pool
+	copyPool    sync.Pool
+	scatterPool sync.Pool
 }
 
 // NewRouter builds a Router over the configured replica fleet. Start
@@ -168,10 +160,6 @@ func NewRouter(cfg ClusterConfig) (*Router, error) {
 	if replication > len(replicas) {
 		replication = len(replicas)
 	}
-	scatterMin := cfg.ScatterMinPairs
-	if scatterMin == 0 {
-		scatterMin = DefaultScatterMinPairs
-	}
 	tr := http.DefaultTransport.(*http.Transport).Clone()
 	tr.MaxIdleConns = 2 * DefaultQueueDepth
 	tr.MaxIdleConnsPerHost = DefaultQueueDepth
@@ -184,12 +172,12 @@ func NewRouter(cfg ClusterConfig) (*Router, error) {
 		mux:         http.NewServeMux(),
 		attempts:    attempts,
 		replication: replication,
-		scatterMin:  scatterMin,
 		inflight:    make([]atomic.Int64, len(replicas)),
 		start:       time.Now(),
 	}
 	rt.bodyPool.New = func() any { return new(bytes.Buffer) }
 	rt.copyPool.New = func() any { b := make([]byte, 32<<10); return &b }
+	rt.scatterPool.New = func() any { return new(scatterScratch) }
 	if depth > 0 {
 		rt.queue = make(chan struct{}, depth)
 	}
@@ -293,35 +281,65 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request) {
 // owner set is exhausted — further live replicas clockwise, bounded by
 // the attempt budget.
 func (rt *Router) forwardKeyed(w http.ResponseWriter, r *http.Request, key uint64, body []byte) {
+	// The clockwise distinct-alive walk enumerates the owner set in order
+	// before any non-owner, so skipping tried replicas is exactly "fail
+	// over within the owner set before walking on".
+	next := func(tried []bool) int {
+		return rt.ring.Lookup(key, func(i int) bool { return !tried[i] && rt.health.Healthy(i) })
+	}
+	answered := rt.try(1, next, func(i int) bool {
+		resp, err := rt.forwardOnce(r, i, body)
+		if err != nil {
+			return true
+		}
+		if resp.StatusCode >= 500 {
+			io.Copy(io.Discard, resp.Body) // lets the connection be reused
+			resp.Body.Close()
+			return true
+		}
+		rt.relay(w, resp, i)
+		return false
+	})
+	if !answered {
+		rt.noReplica.Add(1)
+		w.Header().Set("Retry-After", "1")
+		writeErr(w, rt.noLiveReplica())
+	}
+}
+
+// try is the router's one attempt loop, shared by single-query forwards
+// and scatter sub-batches. It sends to the replica next picks among
+// those not yet tried, under the attempt budget, counting load pairs in
+// flight on it meanwhile. send makes one attempt and reports whether it
+// failed through the replica's fault (a transport error or a 5xx,
+// including a shed): that failure feeds ejection and moves on to the
+// next replica, while any other answer, a 4xx included, is final. try
+// reports false when no attempt got a final answer.
+func (rt *Router) try(load int64, next func(tried []bool) int, send func(i int) (retry bool)) bool {
 	tried := make([]bool, len(rt.replicas))
 	for attempt := 0; attempt < rt.attempts; attempt++ {
-		// The clockwise distinct-alive walk enumerates the owner set in
-		// order before any non-owner, so skipping tried replicas is
-		// exactly "fail over within the owner set before walking on".
-		i := rt.ring.Lookup(key, func(i int) bool { return !tried[i] && rt.health.Healthy(i) })
+		i := next(tried)
 		if i < 0 {
 			break
 		}
 		tried[i] = true
-		rt.inflight[i].Add(1)
-		resp, err := rt.forwardOnce(r, i, body)
-		rt.inflight[i].Add(-1)
-		if err != nil {
-			// A transport failure is the replica's problem, not the
-			// query's: report it toward ejection and move clockwise.
-			rt.health.ReportFailure(i)
-			rt.retries.Add(1)
-			continue
+		rt.inflight[i].Add(load)
+		retry := send(i)
+		rt.inflight[i].Add(-load)
+		if !retry {
+			return true
 		}
-		rt.relay(w, resp, i)
-		return
+		rt.health.ReportFailure(i)
+		rt.retries.Add(1)
 	}
-	rt.noReplica.Add(1)
-	w.Header().Set("Retry-After", "1")
-	writeErr(w, &httpError{
-		code: http.StatusServiceUnavailable,
-		msg:  fmt.Sprintf("no live replica (%d/%d healthy)", rt.health.HealthyCount(), len(rt.replicas)),
-	})
+	return false
+}
+
+// noLiveReplica is the 503 a request gets once try found no replica to
+// answer it.
+func (rt *Router) noLiveReplica() error {
+	return &httpError{code: http.StatusServiceUnavailable,
+		msg: fmt.Sprintf("no live replica (%d/%d healthy)", rt.health.HealthyCount(), len(rt.replicas))}
 }
 
 // forwardOnce sends the request to replica i under the per-attempt

@@ -5,30 +5,30 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 )
 
-// Scatter-gather batch routing. A /batch body that reaches the router
-// is decoded (both codecs), its pairs are partitioned by their
+// Scatter-gather batch routing. Every /batch body that reaches the
+// router is decoded (both codecs), its pairs are partitioned by their
 // (m,n,u,v) ring owner sets, and one sub-batch per chosen replica is
 // fanned out concurrently over the keep-alive transport — so a single
 // client batch is answered by the whole fleet instead of serializing
-// on the one replica that owns the (m,n) header key. The sub-responses
-// are re-merged into a single response in the original pair order and
-// re-encoded in the client's codec, byte-exact with what one replica
-// would have produced for the whole body.
+// on one replica. The sub-responses are re-merged into a single
+// response in the original pair order and re-encoded in the client's
+// codec, byte-exact with what one replica would have produced for the
+// whole body.
 //
 // Pair placement uses the replicated owner set: each pair's key maps
 // to its first R distinct alive replicas clockwise (ring.LookupN), and
 // the pair goes to the least-loaded member by in-flight pair count —
-// power-of-two-choices when R is the default 2. A sub-batch that fails
-// in transport (or is shed with a 5xx) retries against the next alive
-// owner, so a replica killed mid-batch loses zero pairs; a 4xx is the
-// request's own fault and propagates without retry. Sub-requests are
-// always encoded in the binary codec: it is the cheaper frame to build
-// and parse, and the merge re-encodes the client's codec at the end.
+// power-of-two-choices when R is the default 2. A sub-batch runs the
+// router's one attempt loop (Router.try), so a replica killed mid-batch
+// loses zero pairs. Sub-requests are always encoded in the binary
+// codec: it is the cheaper frame to build and parse, and the merge
+// re-encodes the client's codec at the end.
 
 // forwardBatch validates and routes one buffered /batch POST. A body
 // whose dims cannot even be peeked (truncated binary header, JSON with
@@ -50,14 +50,6 @@ func (rt *Router) forwardBatch(w http.ResponseWriter, r *http.Request, body []by
 		writeErr(w, err)
 		return
 	}
-	d := Dims{M: req.m, N: req.n}
-	if rt.scatterMin < 0 || len(req.src) < rt.scatterMin ||
-		len(rt.replicas) < 2 || rt.health.HealthyCount() < 2 {
-		// Too small to win from splitting (or nothing to split across):
-		// the whole body forwards to the (m,n) key's owner set.
-		rt.forwardKeyed(w, r, shardKey(d, 0, 0), body)
-		return
-	}
 	rt.scatterBatch(w, r, req)
 }
 
@@ -67,9 +59,18 @@ type subBatch struct {
 	idx     []int // original pair indices, ascending
 	body    []byte
 
-	cols     *batchColumns // decoded answer
+	cols     *batchColumns // decoded answer, in the scatter's scratch
 	answered int           // replica that actually answered
 	err      error
+}
+
+// scatterScratch is the pooled working set of one scattered batch: the
+// decoded sub-responses, the merged columns and the encoded response.
+// Reusing it keeps the gather path from allocating per pair.
+type scatterScratch struct {
+	subs   []batchColumns
+	merged batchColumns
+	out    []byte
 }
 
 // scatterBatch partitions, fans out, gathers, merges, and answers.
@@ -78,6 +79,11 @@ func (rt *Router) scatterBatch(w http.ResponseWriter, r *http.Request, req *batc
 	n := len(rt.replicas)
 	pairs := len(req.src)
 	alive := func(i int) bool { return rt.health.Healthy(i) }
+	noReplica := func() {
+		rt.noReplica.Add(1)
+		w.Header().Set("Retry-After", "1")
+		writeErr(w, rt.noLiveReplica())
+	}
 
 	// Partition: each pair goes to the least-loaded member of its owner
 	// set, counting both globally in-flight pairs and pairs already
@@ -92,10 +98,7 @@ func (rt *Router) scatterBatch(w http.ResponseWriter, r *http.Request, req *batc
 		key := shardKeyAppend(d, req.src[i], req.dst[i], keyBuf[:0])
 		owners = rt.ring.LookupN(key, rt.replication, alive, owners[:0])
 		if len(owners) == 0 {
-			rt.noReplica.Add(1)
-			w.Header().Set("Retry-After", "1")
-			writeErr(w, &httpError{code: http.StatusServiceUnavailable,
-				msg: fmt.Sprintf("no live replica (%d/%d healthy)", rt.health.HealthyCount(), n)})
+			noReplica()
 			return
 		}
 		best := owners[0]
@@ -111,17 +114,23 @@ func (rt *Router) scatterBatch(w http.ResponseWriter, r *http.Request, req *batc
 		local[best]++
 	}
 
-	// Build one sub-batch per chosen replica.
+	// Build one sub-batch per chosen replica. An empty batch still goes
+	// to one replica, the owner of its dims, which validates the dims and
+	// faults as it would for any batch.
 	opName := batchOpNames[req.op]
 	subs := make([]*subBatch, 0, n)
-	subOf := make([]*subBatch, n)
 	for rep := 0; rep < n; rep++ {
-		if perCount[rep] == 0 {
-			continue
+		if perCount[rep] > 0 {
+			subs = append(subs, &subBatch{replica: rep, idx: make([]int, 0, perCount[rep])})
 		}
-		sb := &subBatch{replica: rep, idx: make([]int, 0, perCount[rep])}
-		subs = append(subs, sb)
-		subOf[rep] = sb
+	}
+	if pairs == 0 {
+		rep := rt.ring.Lookup(shardKey(d, 0, 0), alive)
+		if rep < 0 {
+			noReplica()
+			return
+		}
+		subs = append(subs, &subBatch{replica: rep})
 	}
 	src := make([]int, 0, pairs)
 	dst := make([]int, 0, pairs)
@@ -142,6 +151,12 @@ func (rt *Router) scatterBatch(w http.ResponseWriter, r *http.Request, req *batc
 	}
 
 	// Fan out concurrently; gather everything before answering.
+	gs := rt.scatterPool.Get().(*scatterScratch)
+	defer rt.scatterPool.Put(gs)
+	gs.subs = resized(gs.subs, len(subs))
+	for k, sb := range subs {
+		sb.cols = &gs.subs[k]
+	}
 	var wg sync.WaitGroup
 	for _, sb := range subs {
 		wg.Add(1)
@@ -168,57 +183,45 @@ func (rt *Router) scatterBatch(w http.ResponseWriter, r *http.Request, req *batc
 		answered = append(answered, rt.replicas[sb.answered])
 	}
 
-	merged, err := mergeSubBatches(req, subs, assign, localIdx)
-	if err != nil {
-		writeErr(w, &httpError{code: http.StatusBadGateway, msg: err.Error()})
-		return
-	}
-	var out []byte
-	if req.codec == "bin" {
-		out = encodeBatchBin(merged)
-	} else {
-		out = encodeBatchJSON(merged)
-	}
+	mergeSubBatches(req, subs, assign, localIdx, &gs.merged)
+	gs.out = req.appendAnswer(gs.out[:0], &gs.merged)
 	h := w.Header()
 	h.Set("X-Scatter", strconv.Itoa(len(subs)))
 	h.Set("X-Replica", strings.Join(answered, ","))
-	writeBody(w, req.contentType(), "", out)
+	writeBody(w, req.contentType(), "", gs.out)
 }
 
-// sendSubBatch posts one sub-batch to its chosen owner, retrying
-// transport failures and 5xx sheds against the next alive owner by
-// in-flight load, under the shared attempt budget. On success the
-// decoded columns land in sb.cols.
+// sendSubBatch posts one sub-batch through the router's attempt loop:
+// first to its chosen owner, then to the least-loaded alive replica not
+// yet tried. On success the decoded columns land in sb.cols; a 4xx
+// lands in sb.err.
 func (rt *Router) sendSubBatch(r *http.Request, op uint8, sb *subBatch) {
-	tried := make([]bool, len(rt.replicas))
-	target := sb.replica
-	load := int64(len(sb.idx))
-	for attempt := 0; attempt < rt.attempts && target >= 0; attempt++ {
-		tried[target] = true
-		if attempt == 0 {
+	next := func(tried []bool) int {
+		if !tried[sb.replica] {
+			return sb.replica
+		}
+		return rt.nextAliveOwner(tried)
+	}
+	sent := 0
+	answered := rt.try(int64(len(sb.idx)), next, func(i int) bool {
+		if sent++; sent == 1 {
 			rt.subFanout.Add(1)
 		} else {
 			rt.subRetries.Add(1)
 		}
-		rt.inflight[target].Add(load)
-		cols, err, retry := rt.postSubBatch(r, target, op, len(sb.idx), sb.body)
-		rt.inflight[target].Add(-load)
-		if err == nil {
-			sb.cols = cols
-			sb.answered = target
-			rt.health.replicas[target].forwarded.Add(1)
-			return
-		}
-		if !retry {
+		retry, err := rt.postSubBatch(r, i, op, sb)
+		switch {
+		case err == nil:
+			sb.answered = i
+			rt.health.replicas[i].forwarded.Add(1)
+		case !retry:
 			sb.err = err
-			return
 		}
-		rt.health.ReportFailure(target)
-		rt.retries.Add(1)
-		target = rt.nextAliveOwner(tried)
+		return retry
+	})
+	if !answered {
+		sb.err = rt.noLiveReplica()
 	}
-	sb.err = &httpError{code: http.StatusServiceUnavailable,
-		msg: fmt.Sprintf("no live replica for sub-batch (%d/%d healthy)", rt.health.HealthyCount(), len(rt.replicas))}
 }
 
 // nextAliveOwner picks the least-loaded alive replica not yet tried,
@@ -239,101 +242,106 @@ func (rt *Router) nextAliveOwner(tried []bool) int {
 	return best
 }
 
-// postSubBatch performs one binary-codec sub-request against replica i.
-// retry reports whether the failure is the replica's fault (transport
-// error, 5xx) rather than the request's (4xx).
-func (rt *Router) postSubBatch(r *http.Request, i int, op uint8, pairs int, body []byte) (cols *batchColumns, err error, retry bool) {
-	req, rerr := http.NewRequestWithContext(r.Context(), http.MethodPost, rt.replicas[i]+"/batch", bytes.NewReader(body))
-	if rerr != nil {
-		return nil, rerr, false
+// postSubBatch performs one binary-codec sub-request against replica i
+// and decodes the answer into sb.cols. retry reports whether a failure
+// is the replica's fault (transport error, 5xx, an undecodable 2xx)
+// rather than the request's (4xx).
+func (rt *Router) postSubBatch(r *http.Request, i int, op uint8, sb *subBatch) (retry bool, err error) {
+	req, err := http.NewRequestWithContext(r.Context(), http.MethodPost, rt.replicas[i]+"/batch", bytes.NewReader(sb.body))
+	if err != nil {
+		return false, err
 	}
 	req.Header.Set("Content-Type", ctBatchBin)
-	resp, rerr := rt.client.Do(req)
-	if rerr != nil {
-		return nil, rerr, true
+	resp, err := rt.client.Do(req)
+	if err != nil {
+		return true, err
 	}
 	defer resp.Body.Close()
 	buf := rt.bodyPool.Get().(*bytes.Buffer)
 	buf.Reset()
 	defer rt.bodyPool.Put(buf)
-	if _, rerr = buf.ReadFrom(resp.Body); rerr != nil {
-		return nil, rerr, true
+	if _, err = buf.ReadFrom(resp.Body); err != nil {
+		return true, err
 	}
 	if resp.StatusCode/100 != 2 {
-		herr := &httpError{code: resp.StatusCode, msg: fmt.Sprintf("replica %s: %s", rt.replicas[i], bytes.TrimSpace(buf.Bytes()))}
-		return nil, herr, resp.StatusCode >= 500
+		return resp.StatusCode >= 500, &httpError{code: resp.StatusCode, msg: fmt.Sprintf("replica %s: %s", rt.replicas[i], bytes.TrimSpace(buf.Bytes()))}
 	}
-	cols, rerr = decodeBatchBinResponse(buf.Bytes(), op, pairs)
-	if rerr != nil {
+	if err := decodeBatchBinResponse(buf.Bytes(), op, len(sb.idx), sb.cols); err != nil {
 		// A 2xx the router cannot decode is a corrupt replica; retrying
 		// elsewhere is safe and the failure feeds ejection.
-		return nil, fmt.Errorf("replica %s: %v", rt.replicas[i], rerr), true
+		return true, fmt.Errorf("replica %s: %v", rt.replicas[i], err)
 	}
-	return cols, nil, false
+	return false, nil
 }
 
 // decodeBatchBinResponse parses a binary /batch response back into
-// columns. The input buffer is pooled, so every column is copied out.
-func decodeBatchBinResponse(body []byte, op uint8, pairs int) (*batchColumns, error) {
+// cols, reusing their storage. The input buffer is pooled, so every
+// column is copied out.
+func decodeBatchBinResponse(body []byte, op uint8, pairs int, cols *batchColumns) error {
 	le := binary.LittleEndian
 	hdr, rest, err := nextFrame(body)
 	if err != nil {
-		return nil, fmt.Errorf("bad batch response: %v", err)
+		return fmt.Errorf("bad batch response: %v", err)
 	}
 	if len(hdr) != 16 {
-		return nil, fmt.Errorf("bad batch response: header frame is %d bytes, want 16", len(hdr))
+		return fmt.Errorf("bad batch response: header frame is %d bytes, want 16", len(hdr))
 	}
 	if m := le.Uint32(hdr); m != batchBinMagic {
-		return nil, fmt.Errorf("bad batch response: magic %#x", m)
+		return fmt.Errorf("bad batch response: magic %#x", m)
 	}
 	if v := le.Uint16(hdr[4:]); v != batchBinVersion {
-		return nil, fmt.Errorf("bad batch response: version %d", v)
+		return fmt.Errorf("bad batch response: version %d", v)
 	}
 	if hdr[6] != op {
-		return nil, fmt.Errorf("bad batch response: op %d, want %d", hdr[6], op)
+		return fmt.Errorf("bad batch response: op %d, want %d", hdr[6], op)
 	}
 	if got := int(le.Uint32(hdr[8:])); got != pairs {
-		return nil, fmt.Errorf("bad batch response: %d pairs answered, sent %d", got, pairs)
+		return fmt.Errorf("bad batch response: %d pairs answered, sent %d", got, pairs)
 	}
 	totalPaths := int(le.Uint32(hdr[12:]))
 
-	cols := &batchColumns{op: op}
+	cols.op = op
+	cols.dist, cols.off, cols.poff, cols.nodes = cols.dist[:0], cols.off[:0], cols.poff[:0], cols.nodes[:0]
 	st, rest, err := nextFrame(rest)
 	if err != nil || len(st) != pairs {
-		return nil, fmt.Errorf("bad batch response: status frame (%d bytes, err %v)", len(st), err)
+		return fmt.Errorf("bad batch response: status frame (%d bytes, err %v)", len(st), err)
 	}
-	cols.status = append([]uint8(nil), st...)
+	cols.status = append(cols.status[:0], st...)
 	if op == batchOpDist || op == batchOpRoute {
-		if cols.dist, rest, err = readInt32Frame(rest, pairs, "dist"); err != nil {
-			return nil, err
+		if cols.dist, rest, err = readInt32Frame(rest, pairs, "dist", cols.dist); err != nil {
+			return err
 		}
 	}
 	switch op {
 	case batchOpRoute, batchOpFaultRoute:
-		if cols.off, rest, err = readInt32Frame(rest, pairs+1, "off"); err != nil {
-			return nil, err
+		if cols.off, rest, err = readInt32Frame(rest, pairs+1, "off", cols.off); err != nil {
+			return err
 		}
-		if cols.nodes, rest, err = readIntFrame(rest, int(cols.off[pairs]), "nodes"); err != nil {
-			return nil, err
+		if cols.nodes, rest, err = readIntFrame(rest, int(cols.off[pairs]), "nodes", cols.nodes); err != nil {
+			return err
 		}
 	case batchOpPaths:
-		if cols.off, rest, err = readInt32Frame(rest, pairs+1, "pair_off"); err != nil {
-			return nil, err
+		if cols.off, rest, err = readInt32Frame(rest, pairs+1, "pair_off", cols.off); err != nil {
+			return err
 		}
-		if cols.poff, rest, err = readInt32Frame(rest, totalPaths+1, "path_off"); err != nil {
-			return nil, err
+		if cols.poff, rest, err = readInt32Frame(rest, totalPaths+1, "path_off", cols.poff); err != nil {
+			return err
 		}
-		if cols.nodes, rest, err = readIntFrame(rest, int(cols.poff[totalPaths]), "nodes"); err != nil {
-			return nil, err
+		if cols.nodes, rest, err = readIntFrame(rest, int(cols.poff[totalPaths]), "nodes", cols.nodes); err != nil {
+			return err
 		}
 	}
 	if len(rest) != 0 {
-		return nil, fmt.Errorf("bad batch response: %d trailing bytes", len(rest))
+		return fmt.Errorf("bad batch response: %d trailing bytes", len(rest))
 	}
-	return cols, nil
+	return nil
 }
 
-func readInt32Frame(data []byte, want int, name string) (vals []int32, rest []byte, err error) {
+// resized returns s with length n, reusing its storage when it can.
+func resized[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
+
+// readInt32Frame reads a frame of want values into vals' storage.
+func readInt32Frame(data []byte, want int, name string, vals []int32) ([]int32, []byte, error) {
 	payload, rest, err := nextFrame(data)
 	if err != nil {
 		return nil, nil, fmt.Errorf("bad batch response: %s frame: %v", name, err)
@@ -341,14 +349,15 @@ func readInt32Frame(data []byte, want int, name string) (vals []int32, rest []by
 	if len(payload) != 4*want {
 		return nil, nil, fmt.Errorf("bad batch response: %s frame is %d bytes, want %d values", name, len(payload), want)
 	}
-	vals = make([]int32, want)
+	vals = resized(vals, want)
 	for i := range vals {
 		vals[i] = int32(binary.LittleEndian.Uint32(payload[4*i:]))
 	}
 	return vals, rest, nil
 }
 
-func readIntFrame(data []byte, want int, name string) (vals []int, rest []byte, err error) {
+// readIntFrame reads a frame of want values into vals' storage.
+func readIntFrame(data []byte, want int, name string, vals []int) ([]int, []byte, error) {
 	payload, rest, err := nextFrame(data)
 	if err != nil {
 		return nil, nil, fmt.Errorf("bad batch response: %s frame: %v", name, err)
@@ -356,18 +365,19 @@ func readIntFrame(data []byte, want int, name string) (vals []int, rest []byte, 
 	if want < 0 || len(payload) != 4*want {
 		return nil, nil, fmt.Errorf("bad batch response: %s frame is %d bytes, want %d values", name, len(payload), want)
 	}
-	vals = make([]int, want)
+	vals = resized(vals, want)
 	for i := range vals {
 		vals[i] = int(int32(binary.LittleEndian.Uint32(payload[4*i:])))
 	}
 	return vals, rest, nil
 }
 
-// mergeSubBatches reassembles the sub-responses into one column set in
-// the original pair order. Offsets are rebased (they are prefix sums
-// into each sub-response's private arena), so the merged response is
-// byte-identical to a single replica answering the whole batch.
-func mergeSubBatches(req *batchRequest, subs []*subBatch, assign []int16, localIdx []int32) (*batchColumns, error) {
+// mergeSubBatches reassembles the sub-responses into merged, in the
+// original pair order and reusing merged's storage. Offsets are rebased
+// (they are prefix sums into each sub-response's private arena), so the
+// merged response is byte-identical to a single replica answering the
+// whole batch.
+func mergeSubBatches(req *batchRequest, subs []*subBatch, assign []int16, localIdx []int32, merged *batchColumns) {
 	pairs := len(req.src)
 	bySub := make(map[int16]*batchColumns, len(subs))
 	for _, sb := range subs {
@@ -375,14 +385,15 @@ func mergeSubBatches(req *batchRequest, subs []*subBatch, assign []int16, localI
 	}
 	at := func(i int) (*batchColumns, int32) { return bySub[assign[i]], localIdx[i] }
 
-	merged := &batchColumns{op: req.op, m: req.m, n: req.n, faults: req.faults}
-	merged.status = make([]uint8, pairs)
+	merged.op, merged.m, merged.n, merged.faults = req.op, req.m, req.n, req.faults
+	merged.dist, merged.off, merged.poff, merged.nodes = merged.dist[:0], merged.off[:0], merged.poff[:0], merged.nodes[:0]
+	merged.status = resized(merged.status, pairs)
 	for i := 0; i < pairs; i++ {
 		c, j := at(i)
 		merged.status[i] = c.status[j]
 	}
 	if req.op == batchOpDist || req.op == batchOpRoute {
-		merged.dist = make([]int32, pairs)
+		merged.dist = resized(merged.dist, pairs)
 		for i := 0; i < pairs; i++ {
 			c, j := at(i)
 			merged.dist[i] = c.dist[j]
@@ -391,21 +402,23 @@ func mergeSubBatches(req *batchRequest, subs []*subBatch, assign []int16, localI
 
 	switch req.op {
 	case batchOpRoute, batchOpFaultRoute:
-		merged.off = make([]int32, pairs+1)
+		merged.off = resized(merged.off, pairs+1)
+		merged.off[0] = 0
 		total := int32(0)
 		for i := 0; i < pairs; i++ {
 			c, j := at(i)
 			total += c.off[j+1] - c.off[j]
 			merged.off[i+1] = total
 		}
-		merged.nodes = make([]int, total)
+		merged.nodes = resized(merged.nodes, int(total))
 		for i := 0; i < pairs; i++ {
 			c, j := at(i)
 			copy(merged.nodes[merged.off[i]:merged.off[i+1]], c.nodes[c.off[j]:c.off[j+1]])
 		}
 
 	case batchOpPaths:
-		merged.off = make([]int32, pairs+1)
+		merged.off = resized(merged.off, pairs+1)
+		merged.off[0] = 0
 		npaths, nnodes := int32(0), int32(0)
 		for i := 0; i < pairs; i++ {
 			c, j := at(i)
@@ -415,8 +428,8 @@ func mergeSubBatches(req *batchRequest, subs []*subBatch, assign []int16, localI
 				nnodes += c.poff[q+1] - c.poff[q]
 			}
 		}
-		merged.poff = make([]int32, 1, npaths+1)
-		merged.nodes = make([]int, 0, nnodes)
+		merged.poff = append(slices.Grow(merged.poff, int(npaths)+1), 0)
+		merged.nodes = slices.Grow(merged.nodes, int(nnodes))
 		for i := 0; i < pairs; i++ {
 			c, j := at(i)
 			for q := c.off[j]; q < c.off[j+1]; q++ {
@@ -425,5 +438,4 @@ func mergeSubBatches(req *batchRequest, subs []*subBatch, assign []int16, localI
 			}
 		}
 	}
-	return merged, nil
 }

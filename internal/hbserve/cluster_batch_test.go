@@ -115,7 +115,7 @@ func scatterBody(t *testing.T, op, codec string, m, n int, faults, src, dst []in
 // back byte-identical to the same batch answered whole by one replica.
 func TestRouterScatterByteExact(t *testing.T) {
 	fleet := newTestFleet(t, 3)
-	rt, ts := newTestRouter(t, ClusterConfig{Replicas: fleet.URLs(), ScatterMinPairs: 2})
+	rt, ts := newTestRouter(t, ClusterConfig{Replicas: fleet.URLs()})
 
 	const m, n = 2, 3
 	var src, dst []int
@@ -177,7 +177,7 @@ func truncateForLog(b []byte) []byte {
 // still byte-exact.
 func TestRouterScatterSurvivesKilledReplica(t *testing.T) {
 	fleet := newTestFleet(t, 3)
-	rt, ts := newTestRouter(t, ClusterConfig{Replicas: fleet.URLs(), ScatterMinPairs: 2, EjectAfter: 2})
+	rt, ts := newTestRouter(t, ClusterConfig{Replicas: fleet.URLs(), EjectAfter: 2})
 
 	const m, n = 2, 3
 	var src, dst []int
@@ -254,6 +254,7 @@ func TestRouterBatchMalformed400(t *testing.T) {
 		{"json negative n", ctJSON, `{"m":2,"n":-3,"op":"route","src":[0],"dst":[9]}`},
 		{"wrong content type for binary body", "application/octet-stream", string(bin)},
 		{"json truncated", ctJSON, `{"m":2,"n":3,`},
+		{"empty batch with out-of-range dims, refused by its owner", ctJSON, `{"m":40,"n":3,"op":"route","src":[],"dst":[]}`},
 	}
 	for _, tc := range cases {
 		resp, err := http.Post(ts.URL+"/batch", tc.ct, strings.NewReader(tc.body))
@@ -282,7 +283,7 @@ func TestRouterBatchMalformed400(t *testing.T) {
 // and pins the new families.
 func TestRouterScatterMetrics(t *testing.T) {
 	fleet := newTestFleet(t, 2)
-	_, ts := newTestRouter(t, ClusterConfig{Replicas: fleet.URLs(), ScatterMinPairs: 1})
+	_, ts := newTestRouter(t, ClusterConfig{Replicas: fleet.URLs()})
 
 	var src, dst []int
 	for i := 0; i < 32; i++ {
@@ -343,7 +344,7 @@ func TestLoadClusterBatchLegs(t *testing.T) {
 		t.Skip("multi-window load run")
 	}
 	fleet := newTestFleet(t, 2)
-	_, ts := newTestRouter(t, ClusterConfig{Replicas: fleet.URLs(), ScatterMinPairs: 2})
+	_, ts := newTestRouter(t, ClusterConfig{Replicas: fleet.URLs()})
 
 	rep, err := LoadCluster(ClusterLoadConfig{
 		RouterURL: ts.URL,

@@ -381,6 +381,43 @@ func TestRouterRetriesReplicaDyingMidRequest(t *testing.T) {
 	}
 }
 
+// TestRouterRetriesReplica503: a replica answering a single GET with a
+// 5xx, a shed among them, is retried on the key's other owner, exactly
+// as a scatter sub-batch is; the client never sees that 503.
+func TestRouterRetriesReplica503(t *testing.T) {
+	shedding := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/healthz" {
+			fmt.Fprintln(w, "ok")
+			return
+		}
+		w.Header().Set("Retry-After", "1")
+		writeErr(w, &httpError{code: http.StatusServiceUnavailable, msg: "over capacity"})
+	}))
+	defer shedding.Close()
+	fleet := newTestFleet(t, 1)
+	urls := append([]string{shedding.URL}, fleet.URLs()...)
+	// Replication 2 over two replicas: every key has both as owners.
+	rt, ts := newTestRouter(t, ClusterConfig{Replicas: urls, EjectAfter: 1000})
+
+	for u := 0; u < 16; u++ {
+		resp, err := http.Get(fmt.Sprintf("%s/route?m=1&n=3&u=%d&v=%d", ts.URL, u, (u+5)%48))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != 200 {
+			t.Fatalf("u=%d: status %d: %s", u, resp.StatusCode, body)
+		}
+		if got := resp.Header.Get("X-Replica"); got != fleet.URLs()[0] {
+			t.Fatalf("u=%d: answered by %s, want the healthy owner", u, got)
+		}
+	}
+	if rt.Status().Retries == 0 {
+		t.Error("no retries recorded though the shedding replica is the primary owner of some keys")
+	}
+}
+
 // TestRouterAllReplicasDown503: with every replica unreachable the
 // router must answer 503 with Retry-After promptly — not hang, not 500.
 func TestRouterAllReplicasDown503(t *testing.T) {

@@ -84,8 +84,8 @@ type LoadResult struct {
 }
 
 // loadBatchBodies bounds how many distinct request bodies batch mode
-// prebuilds; beyond it the rotation repeats (batches over the cache
-// bound bypass the route cache, so repeats still measure compute).
+// prebuilds; beyond it the rotation repeats (batches are never cached,
+// so repeats still measure compute).
 const loadBatchBodies = 128
 
 // Load runs one configured mix to completion.
@@ -331,7 +331,7 @@ func makeBatchBodies(cfg LoadConfig, codec string, next func() [2]int) ([][]byte
 		}
 		switch codec {
 		case "json":
-			bodies[k] = EncodeBatchJSONRequest(cfg.Endpoint, cfg.M, cfg.N, src, dst)
+			bodies[k] = EncodeBatchJSONRequest(cfg.Endpoint, cfg.M, cfg.N, nil, src, dst)
 		case "bin":
 			var err error
 			if bodies[k], err = EncodeBatchBinRequest(cfg.Endpoint, cfg.M, cfg.N, nil, src, dst); err != nil {

@@ -18,30 +18,20 @@ type Dims struct {
 func (d Dims) String() string { return fmt.Sprintf("HB(%d,%d)", d.M, d.N) }
 
 // Pool is a bounded, lazily-filled cache of constructed HB(m,n)
-// backends. Construction is cheap (labels only — the dense adjacency
-// is built lazily by core on demand), but instances pin memory once
-// their adjacency or route caches warm up, so the pool evicts the
+// backends. Every instance is the label-arithmetic *core.Implicit, which
+// serves /route, /paths and /faultroute on e.g. HB(10,10) (~10.5M nodes)
+// with zero graph construction; its dense adjacency is built only when
+// a verify=1 BFS oracle asks for it. Instances pin memory once that
+// adjacency or their route caches warm up, so the pool evicts the
 // least-recently-used instance beyond Max. A per-entry sync.Once keeps
 // concurrent first requests for the same dims from building twice, and
 // the pool lock is never held across construction.
-//
-// The pool is two-tiered by order: instances up to MaxOrder get the
-// dense-capable *core.HyperButterfly backend (verify=1 runs real BFS
-// oracles against them); instances up to ImplicitMaxOrder get the
-// label-arithmetic *core.Implicit backend, which serves /route, /paths
-// and /faultroute on e.g. HB(10,10) (~10.5M nodes) with zero graph
-// construction.
 type Pool struct {
 	// Max is the instance cap; <= 0 means DefaultPoolMax.
 	Max int
-	// MaxOrder bounds the dense tier: dimensions above it are served
-	// implicitly rather than rejected; <= 0 means DefaultMaxOrder.
+	// MaxOrder bounds the served instances: dimensions above it are
+	// rejected. <= 0 means DefaultMaxOrder.
 	MaxOrder int
-	// ImplicitMaxOrder bounds the implicit tier; dimensions above it are
-	// rejected. 0 means DefaultImplicitMaxOrder; < 0 disables implicit
-	// serving entirely (orders above MaxOrder are rejected, the pre-tier
-	// behaviour).
-	ImplicitMaxOrder int
 
 	mu      sync.Mutex
 	entries map[Dims]*poolEntry
@@ -50,22 +40,17 @@ type Pool struct {
 	evictions uint64
 
 	// construct builds an instance; tests override it to hold a build
-	// open and race evictions against it. Nil means core.New /
-	// core.NewImplicit by order tier.
+	// open and race evictions against it. Nil means core.NewImplicit.
 	construct func(d Dims) (core.Topology, error)
 }
 
 // DefaultPoolMax bounds the number of live instances.
 const DefaultPoolMax = 8
 
-// DefaultMaxOrder caps the dense tier: HB(3,8) — the paper's own large
-// example, 16384 nodes — fits with headroom.
-const DefaultMaxOrder = 1 << 17
-
-// DefaultImplicitMaxOrder caps the implicit tier. Implicit instances
-// hold no adjacency, so the bound exists only to keep per-request label
-// work (and response sizes) sane; HB(10,10) at ~10.5M nodes fits.
-const DefaultImplicitMaxOrder = 1 << 24
+// DefaultMaxOrder caps the served instances. Implicit instances hold no
+// adjacency, so the bound exists only to keep per-request label work
+// (and response sizes) sane; HB(10,10) at ~10.5M nodes fits.
+const DefaultMaxOrder = 1 << 24
 
 type poolEntry struct {
 	once  sync.Once
@@ -82,19 +67,12 @@ func (p *Pool) Get(d Dims) (core.Topology, error) {
 	if maxOrder <= 0 {
 		maxOrder = DefaultMaxOrder
 	}
-	implicitMax := p.ImplicitMaxOrder
-	if implicitMax == 0 {
-		implicitMax = DefaultImplicitMaxOrder
-	}
-	if implicitMax < maxOrder {
-		implicitMax = maxOrder // implicit tier never shrinks below the dense tier
-	}
 	order, err := orderOf(d)
 	if err != nil {
 		return nil, err
 	}
-	if order > implicitMax {
-		return nil, fmt.Errorf("hbserve: %v has %d nodes, over the service cap %d", d, order, implicitMax)
+	if order > maxOrder {
+		return nil, fmt.Errorf("hbserve: %v has %d nodes, over the service cap %d", d, order, maxOrder)
 	}
 
 	p.mu.Lock()
@@ -138,13 +116,10 @@ func (p *Pool) Get(d Dims) (core.Topology, error) {
 	p.mu.Unlock()
 
 	e.once.Do(func() {
-		switch {
-		case p.construct != nil:
+		if p.construct != nil {
 			e.top, e.err = p.construct(d)
-		case order > maxOrder:
+		} else {
 			e.top, e.err = core.NewImplicit(d.M, d.N)
-		default:
-			e.top, e.err = core.New(d.M, d.N)
 		}
 		e.built.Store(true)
 	})

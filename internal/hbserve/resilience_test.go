@@ -102,6 +102,49 @@ func TestPanicRecovery(t *testing.T) {
 	}
 }
 
+// panickyRoutes is a backend whose routing panics, standing in for a
+// bug in constructive code.
+type panickyRoutes struct{ core.Topology }
+
+func (panickyRoutes) Route(u, v core.Node) []core.Node { panic("route bug") }
+
+func (panickyRoutes) AppendRoute(u, v core.Node, buf []core.Node) []core.Node {
+	panic("route bug")
+}
+
+// TestCachedComputePanic: a panic inside a cached /route compute answers
+// 500 to the request that ran it and to every request waiting on it, and
+// each compute that panicked is counted once.
+func TestCachedComputePanic(t *testing.T) {
+	s := NewServer(Config{})
+	s.pool.construct = func(d Dims) (core.Topology, error) {
+		return panickyRoutes{core.MustNewImplicit(d.M, d.N)}, nil
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	const requests = 8
+	var wg sync.WaitGroup
+	for i := 0; i < requests; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			code, body := get(t, ts.URL+"/route?m=2&n=3&u=0&v=95")
+			if code != http.StatusInternalServerError || !strings.Contains(string(body), "route bug") {
+				t.Errorf("status %d, want 500 naming the panic: %s", code, body)
+			}
+		}()
+	}
+	wg.Wait()
+	_, computes, _ := s.Cache().Stats()
+	if got := s.Metrics().Panics(); got == 0 || got != computes {
+		t.Errorf("panic counter %d, want one per panicking compute (%d)", got, computes)
+	}
+	if s.Cache().Len() != 0 {
+		t.Error("a panicking compute left a cache entry")
+	}
+}
+
 // TestLoadShedding: once in-flight work exceeds MaxInFlight, further
 // requests get an immediate 503 with Retry-After instead of queueing.
 func TestLoadShedding(t *testing.T) {

@@ -15,14 +15,15 @@
 // /estimate answers sampled diameter/distance questions with explicit
 // confidence statements on instances too large for exact sweeps.
 //
-// Instances are served through the core.Topology interface: small
-// dimensions get the dense-capable backend (verify=1 replays a BFS
-// oracle), while dimensions above the dense cap get the pure
-// label-arithmetic implicit backend, so a cold hbd answers /route,
-// /paths and /faultroute on HB(10,10) (~10.5M nodes) without ever
-// materialising a graph. Verification on the implicit tier is also
-// label-arithmetic: per-hop neighborhood membership plus the analytic
-// distance, and graph.VerifyDisjointPaths for path certificates.
+// Every instance is served by the label-arithmetic implicit backend,
+// so a cold hbd answers /route, /paths and /faultroute on HB(10,10)
+// (~10.5M nodes) without ever materialising a graph. The single-pair
+// GETs are one-pair batches: they run the same per-op code as /batch
+// and only render a different JSON shape. verify=1 replays a BFS oracle
+// over the adjacency, built on demand, on instances small enough for
+// one; above that it checks label arithmetic: per-hop neighborhood
+// membership plus the analytic distance, and graph.VerifyDisjointPaths
+// for path certificates.
 package hbserve
 
 import (
@@ -89,14 +90,10 @@ type instanceRouter struct {
 
 // Config sizes a Server. Zero values select the defaults.
 type Config struct {
-	PoolMax  int // max resident HB instances (DefaultPoolMax)
-	MaxOrder int // max nodes on the dense tier (DefaultMaxOrder)
-	// ImplicitMaxOrder caps the label-arithmetic tier serving instances
-	// above MaxOrder; 0 means DefaultImplicitMaxOrder, < 0 disables
-	// implicit serving.
-	ImplicitMaxOrder int
-	CacheSize        int // route-cache capacity in entries; < 0 disables
-	CacheShard       int // route-cache shard count (DefaultCacheShards)
+	PoolMax    int // max resident HB instances (DefaultPoolMax)
+	MaxOrder   int // max nodes of a served instance (DefaultMaxOrder)
+	CacheSize  int // route-cache capacity in entries; < 0 disables
+	CacheShard int // route-cache shard count (DefaultCacheShards)
 	// RequestTimeout bounds each instrumented request via its context;
 	// 0 means DefaultRequestTimeout, < 0 disables the deadline.
 	RequestTimeout time.Duration
@@ -142,7 +139,7 @@ func NewServer(cfg Config) *Server {
 		maxInFlight = DefaultMaxInFlight
 	}
 	s := &Server{
-		pool:         &Pool{Max: cfg.PoolMax, MaxOrder: cfg.MaxOrder, ImplicitMaxOrder: cfg.ImplicitMaxOrder},
+		pool:         &Pool{Max: cfg.PoolMax, MaxOrder: cfg.MaxOrder},
 		cache:        NewRouteCache(size, cfg.CacheShard),
 		metrics:      NewMetrics(),
 		mux:          http.NewServeMux(),
@@ -153,10 +150,10 @@ func NewServer(cfg Config) *Server {
 		snapshots:    make(map[Dims]*snapshotEntry),
 	}
 	s.scratch.New = func() any { return graph.NewScratch(0) }
-	s.mux.HandleFunc("/route", s.instrument("route", s.handleRoute))
+	s.mux.HandleFunc("/route", s.instrument("route", s.handleQuery(batchOpRoute)))
 	s.mux.HandleFunc("/batch", s.instrument("batch", s.handleBatch))
-	s.mux.HandleFunc("/paths", s.instrument("paths", s.handlePaths))
-	s.mux.HandleFunc("/faultroute", s.instrument("faultroute", s.handleFaultRoute))
+	s.mux.HandleFunc("/paths", s.instrument("paths", s.handleQuery(batchOpPaths)))
+	s.mux.HandleFunc("/faultroute", s.instrument("faultroute", s.handleQuery(batchOpFaultRoute)))
 	s.mux.HandleFunc("/info", s.instrument("info", s.handleInfo))
 	s.mux.HandleFunc("/conformance", s.instrument("conformance", s.handleConformance))
 	s.mux.HandleFunc("/estimate", s.instrument("estimate", s.handleEstimate))
@@ -318,7 +315,8 @@ func writeBody(w http.ResponseWriter, contentType, cache string, body []byte) {
 	w.Write(body)
 }
 
-// writeJSON writes v as JSON; writeErr maps errors to {"error": ...}.
+// writeJSON writes v as JSON; writeErr maps errors to {"error": ...},
+// with an *httpError's code, or 500 for any other error.
 func writeJSON(w http.ResponseWriter, v any) {
 	setResponseHeaders(w, ctJSON, "")
 	enc := json.NewEncoder(w)
@@ -330,8 +328,6 @@ func writeErr(w http.ResponseWriter, err error) {
 	var he *httpError
 	if errors.As(err, &he) {
 		code = he.code
-	} else if strings.Contains(err.Error(), "hbserve:") {
-		code = http.StatusBadRequest
 	}
 	setResponseHeaders(w, ctJSON, "")
 	w.WriteHeader(code)
@@ -341,7 +337,11 @@ func writeErr(w http.ResponseWriter, err error) {
 // writeCached writes pre-rendered JSON bytes (already newline-
 // terminated by the encoder that produced them).
 func writeCached(w http.ResponseWriter, body []byte, hit bool) {
-	writeBody(w, ctJSON, cacheState(hit), body)
+	state := "miss"
+	if hit {
+		state = "hit"
+	}
+	writeBody(w, ctJSON, state, body)
 }
 
 // query parsing ------------------------------------------------------
@@ -361,20 +361,6 @@ func (s *Server) instance(r *http.Request) (core.Topology, Dims, error) {
 		return nil, d, badRequest("%v", err)
 	}
 	return top, d, nil
-}
-
-// denseBackend unwraps a Topology to its dense-capable instance, or nil
-// when none exists. An Implicit shares the underlying instance, so
-// unwrapping it is safe wherever an order cap already bounds the dense
-// work (the /conformance handler).
-func denseBackend(top core.Topology) *core.HyperButterfly {
-	switch t := top.(type) {
-	case *core.HyperButterfly:
-		return t
-	case *core.Implicit:
-		return t.HyperButterfly
-	}
-	return nil
 }
 
 func intParam(r *http.Request, name string, def int) (int, error) {
@@ -417,51 +403,6 @@ type routeResponse struct {
 	Verified bool     `json:"verified,omitempty"`
 }
 
-func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
-	hb, d, err := s.instance(r)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	u, err := nodeParam(r, hb, "u")
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	v, err := nodeParam(r, hb, "v")
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	verify := boolParam(r, "verify")
-	key := cacheKey("route", d, u, v, verify)
-	body, hit, err := s.cache.GetOrCompute(key, func() ([]byte, error) {
-		moves := hb.RouteMoves(u, v)
-		names := make([]string, len(moves))
-		for i, mv := range moves {
-			names[i] = mv.String()
-		}
-		resp := routeResponse{
-			M: d.M, N: d.N, U: u, V: v,
-			Distance: len(moves),
-			Path:     hb.Route(u, v),
-			Moves:    names,
-		}
-		if verify {
-			if err := s.verifyRoute(hb, u, v, resp.Path); err != nil {
-				return nil, err
-			}
-			resp.Verified = true
-		}
-		return marshalBody(resp)
-	})
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeCached(w, body, hit)
-}
-
 type pathsResponse struct {
 	M        int     `json:"m"`
 	N        int     `json:"n"`
@@ -470,53 +411,6 @@ type pathsResponse struct {
 	Count    int     `json:"count"`
 	Paths    [][]int `json:"paths"`
 	Verified bool    `json:"verified,omitempty"`
-}
-
-func (s *Server) handlePaths(w http.ResponseWriter, r *http.Request) {
-	hb, d, err := s.instance(r)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	u, err := nodeParam(r, hb, "u")
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	v, err := nodeParam(r, hb, "v")
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	if u == v {
-		writeErr(w, badRequest("disjoint paths need distinct endpoints (u=v=%d)", u))
-		return
-	}
-	verify := boolParam(r, "verify")
-	key := cacheKey("paths", d, u, v, verify)
-	body, hit, err := s.cache.GetOrCompute(key, func() ([]byte, error) {
-		paths, err := hb.DisjointPaths(u, v)
-		if err != nil {
-			return nil, err
-		}
-		resp := pathsResponse{
-			M: d.M, N: d.N, U: u, V: v,
-			Count: len(paths),
-			Paths: paths,
-		}
-		if verify {
-			if err := s.verifyPaths(hb, u, v, paths); err != nil {
-				return nil, err
-			}
-			resp.Verified = true
-		}
-		return marshalBody(resp)
-	})
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeCached(w, body, hit)
 }
 
 type faultRouteResponse struct {
@@ -530,62 +424,143 @@ type faultRouteResponse struct {
 	Path            []int  `json:"path"`
 }
 
-func (s *Server) handleFaultRoute(w http.ResponseWriter, r *http.Request) {
-	hb, d, err := s.instance(r)
+// handleQuery serves the single-pair GET of one op: /route, /paths or
+// /faultroute. The query parses into a one-pair batchRequest, runs the
+// /batch per-op code and is rendered into the endpoint's JSON shape.
+// /route and /paths bodies go through the route cache, so identical
+// queries are byte-identical however they interleave; /faultroute takes
+// a caller-supplied fault set and stays uncached (fault sets are
+// high-cardinality).
+func (s *Server) handleQuery(op uint8) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		top, d, err := s.instance(r)
+		if err != nil {
+			writeErr(w, err)
+			return
+		}
+		u, err := nodeParam(r, top, "u")
+		if err != nil {
+			writeErr(w, err)
+			return
+		}
+		v, err := nodeParam(r, top, "v")
+		if err != nil {
+			writeErr(w, err)
+			return
+		}
+		switch op {
+		case batchOpPaths:
+			if u == v {
+				writeErr(w, badRequest("disjoint paths need distinct endpoints (u=v=%d)", u))
+				return
+			}
+		case batchOpFaultRoute:
+			faults, err := faultsParam(r, top)
+			if err != nil {
+				writeErr(w, err)
+				return
+			}
+			if err := checkDeadline(r); err != nil {
+				writeErr(w, err)
+				return
+			}
+			body, err := s.renderQuery(top, d, op, u, v, faults, false)
+			if err != nil {
+				writeErr(w, err)
+				return
+			}
+			writeBody(w, ctJSON, "", body)
+			return
+		}
+		verify := boolParam(r, "verify")
+		body, hit, err := s.cache.GetOrCompute(cacheKey(batchOpNames[op], d, u, v, verify), func() ([]byte, error) {
+			defer s.countPanic()
+			return s.renderQuery(top, d, op, u, v, nil, verify)
+		})
+		if err != nil {
+			writeErr(w, err)
+			return
+		}
+		writeCached(w, body, hit)
+	}
+}
+
+// countPanic, deferred in a cached compute, counts a panic before the
+// route cache turns it into an error for the caller and every waiter.
+func (s *Server) countPanic() {
+	if p := recover(); p != nil {
+		s.metrics.PanicRecovered()
+		panic(p)
+	}
+}
+
+// renderQuery answers the pair (u, v) as a one-pair batch with the
+// /batch per-op code and renders the answer in the GET endpoint's JSON
+// shape.
+func (s *Server) renderQuery(top core.Topology, d Dims, op uint8, u, v int, faults []int, verify bool) ([]byte, error) {
+	sc := batchScratchPool.Get().(*batchScratch)
+	defer batchScratchPool.Put(sc)
+	req := &batchRequest{op: op, m: d.M, n: d.N, faults: faults, src: []int{u}, dst: []int{v}}
+	cols, err := s.runBatch(top, d, req, sc)
 	if err != nil {
-		writeErr(w, err)
-		return
+		return nil, err
 	}
-	u, err := nodeParam(r, hb, "u")
-	if err != nil {
-		writeErr(w, err)
-		return
+	switch op {
+	case batchOpRoute:
+		moves := top.RouteMoves(u, v)
+		names := make([]string, len(moves))
+		for i, mv := range moves {
+			names[i] = mv.String()
+		}
+		resp := routeResponse{
+			M: d.M, N: d.N, U: u, V: v,
+			Distance: int(cols.dist[0]),
+			Path:     cols.nodes[cols.off[0]:cols.off[1]],
+			Moves:    names,
+		}
+		if verify {
+			if err := s.verifyRoute(top, u, v, resp.Path); err != nil {
+				return nil, err
+			}
+			resp.Verified = true
+		}
+		return marshalBody(resp)
+
+	case batchOpPaths:
+		if cols.status[0] != core.BatchOK {
+			return nil, sc.err
+		}
+		paths := make([][]int, 0, cols.off[1]-cols.off[0])
+		for q := cols.off[0]; q < cols.off[1]; q++ {
+			paths = append(paths, cols.nodes[cols.poff[q]:cols.poff[q+1]])
+		}
+		resp := pathsResponse{
+			M: d.M, N: d.N, U: u, V: v,
+			Count: len(paths),
+			Paths: paths,
+		}
+		if verify {
+			if err := s.verifyPaths(top, u, v, paths); err != nil {
+				return nil, err
+			}
+			resp.Verified = true
+		}
+		return marshalBody(resp)
+
+	default: // batchOpFaultRoute
+		if cols.status[0] != core.BatchOK {
+			// A routing failure is a valid answer about the query, not a
+			// server fault: faulty endpoints or a disconnecting fault set.
+			return nil, &httpError{code: http.StatusUnprocessableEntity, msg: sc.err.Error()}
+		}
+		return marshalBody(faultRouteResponse{
+			M: d.M, N: d.N, U: u, V: v,
+			Faults:          faults,
+			WithinGuarantee: sc.within,
+			Strategy:        sc.strategy,
+			Path:            cols.nodes[cols.off[0]:cols.off[1]],
+		})
 	}
-	v, err := nodeParam(r, hb, "v")
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	faults, err := faultsParam(r, hb)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	if err := checkDeadline(r); err != nil {
-		writeErr(w, err)
-		return
-	}
-	ir, err := s.routerFor(d, hb)
-	if err != nil {
-		writeErr(w, badRequest("%v", err))
-		return
-	}
-	// The SetFaults/Route/stats sequence must see one consistent fault
-	// set, so it holds the instance lock; the incremental router keeps
-	// every cached path that survives the diff.
-	ir.mu.Lock()
-	if err := ir.r.SetFaults(faults); err != nil {
-		ir.mu.Unlock()
-		writeErr(w, badRequest("%v", err))
-		return
-	}
-	path, err := ir.r.Route(u, v)
-	if err != nil {
-		ir.mu.Unlock()
-		// A routing failure is a valid answer about the query, not a
-		// server fault: faulty endpoints or a disconnecting fault set.
-		writeErr(w, &httpError{code: http.StatusUnprocessableEntity, msg: err.Error()})
-		return
-	}
-	resp := faultRouteResponse{
-		M: d.M, N: d.N, U: u, V: v,
-		Faults:          faults,
-		WithinGuarantee: ir.r.WithinGuarantee(),
-		Strategy:        ir.r.LastStrategy(),
-		Path:            path,
-	}
-	ir.mu.Unlock()
-	writeJSON(w, resp)
 }
 
 // routerFor returns the resident incremental router for d, building it
@@ -682,20 +657,14 @@ func (s *Server) handleConformance(w http.ResponseWriter, r *http.Request) {
 			d, top.Order(), maxConformanceOrder))
 		return
 	}
-	// The registry needs the dense-capable instance; the order cap above
-	// keeps its materialisation trivial even when d resolved to the
-	// implicit tier under a small configured MaxOrder.
-	hb := denseBackend(top)
-	if hb == nil {
-		writeErr(w, badRequest("conformance unsupported on backend %T", top))
-		return
-	}
 	if err := checkDeadline(r); err != nil {
 		writeErr(w, err)
 		return
 	}
+	// The registry runs on a fresh product instance, which the order cap
+	// above keeps trivial to build; the pool already built these dims.
 	rep := conformance.Run(
-		[]conformance.Target{conformance.HyperButterflyInstance(hb)},
+		[]conformance.Target{conformance.HyperButterflyInstance(core.MustNew(d.M, d.N))},
 		conformance.DefaultInvariants(),
 		conformance.Options{},
 	)
@@ -829,30 +798,35 @@ func boolParam(r *http.Request, name string) bool {
 
 // verification -------------------------------------------------------
 
+// maxBFSVerifyOrder bounds the instances verify=1 checks against a BFS
+// over the materialised adjacency (HB(3,8), the paper's own large
+// example at 16384 nodes, fits with headroom). Above it the check is
+// label arithmetic, since building that adjacency is what the backend
+// avoids.
+const maxBFSVerifyOrder = 1 << 17
+
 // bfsDist runs one pooled-scratch kernel BFS from u and passes the
 // distances to read (the slice aliases the scratch, so it must not
 // escape read).
-func (s *Server) bfsDist(hb *core.HyperButterfly, u int, read func(dist []int32) error) error {
+func (s *Server) bfsDist(top core.Topology, u int, read func(dist []int32) error) error {
 	sc := s.scratch.Get().(*graph.Scratch)
 	defer s.scratch.Put(sc)
-	return read(hb.Dense().BFSScratch(u, nil, sc))
+	return read(top.Dense().BFSScratch(u, nil, sc))
 }
 
 // verifyRoute independently checks a /route answer: the path must run
 // u -> v over real edges and its length must equal the shortest-path
-// distance (Theorem 3 routes are optimal). On the dense tier the oracle
-// is a pooled-scratch BFS over the materialised adjacency; on the
-// implicit tier — where building that adjacency is the very thing the
-// backend avoids — every hop is checked against the label-computed
-// neighborhood of its predecessor and the length against the analytic
-// distance, which the implicit differential gate holds to BFS equality
-// on every conformance instance.
+// distance (Theorem 3 routes are optimal). Up to maxBFSVerifyOrder the
+// oracle is a pooled-scratch BFS over the materialised adjacency; above
+// it every hop is checked against the label-computed neighborhood of
+// its predecessor and the length against the analytic distance, which
+// the implicit differential gate holds to BFS equality on every
+// conformance instance.
 func (s *Server) verifyRoute(top core.Topology, u, v int, path []int) error {
 	if len(path) == 0 || path[0] != u || path[len(path)-1] != v {
 		return fmt.Errorf("route verification failed: path endpoints %v, want %d -> %d", path, u, v)
 	}
-	hb, denseTier := top.(*core.HyperButterfly)
-	if !denseTier {
+	if top.Order() > maxBFSVerifyOrder {
 		var buf []int
 		for i := 1; i < len(path); i++ {
 			var ok bool
@@ -865,13 +839,13 @@ func (s *Server) verifyRoute(top core.Topology, u, v int, path []int) error {
 		}
 		return nil
 	}
-	dense := hb.Dense()
+	dense := top.Dense()
 	for i := 1; i < len(path); i++ {
 		if !dense.HasEdge(path[i-1], path[i]) {
 			return fmt.Errorf("route verification failed: %d-%d is not an edge", path[i-1], path[i])
 		}
 	}
-	return s.bfsDist(hb, u, func(dist []int32) error {
+	return s.bfsDist(top, u, func(dist []int32) error {
 		if int(dist[v]) != len(path)-1 {
 			return fmt.Errorf("route verification failed: length %d, BFS distance %d", len(path)-1, dist[v])
 		}
@@ -894,13 +868,12 @@ func implicitHasEdge(top core.Topology, u, w int, buf []int) ([]int, bool) {
 
 // verifyPaths independently checks a /paths answer: every path must run
 // u -> v over real edges, the set must be internally vertex-disjoint,
-// and no path may be shorter than the shortest-path distance. The dense
-// tier uses the BFS oracle; the implicit tier certifies the set with
-// graph.VerifyDisjointPaths (every Topology is a graph.Graph) against
-// the analytic distance.
+// and no path may be shorter than the shortest-path distance. Up to
+// maxBFSVerifyOrder the distance comes from the BFS oracle; above it
+// graph.VerifyDisjointPaths certifies the set (every Topology is a
+// graph.Graph) against the analytic distance.
 func (s *Server) verifyPaths(top core.Topology, u, v int, paths [][]int) error {
-	hb, denseTier := top.(*core.HyperButterfly)
-	if !denseTier {
+	if top.Order() > maxBFSVerifyOrder {
 		if err := graph.VerifyDisjointPaths(top, u, v, paths); err != nil {
 			return fmt.Errorf("paths verification failed: %v", err)
 		}
@@ -912,8 +885,8 @@ func (s *Server) verifyPaths(top core.Topology, u, v int, paths [][]int) error {
 		}
 		return nil
 	}
-	dense := hb.Dense()
-	return s.bfsDist(hb, u, func(dist []int32) error {
+	dense := top.Dense()
+	return s.bfsDist(top, u, func(dist []int32) error {
 		for pi, p := range paths {
 			if len(p) == 0 || p[0] != u || p[len(p)-1] != v {
 				return fmt.Errorf("paths verification failed: path %d endpoints %v, want %d -> %d", pi, p, u, v)
