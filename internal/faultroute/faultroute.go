@@ -24,20 +24,23 @@ import (
 )
 
 // Router routes around a set of faulty nodes. The set is mutable:
-// Fail and Recover adjust it incrementally, invalidating only the
-// cached routes that actually depend on the changed node, so a
-// long-lived router (the hbd /faultroute endpoint, the simulator's
-// chaos rerouter) never rebuilds from scratch. All methods are safe
-// for concurrent use; reads of the exported Stats field are only
-// meaningful while no Route call is in flight.
+// Fail and Recover update only the fault map and two counters, in
+// O(1); a cached route is validated when it is hit instead, so a
+// long-lived router (the simulator's chaos rerouter) never rebuilds
+// from scratch and a fault-set change never scans the cache. All
+// methods are safe for concurrent use; reads of the exported Stats
+// field are only meaningful while no Route call is in flight.
 type Router struct {
 	hb core.Topology
 
 	mu     sync.Mutex
 	faulty map[core.Node]bool // sparse: only faulty nodes are present
 	epoch  uint64             // bumps on every effective Fail/Recover
-	last   string             // strategy of the most recent successful Route
-	cache  map[pairKey]cachedRoute
+	// recoveries counts effective Recover calls; a cached greedy detour
+	// older than the latest recovery may have a shorter alternative now.
+	recoveries uint64
+	last       string // strategy of the most recent successful Route
+	cache      map[pairKey]cachedRoute
 
 	// Stats counts which strategy satisfied each Route call; useful for
 	// the E-R10 experiment. Cache hits re-count the strategy that
@@ -55,6 +58,8 @@ type pairKey struct{ u, v core.Node }
 type cachedRoute struct {
 	path     []core.Node
 	strategy string
+	// The router's counters at insert time, checked on hit by fresh.
+	epoch, recoveries uint64
 }
 
 // routerCacheMax bounds the per-router route cache; beyond it the whole
@@ -81,9 +86,9 @@ func New(hb core.Topology, faults []core.Node) (*Router, error) {
 	return r, nil
 }
 
-// Fail marks v faulty. Only cached routes whose path crosses v are
-// invalidated; everything else stays warm. Returns whether the set
-// changed.
+// Fail marks v faulty in O(1). Cached routes through v are not touched
+// here: Route validates every hit against the current fault set.
+// Returns whether the set changed.
 func (r *Router) Fail(v core.Node) (bool, error) {
 	if !r.hb.ValidNode(v) {
 		return false, fmt.Errorf("faultroute: fault %d out of range [0,%d)", v, r.hb.Order())
@@ -95,21 +100,13 @@ func (r *Router) Fail(v core.Node) (bool, error) {
 	}
 	r.faulty[v] = true
 	r.epoch++
-	for k, c := range r.cache {
-		for _, x := range c.path {
-			if x == v {
-				delete(r.cache, k)
-				break
-			}
-		}
-	}
 	return true, nil
 }
 
-// Recover clears v. Cached routes are never made invalid by a recovery
-// (they avoid a superset of the remaining faults), but detoured entries
-// may now have shorter alternatives, so every non-optimal entry is
-// invalidated. Returns whether the set changed.
+// Recover clears v in O(1). Cached routes still avoid the remaining
+// faults, but detours may now have shorter alternatives; Route
+// recomputes any detour inserted before the latest recovery. Returns
+// whether the set changed.
 func (r *Router) Recover(v core.Node) (bool, error) {
 	if !r.hb.ValidNode(v) {
 		return false, fmt.Errorf("faultroute: fault %d out of range [0,%d)", v, r.hb.Order())
@@ -121,11 +118,7 @@ func (r *Router) Recover(v core.Node) (bool, error) {
 	}
 	delete(r.faulty, v)
 	r.epoch++
-	for k, c := range r.cache {
-		if c.strategy != "optimal" {
-			delete(r.cache, k)
-		}
-	}
+	r.recoveries++
 	return true, nil
 }
 
@@ -172,13 +165,6 @@ func (r *Router) FaultList() []core.Node {
 	}
 	sort.Ints(out)
 	return out
-}
-
-// Epoch counts effective fault-set mutations since construction.
-func (r *Router) Epoch() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.epoch
 }
 
 // Route is the one-shot form of Router.Route for callers that bring a
@@ -257,9 +243,11 @@ func (r *Router) pathClear(path []core.Node) bool {
 // It fails only if u or v is faulty or the faults actually disconnect
 // the pair (possible only with more than m+3 faults).
 //
-// Successful non-trivial routes are cached per (u,v); Fail and Recover
-// invalidate exactly the entries they affect, so repeat queries against
-// a slowly-changing fault set are map lookups.
+// Successful non-trivial routes are cached per (u,v) and validated on
+// hit (see fresh), so a hit answers exactly what a router freshly built
+// with the current fault set would, and repeat queries against a
+// slowly-changing fault set are map lookups plus one pass over the
+// path.
 func (r *Router) Route(u, v core.Node) ([]core.Node, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -271,7 +259,8 @@ func (r *Router) Route(u, v core.Node) ([]core.Node, error) {
 		return []core.Node{u}, nil
 	}
 	key := pairKey{u, v}
-	if c, ok := r.cache[key]; ok {
+	c, cached := r.cache[key]
+	if cached && r.fresh(c) {
 		r.countStrategy(c.strategy)
 		r.last = c.strategy
 		// Callers own their result; hand out a copy so the cached path
@@ -284,11 +273,35 @@ func (r *Router) Route(u, v core.Node) ([]core.Node, error) {
 	}
 	r.countStrategy(strategy)
 	r.last = strategy
-	if len(r.cache) >= routerCacheMax {
+	if !cached && len(r.cache) >= routerCacheMax {
 		r.cache = make(map[pairKey]cachedRoute)
 	}
-	r.cache[key] = cachedRoute{path: path, strategy: strategy}
+	r.cache[key] = cachedRoute{path: path, strategy: strategy, epoch: r.epoch, recoveries: r.recoveries}
 	return path, nil
+}
+
+// fresh reports whether a cached route is still the one the strategy
+// ladder would return now. The caller holds r.mu.
+//
+//   - optimal: the ladder's first rung is a fixed path, so it stands
+//     while it avoids every current fault.
+//   - greedy: with no Recover since insertion the fault set only grew,
+//     so the optimal route is still blocked, and a greedy walk that
+//     avoids the new faults makes the same choices; a recovery may
+//     unblock the optimal route or a shorter walk.
+//   - disjoint, bfs: greedy failed at insertion, but any later fault
+//     change can make it succeed (a new fault steers the walk away from
+//     the dead end it hit), so these stand only while the fault set is
+//     unchanged.
+func (r *Router) fresh(c cachedRoute) bool {
+	switch c.strategy {
+	case "optimal":
+		return r.pathClear(c.path)
+	case "greedy":
+		return c.recoveries == r.recoveries && r.pathClear(c.path)
+	default:
+		return c.epoch == r.epoch
+	}
 }
 
 // routeLocked runs the strategy ladder; the caller holds r.mu.

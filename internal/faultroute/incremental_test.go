@@ -3,6 +3,7 @@ package faultroute
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -221,4 +222,111 @@ func TestRouterConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestIncrementalPathsMatchFresh drives one router on HB(3,4) through
+// fail/recover trajectories over a fixed pool of pairs, so cached routes
+// are hit again after the faults under them change, and checks that
+// every answer — path and strategy — equals that of a router freshly
+// built with the current fault set. Most failures land on a node of a
+// cached route or next to a shared destination, so stale entries are
+// common. Several seeds, because a stale cached detour shows only on
+// some trajectories.
+func TestIncrementalPathsMatchFresh(t *testing.T) {
+	hb := core.MustNew(3, 4)
+	strategies := map[string]int{}
+	for seed := int64(1); seed <= 12; seed++ {
+		incrementalTrajectory(t, hb, seed, strategies)
+	}
+	for _, s := range []string{"optimal", "greedy", "disjoint"} {
+		if strategies[s] == 0 {
+			t.Errorf("trajectories never exercised the %s strategy: %v", s, strategies)
+		}
+	}
+	t.Logf("strategies: %v", strategies)
+}
+
+// incrementalTrajectory runs one seeded trajectory for
+// TestIncrementalPathsMatchFresh, counting the strategies it sees.
+func incrementalTrajectory(t *testing.T, hb *core.HyperButterfly, seed int64, strategies map[string]int) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	r, err := New(hb, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type pair struct{ u, v core.Node }
+	// A third of the pairs share one destination whose neighbourhood the
+	// trajectory keeps failing, which defeats greedy routing and forces
+	// the disjoint-path fallback.
+	target := rng.Intn(hb.Order())
+	targetNbrs := hb.AppendNeighbors(target, nil)
+	pairs := make([]pair, 24)
+	for i := range pairs {
+		for pairs[i].u == pairs[i].v {
+			pairs[i] = pair{rng.Intn(hb.Order()), rng.Intn(hb.Order())}
+			if i < len(pairs)/3 {
+				pairs[i].v = target
+			}
+		}
+	}
+	var onPath []core.Node // interior nodes of the latest routes
+	for step := 0; step < 200; step++ {
+		faults := r.FaultList()
+		pick := rng.Intn(3)
+		switch {
+		case len(faults) > 0 && (len(faults) == hb.M()+3 || rng.Intn(3) == 0):
+			// Recover away from the target first, so its neighbourhood
+			// fills up.
+			var far []core.Node
+			for _, f := range faults {
+				if !slices.Contains(targetNbrs, f) {
+					far = append(far, f)
+				}
+			}
+			if len(far) == 0 {
+				far = faults
+			}
+			if _, err := r.Recover(far[rng.Intn(len(far))]); err != nil {
+				t.Fatal(err)
+			}
+		case pick == 0 && len(onPath) > 0:
+			if _, err := r.Fail(onPath[rng.Intn(len(onPath))]); err != nil {
+				t.Fatal(err)
+			}
+		case pick == 1:
+			if _, err := r.Fail(targetNbrs[rng.Intn(len(targetNbrs))]); err != nil {
+				t.Fatal(err)
+			}
+		default:
+			if _, err := r.Fail(rng.Intn(hb.Order())); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		fresh, err := New(hb, r.FaultList())
+		if err != nil {
+			t.Fatal(err)
+		}
+		onPath = onPath[:0]
+		for _, pr := range pairs {
+			if r.Faulty(pr.u) || r.Faulty(pr.v) {
+				continue
+			}
+			got, err := r.Route(pr.u, pr.v)
+			if err != nil {
+				t.Fatalf("seed %d, step %d: incremental route %d->%d: %v", seed, step, pr.u, pr.v, err)
+			}
+			want, err := fresh.Route(pr.u, pr.v)
+			if err != nil {
+				t.Fatalf("seed %d, step %d: fresh route %d->%d: %v", seed, step, pr.u, pr.v, err)
+			}
+			if !reflect.DeepEqual(got, want) || r.LastStrategy() != fresh.LastStrategy() {
+				t.Fatalf("seed %d, step %d, faults %v, %d->%d: incremental %v (%s), fresh %v (%s)",
+					seed, step, r.FaultList(), pr.u, pr.v, got, r.LastStrategy(), want, fresh.LastStrategy())
+			}
+			strategies[r.LastStrategy()]++
+			onPath = append(onPath, got[1:len(got)-1]...)
+		}
+	}
 }

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/faultroute"
 )
 
 // The /batch endpoint answers thousands of (src, dst) pairs per POST,
@@ -26,8 +27,8 @@ import (
 //
 // Four ops share the request shape: dist and route run on the
 // zero-alloc core.RouteBatch kernel, paths bundles Theorem 5 disjoint
-// paths per pair, and faultroute applies one shared fault set to the
-// whole request through the resident incremental router. Responses are
+// paths per pair, and faultroute routes the whole request around one
+// shared fault set on a router built for that request. Responses are
 // columnar too: a per-pair status column plus offset columns into one
 // flat node arena, which is exactly the kernel's in-memory layout — the
 // encoders serialise it without reshaping.
@@ -135,7 +136,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	sc := batchScratchPool.Get().(*batchScratch)
 	defer batchScratchPool.Put(sc)
-	cols, err := s.runBatch(top, d, req, sc)
+	cols, err := s.runBatch(top, req, sc)
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -365,7 +366,7 @@ type batchColumns struct {
 
 // runBatch answers req with the per-op kernels. The returned columns
 // alias sc, so they are read before sc goes back to its pool.
-func (s *Server) runBatch(top core.Topology, d Dims, req *batchRequest, sc *batchScratch) (batchColumns, error) {
+func (s *Server) runBatch(top core.Topology, req *batchRequest, sc *batchScratch) (batchColumns, error) {
 	cols := batchColumns{op: req.op, m: req.m, n: req.n, faults: req.faults}
 	switch req.op {
 	case batchOpDist, batchOpRoute:
@@ -379,7 +380,7 @@ func (s *Server) runBatch(top core.Topology, d Dims, req *batchRequest, sc *batc
 		cols.status, cols.dist, cols.off, cols.nodes = sc.bs.Status, sc.bs.Dist, sc.bs.Off, sc.bs.Nodes
 
 	case batchOpFaultRoute:
-		if err := s.faultRouteBatch(top, d, req, sc); err != nil {
+		if err := faultRouteBatch(top, req, sc); err != nil {
 			return cols, err
 		}
 		cols.status, cols.off, cols.nodes = sc.bs.Status, sc.off, sc.nodes
@@ -391,32 +392,28 @@ func (s *Server) runBatch(top core.Topology, d Dims, req *batchRequest, sc *batc
 	return cols, nil
 }
 
-// faultRouteBatch routes every pair around one shared fault set through
-// the resident incremental router; the SetFaults/Route sequence holds
-// the instance lock so the whole batch sees one consistent fault set.
-func (s *Server) faultRouteBatch(top core.Topology, d Dims, req *batchRequest, sc *batchScratch) error {
-	ir, err := s.routerFor(d, top)
+// faultRouteBatch routes every pair around the request's fault set on a
+// router built for this request alone. Every rung of the router's
+// strategy ladder is computed from node labels, so building one costs
+// O(|faults|), and an answer never depends on earlier requests or
+// waits on another request's fault set.
+func faultRouteBatch(top core.Topology, req *batchRequest, sc *batchScratch) error {
+	r, err := faultroute.New(top, req.faults)
 	if err != nil {
 		return badRequest("%v", err)
 	}
-	pairs := len(req.src)
 	sc.bs.Status = sc.bs.Status[:0]
 	sc.off = append(sc.off[:0], 0)
 	sc.nodes = sc.nodes[:0]
 	sc.err = nil
-	ir.mu.Lock()
-	defer ir.mu.Unlock()
-	if err := ir.r.SetFaults(req.faults); err != nil {
-		return badRequest("%v", err)
-	}
-	for i := 0; i < pairs; i++ {
+	for i := range req.src {
 		u, v := req.src[i], req.dst[i]
 		status := core.BatchOK
 		switch {
 		case !top.ValidNode(u) || !top.ValidNode(v):
 			status = core.BatchBadNode
 		default:
-			path, err := ir.r.Route(u, v)
+			path, err := r.Route(u, v)
 			if err != nil {
 				// A per-pair routing failure (faulty endpoint, fault set
 				// disconnects the pair) is an answer, not a request error.
@@ -429,7 +426,7 @@ func (s *Server) faultRouteBatch(top core.Topology, d Dims, req *batchRequest, s
 		sc.bs.Status = append(sc.bs.Status, status)
 		sc.off = append(sc.off, int32(len(sc.nodes)))
 	}
-	sc.strategy, sc.within = ir.r.LastStrategy(), ir.r.WithinGuarantee()
+	sc.strategy, sc.within = r.LastStrategy(), r.WithinGuarantee()
 	return nil
 }
 

@@ -1,15 +1,20 @@
 package hbserve
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/faultroute"
 )
 
 // TestFaultRouteJSONShape locks the canonical encoding of the echoed
@@ -45,30 +50,137 @@ func TestFaultRouteJSONShape(t *testing.T) {
 	}
 }
 
-// TestFaultRouteRouterReuse: consecutive /faultroute requests against
-// the same dims must share one incremental router (a fault-set diff per
-// request, not a rebuild), and its epoch must advance with the diffs.
-func TestFaultRouteRouterReuse(t *testing.T) {
-	s, ts := newTestServer(t)
-	for _, q := range []string{"faults=1,2", "faults=1,2,3", "faults="} {
-		code, body := get(t, ts.URL+"/faultroute?m=2&n=3&u=0&v=95&"+q)
-		if code != 200 {
-			t.Fatalf("%s: status %d: %s", q, code, body)
+// faultRouteCase is one /faultroute query and the one-shot router's
+// answer for it.
+type faultRouteCase struct {
+	m, n, u, v int
+	faults     []int
+	path       []int
+	strategy   string
+}
+
+func (c faultRouteCase) query() string {
+	fs := make([]string, len(c.faults))
+	for i, f := range c.faults {
+		fs[i] = strconv.Itoa(f)
+	}
+	return fmt.Sprintf("/faultroute?m=%d&n=%d&u=%d&v=%d&faults=%s", c.m, c.n, c.u, c.v, strings.Join(fs, ","))
+}
+
+// neighbourhoodCases finds one HB(m,n) query per wanted strategy whose
+// fault set is m+3 of the destination's m+4 neighbours, each case with
+// a fault set of its own. Such sets defeat the optimal route and often
+// greedy routing too, so they reach every rung of Theorem 5's ladder.
+func neighbourhoodCases(t *testing.T, m, n int, want ...string) []faultRouteCase {
+	t.Helper()
+	top := core.MustNewImplicit(m, n)
+	var out []faultRouteCase
+	need := map[string]int{}
+	for _, s := range want {
+		need[s]++
+	}
+	for v := 0; v < top.Order() && len(out) < len(want); v++ {
+		nbrs := top.AppendNeighbors(v, nil)
+		for skip := range nbrs {
+			faults := slices.Delete(slices.Clone(nbrs), skip, skip+1)
+			slices.Sort(faults)
+			for u := 0; u < top.Order(); u += 5 {
+				if u == v || slices.Contains(faults, u) {
+					continue
+				}
+				path, strategy, err := faultroute.Route(top, faults, u, v)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if need[strategy] > 0 {
+					need[strategy]--
+					out = append(out, faultRouteCase{m: m, n: n, u: u, v: v, faults: faults, path: path, strategy: strategy})
+					break // one case per fault set
+				}
+			}
 		}
 	}
-	s.routersMu.Lock()
-	n := len(s.routers)
-	ir := s.routers[Dims{M: 2, N: 3}]
-	s.routersMu.Unlock()
-	if n != 1 || ir == nil {
-		t.Fatalf("router map has %d entries, want exactly the HB(2,3) router", n)
+	if len(out) != len(want) {
+		t.Fatalf("HB(%d,%d): found %d of the cases %v", m, n, len(out), want)
 	}
-	if ep := ir.r.Epoch(); ep == 0 {
-		t.Errorf("router epoch still 0 after three distinct fault sets")
+	return out
+}
+
+// historyCases is the HB(2,3) and HB(3,4) neighbourhood query set:
+// eight fault sets, routed optimally, greedily and on a disjoint path.
+func historyCases(t *testing.T) []faultRouteCase {
+	want := []string{"optimal", "greedy", "disjoint", "disjoint"}
+	return append(neighbourhoodCases(t, 2, 3, want...), neighbourhoodCases(t, 3, 4, want...)...)
+}
+
+// serveFaultRoute sends c's GET straight to the handler.
+func serveFaultRoute(h http.Handler, c faultRouteCase) (int, []byte) {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, c.query(), nil))
+	return rec.Code, rec.Body.Bytes()
+}
+
+// TestFaultRouteHistoryIndependent: a /faultroute body depends only on
+// its own query. Sent first to a fresh server, it carries the one-shot
+// router's path and strategy, and a server that answered other fault
+// sets before, in either order, answers it byte for byte the same.
+func TestFaultRouteHistoryIndependent(t *testing.T) {
+	cases := historyCases(t)
+	first := make([][]byte, len(cases))
+	for i, c := range cases {
+		code, body := serveFaultRoute(NewServer(Config{}).Handler(), c)
+		if code != 200 {
+			t.Fatalf("%s: status %d: %s", c.query(), code, body)
+		}
+		var res faultRouteResponse
+		if err := json.Unmarshal(body, &res); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(res.Path, c.path) || res.Strategy != c.strategy || !res.WithinGuarantee {
+			t.Fatalf("%s: served %s, one-shot router %v (%s)", c.query(), body, c.path, c.strategy)
+		}
+		first[i] = body
 	}
-	if got := ir.r.FaultCount(); got != 0 {
-		t.Errorf("last request cleared all faults; router still holds %d", got)
+	h := NewServer(Config{}).Handler()
+	for pass := 0; pass < 4; pass++ {
+		for k := range cases {
+			i := k
+			if pass%2 == 1 {
+				i = len(cases) - 1 - k
+			}
+			code, body := serveFaultRoute(h, cases[i])
+			if code != 200 || !bytes.Equal(body, first[i]) {
+				t.Fatalf("pass %d, %s: status %d, body %s; sent first it was %s", pass, cases[i].query(), code, body, first[i])
+			}
+		}
 	}
+}
+
+// TestFaultRouteHistoryIndependentConcurrent: eight goroutines, each
+// with its own fault set, query one server at once; every answer is
+// the body that query gets when sent first to a fresh server.
+func TestFaultRouteHistoryIndependentConcurrent(t *testing.T) {
+	cases := historyCases(t)
+	first := make([][]byte, len(cases))
+	for i, c := range cases {
+		_, first[i] = serveFaultRoute(NewServer(Config{}).Handler(), c)
+	}
+	h := NewServer(Config{}).Handler()
+	var wg sync.WaitGroup
+	for i := range cases {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for rep := 0; rep < 50; rep++ {
+				code, body := serveFaultRoute(h, cases[i])
+				if code != 200 || !bytes.Equal(body, first[i]) {
+					t.Errorf("%s: status %d, body %s; sent first it was %s", cases[i].query(), code, body, first[i])
+					return
+				}
+			}
+		}(i)
+	}
+	wg.Wait()
 }
 
 // TestPanicRecovery: a panicking handler must answer 500, bump the

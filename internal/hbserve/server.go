@@ -41,7 +41,6 @@ import (
 
 	"repro/internal/conformance"
 	"repro/internal/core"
-	"repro/internal/faultroute"
 	"repro/internal/graph"
 )
 
@@ -68,24 +67,10 @@ type Server struct {
 	// allocations per request.
 	scratch sync.Pool
 
-	// routers holds one incremental fault router per resident dims, so
-	// consecutive /faultroute requests pay a fault-set diff instead of a
-	// per-request router rebuild.
-	routersMu sync.Mutex
-	routers   map[Dims]*instanceRouter
-
 	// testHook, when set, runs inside every instrumented request after
 	// the in-flight gauge is raised; tests use it to hold requests open
 	// across a drain.
 	testHook func(endpoint string)
-}
-
-// instanceRouter serialises access to one instance's fault router: the
-// SetFaults/Route/stats sequence must be atomic per request even though
-// the router itself is also internally synchronised.
-type instanceRouter struct {
-	mu sync.Mutex
-	r  *faultroute.Router
 }
 
 // Config sizes a Server. Zero values select the defaults.
@@ -119,11 +104,6 @@ const DefaultRequestTimeout = 10 * time.Second
 // service is already drowning.
 const DefaultMaxInFlight = 512
 
-// maxFaultRouters bounds the per-dims router cache; beyond it the map
-// is reset (routers rebuild in microseconds, the bound only stops
-// growth under adversarial dims sweeps).
-const maxFaultRouters = 16
-
 // NewServer returns a ready-to-serve Server.
 func NewServer(cfg Config) *Server {
 	size := cfg.CacheSize
@@ -146,7 +126,6 @@ func NewServer(cfg Config) *Server {
 		timeout:      timeout,
 		maxInFlight:  maxInFlight,
 		batchWorkers: cfg.BatchWorkers,
-		routers:      make(map[Dims]*instanceRouter),
 		snapshots:    make(map[Dims]*snapshotEntry),
 	}
 	s.scratch.New = func() any { return graph.NewScratch(0) }
@@ -501,7 +480,7 @@ func (s *Server) renderQuery(top core.Topology, d Dims, op uint8, u, v int, faul
 	sc := batchScratchPool.Get().(*batchScratch)
 	defer batchScratchPool.Put(sc)
 	req := &batchRequest{op: op, m: d.M, n: d.N, faults: faults, src: []int{u}, dst: []int{v}}
-	cols, err := s.runBatch(top, d, req, sc)
+	cols, err := s.runBatch(top, req, sc)
 	if err != nil {
 		return nil, err
 	}
@@ -561,27 +540,6 @@ func (s *Server) renderQuery(top core.Topology, d Dims, op uint8, u, v int, faul
 			Path:            cols.nodes[cols.off[0]:cols.off[1]],
 		})
 	}
-}
-
-// routerFor returns the resident incremental router for d, building it
-// on first use. The map is bounded by maxFaultRouters and simply reset
-// when full — routers rebuild in microseconds.
-func (s *Server) routerFor(d Dims, top core.Topology) (*instanceRouter, error) {
-	s.routersMu.Lock()
-	defer s.routersMu.Unlock()
-	if ir, ok := s.routers[d]; ok {
-		return ir, nil
-	}
-	if len(s.routers) >= maxFaultRouters {
-		s.routers = make(map[Dims]*instanceRouter)
-	}
-	r, err := faultroute.New(top, nil)
-	if err != nil {
-		return nil, err
-	}
-	ir := &instanceRouter{r: r}
-	s.routers[d] = ir
-	return ir, nil
 }
 
 // faultsParam parses faults=3,17,40 into a sorted, deduplicated,

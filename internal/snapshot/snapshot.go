@@ -222,8 +222,13 @@ func Decode(data []byte) (*Snapshot, error) {
 	}
 	histLen := int(le.Uint32(data[28:]))
 	pathBytes := int(le.Uint64(data[32:]))
-	if s.Order <= 0 || histLen < 0 || pathBytes < 0 {
+	// Order and pathBytes size sections of data, so neither can exceed
+	// it; bounding them first keeps the size sum below from overflowing.
+	if s.Order <= 0 || s.Order > len(data) || histLen < 0 || pathBytes < 0 || pathBytes > len(data) {
 		return nil, fmt.Errorf("implausible header: order %d histLen %d pathBytes %d", s.Order, histLen, pathBytes)
+	}
+	if r := le.Uint64(data[40:]); r != 0 {
+		return nil, fmt.Errorf("reserved header field is %#x, want 0", r)
 	}
 	want := headerSize + 8*histLen + 2*s.Order + 4*(s.Order+1) + pathBytes + 8
 	if len(data) != want {

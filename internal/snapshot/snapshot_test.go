@@ -1,10 +1,13 @@
 package snapshot_test
 
 import (
+	"bytes"
 	"encoding/binary"
+	"hash/crc64"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -193,4 +196,69 @@ func TestDisjointPathsBounds(t *testing.T) {
 			t.Errorf("paths(%d) accepted", v)
 		}
 	}
+}
+
+// FuzzSnapshotDecode checks the snapshot decoder on arbitrary bytes:
+//   - Decode never panics, on the input as given or sealed with a valid
+//     checksum (which lets the fuzzer past the CRC gate into the header
+//     and section checks);
+//   - a sealed input that decodes re-encodes to the same bytes, and its
+//     accessors stay in bounds;
+//   - the valid HB(2,3) encoding round-trips through Decode (checked
+//     once), and flipping any single bit of it (the input picks which)
+//     makes Decode return an error.
+func FuzzSnapshotDecode(f *testing.F) {
+	built, err := snapshot.Build(core.MustNew(2, 3), 0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	valid := built.Encode()
+	s, err := snapshot.Decode(valid)
+	if err != nil {
+		f.Fatalf("valid encoding rejected: %v", err)
+	}
+	if s.M != 2 || s.N != 3 || !reflect.DeepEqual(s.Hist, built.Hist) || !bytes.Equal(s.Encode(), valid) {
+		f.Fatal("valid encoding does not round-trip")
+	}
+
+	le := binary.LittleEndian
+	header := func(order, histLen, pathBytes uint64) []byte {
+		h := slices.Clone(valid[:48])
+		le.PutUint64(h[16:], order)
+		le.PutUint32(h[28:], uint32(histLen))
+		le.PutUint64(h[32:], pathBytes)
+		return h
+	}
+	// A one-node snapshot: hist [1], ecc 0, path index [0 2], and a
+	// two-byte path region holding zero paths.
+	tiny := append(header(1, 1, 2), 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0)
+	f.Add(tiny, uint32(0))
+	f.Add(valid[:48], uint32(8*16))            // header only; flip the order field
+	f.Add(valid[len(valid)-64:], uint32(8*40)) // tail; flip the reserved field
+	f.Add([]byte{}, uint32(8*len(valid)-1))    // flip a checksum bit
+	// Section sizes whose sum wraps around to the sealed 56-byte length.
+	f.Add(header(1<<62, 0, 1<<63-4), uint32(8*(len(valid)/2)))
+	ecma := crc64.MakeTable(crc64.ECMA)
+	f.Fuzz(func(t *testing.T, data []byte, bit uint32) {
+		snapshot.Decode(data)
+		sealed := le.AppendUint64(slices.Clip(data), crc64.Checksum(data, ecma))
+		if s, err := snapshot.Decode(sealed); err == nil {
+			if !bytes.Equal(s.Encode(), sealed) {
+				t.Fatalf("decoded input re-encodes differently")
+			}
+			s.EccentricityRange()
+			s.MeanDistance()
+			s.Fractions()
+			for v := 0; v < s.Order && v < 64; v++ {
+				s.DisjointPaths(v)
+			}
+		}
+
+		i := int(bit % uint32(8*len(valid)))
+		flipped := slices.Clone(valid)
+		flipped[i/8] ^= 1 << (i % 8)
+		if _, err := snapshot.Decode(flipped); err == nil {
+			t.Fatalf("flipping bit %d of a valid encoding was accepted", i)
+		}
+	})
 }
