@@ -20,7 +20,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/hyperdebruijn"
 	"repro/internal/layout"
-	"repro/internal/simnet"
+	"repro/internal/noc"
 	"repro/internal/tables"
 	"repro/internal/wormhole"
 )
@@ -207,18 +207,25 @@ func BenchmarkTraffic(b *testing.B) {
 	hb := core.MustNew(2, 4)
 	hd := hyperdebruijn.MustNew(2, 6)
 	cases := []struct {
-		name string
-		top  simnet.Topology
+		name  string
+		g     graph.Graph
+		route func(u, v int) []int
 	}{
-		{"HB_2_4", simnet.Routed{Graph: hb, Route: hb.Route}},
-		{"HD_2_6", simnet.Routed{Graph: hd, Route: hd.Route}},
+		{"HB_2_4", hb, hb.Route},
+		{"HD_2_6", hd, hd.Route},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
+			e, err := noc.New(c.g, noc.Config{
+				Cycles: 500, Rate: 0.05, PacketLen: 1, BufDepth: 1, VCs: 1,
+				Pattern: noc.Uniform, Seed: 11, MaxRoute: hb.DiameterFormula(), // = HD(2,6)'s route bound
+				Route: c.route, Policy: wormhole.SingleVC,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
 			for i := 0; i < b.N; i++ {
-				res, err := simnet.Run(c.top, simnet.Config{
-					Cycles: 500, Rate: 0.05, Pattern: simnet.Uniform, Seed: 11,
-				})
+				res, err := e.Run()
 				if err != nil || res.Delivered == 0 {
 					b.Fatalf("delivered %d err %v", res.Delivered, err)
 				}
@@ -345,16 +352,25 @@ func BenchmarkFan(b *testing.B) {
 	}
 }
 
-// BenchmarkAdaptiveTraffic (E-S2) runs the minimal-adaptive engine under
-// hotspot load on HB(2,4).
+// BenchmarkAdaptiveTraffic (E-S2) runs adaptive routing with the HB
+// escape channel under hotspot load on HB(2,4).
 func BenchmarkAdaptiveTraffic(b *testing.B) {
 	hb := core.MustNew(2, 4)
-	a := simnet.MinimalAdaptive(hb, hb.Distance)
+	e, err := noc.New(hb, noc.Config{
+		Cycles: 500, Rate: 0.03, PacketLen: 1, BufDepth: 1, VCs: 4,
+		Pattern: noc.HotSpot, Seed: 9, MaxRoute: hb.DiameterFormula(),
+		Adaptive: &noc.AdaptiveConfig{
+			Distance:    hb.Distance,
+			AppendRoute: hb.AppendRoute,
+			Escape:      noc.NewHBEscape(hb),
+		},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := simnet.RunAdaptive(a, simnet.Config{
-			Cycles: 500, Rate: 0.03, Pattern: simnet.HotSpot, Seed: 9,
-		})
+		res, err := e.Run()
 		if err != nil || res.Delivered == 0 {
 			b.Fatal(err)
 		}

@@ -1,6 +1,6 @@
 // Command hbsim runs the dynamic experiments: traffic simulation
 // (E-S1), fault-tolerant routing sweeps (E-R10) and broadcast
-// comparison (E-B1).
+// comparison (E-B1). Every network simulation runs on the noc engine.
 //
 //	hbsim -mode traffic -m 2 -n 4 -rate 0.05 -cycles 2000
 //	    uniform/permutation traffic on HB vs HD vs H vs B at matched size
@@ -41,9 +41,10 @@ import (
 	"repro/internal/election"
 	"repro/internal/faultroute"
 	faultsim "repro/internal/faults"
+	"repro/internal/graph"
 	"repro/internal/hypercube"
 	"repro/internal/hyperdebruijn"
-	"repro/internal/simnet"
+	"repro/internal/noc"
 	"repro/internal/wormhole"
 )
 
@@ -97,7 +98,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		case "chaos":
 			err = chaos(stdout, *m, *n, *rate, *cycles, *seed)
 		case "noc":
-			var pat simnet.Pattern
+			var pat noc.Pattern
 			pat, err = parsePattern(*pattern)
 			if err == nil {
 				err = nocMode(stdout, nocParams{
@@ -120,12 +121,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 1
 }
 
-func parsePattern(s string) (simnet.Pattern, error) {
+func parsePattern(s string) (noc.Pattern, error) {
 	switch s {
 	case "uniform":
-		return simnet.Uniform, nil
+		return noc.Uniform, nil
 	case "permutation":
-		return simnet.Permutation, nil
+		return noc.Permutation, nil
 	}
 	return 0, usagef("unknown pattern %q (uniform | permutation)", s)
 }
@@ -195,8 +196,9 @@ func faultDiam(w io.Writer, m, n, trials int, seed int64) error {
 	return nil
 }
 
-// worm runs the flit-level wormhole simulator (E-W1): single virtual
-// channel versus the dateline discipline at the same load.
+// worm runs flit-level wormhole switching on the noc engine (E-W1):
+// single virtual channel versus the dateline discipline at the same
+// load.
 func worm(w io.Writer, m, n int, rate float64, cycles int, seed int64) error {
 	hb, err := core.New(m, n)
 	if err != nil {
@@ -205,9 +207,9 @@ func worm(w io.Writer, m, n int, rate float64, cycles int, seed int64) error {
 	tw := tabwriter.NewWriter(w, 2, 0, 2, ' ', 0)
 	fmt.Fprintln(tw, "policy\tVCs\tdeadlocked\tinjected\tdelivered\tavg latency")
 	runOne := func(name string, vcs int, policy wormhole.VCPolicy) error {
-		res, err := wormhole.Run(hb, wormhole.Config{
-			Cycles: cycles, Rate: rate, PacketLen: 4, BufDepth: 1, VCs: vcs,
-			Policy: policy, Route: hb.Route, Seed: seed,
+		res, err := simulate(hb, noc.Config{
+			Cycles: cycles, Rate: rate, PacketLen: 4, BufDepth: 1, VCs: vcs, Seed: seed,
+			MaxRoute: hb.DiameterFormula(), Route: hb.Route, Policy: policy,
 		})
 		if err != nil {
 			return err
@@ -231,13 +233,23 @@ func worm(w io.Writer, m, n int, rate float64, cycles int, seed int64) error {
 	return nil
 }
 
-// chaos runs the dynamic fault-injection experiment (E-CH): seeded
-// schedules fail and recover nodes mid-run while the incremental fault
-// router re-paths in-flight packets. Within the m+3 bound every
-// deliverable packet must arrive — Dropped counts only the unavoidable
-// losses (destination down, packet queued at the failing node) — and no
-// reroute may fail while the live fault count is within the guarantee.
-// Any violation exits nonzero, so CI can gate on this mode directly.
+// simulate builds a noc engine for cfg on g and runs it once.
+func simulate(g graph.Graph, cfg noc.Config) (noc.Result, error) {
+	e, err := noc.New(g, cfg)
+	if err != nil {
+		return noc.Result{}, err
+	}
+	return e.Run()
+}
+
+// chaos runs the dynamic fault-injection experiment (E-CH) on the noc
+// engine: seeded schedules fail and recover nodes mid-run while the
+// fault router re-paths in-flight single-flit worms. Within the m+3
+// bound every deliverable packet must arrive — Dropped counts only the
+// unavoidable losses (destination down, a flit at the failing node) —
+// and no reroute may fail while the live fault count is within the
+// guarantee. Any violation exits nonzero, so CI can gate on this mode
+// directly.
 func chaos(w io.Writer, m, n int, rate float64, cycles int, seed int64) error {
 	hb, err := core.New(m, n)
 	if err != nil {
@@ -269,10 +281,13 @@ func chaos(w io.Writer, m, n int, rate float64, cycles int, seed int64) error {
 		if err != nil {
 			return err
 		}
-		rr := &simnet.FaultRerouter{R: r}
-		res, err := simnet.Run(simnet.Routed{Graph: hb, Route: hb.Route}, simnet.Config{
-			Cycles: cycles, InjectCycles: inject, Rate: rate,
-			Pattern: simnet.Uniform, Seed: seed, Schedule: sch, Rerouter: rr,
+		rr := &noc.FaultRerouter{R: r}
+		// Reroutes and the detours they stack up run longer than the
+		// fault-free diameter; 4x leaves room for several in a row.
+		res, err := simulate(hb, noc.Config{
+			Cycles: cycles, InjectCycles: inject, Rate: rate, Seed: seed,
+			PacketLen: 1, BufDepth: 1, VCs: 2, MaxRoute: 4 * hb.DiameterFormula(),
+			Route: hb.Route, Policy: wormhole.HBDateline(hb), Schedule: sch, Rerouter: rr,
 		})
 		if err != nil {
 			return err
@@ -284,8 +299,8 @@ func chaos(w io.Writer, m, n int, rate float64, cycles int, seed int64) error {
 		}
 		fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%.4f\n",
 			name, sch.MaxLive(hb.Order()), res.Injected, res.Delivered, res.Dropped,
-			res.Skipped, res.Reroutes, res.InFlight, rr.Violations, frac)
-		violations += rr.Violations
+			res.Skipped, rr.Reroutes.Load(), res.InFlight, rr.Violations.Load(), frac)
+		violations += int(rr.Violations.Load())
 		stuck += res.InFlight
 		return nil
 	}
@@ -307,8 +322,10 @@ func chaos(w io.Writer, m, n int, rate float64, cycles int, seed int64) error {
 	return nil
 }
 
-// traffic compares HB(m,n) with HD(m',n') and the classical networks at
-// (approximately) matched node counts under two traffic patterns.
+// traffic compares HB(m,n) with HD(m,n) and the classical networks at
+// (approximately) matched node counts under two traffic patterns (E-S1),
+// plus adaptive routing on HB. Packets are single-flit worms on one VC,
+// so the comparison is meaningful only below saturation (DESIGN.md §4).
 func traffic(w io.Writer, m, n int, rate float64, cycles int, seed int64) error {
 	hb, err := core.New(m, n)
 	if err != nil {
@@ -318,40 +335,45 @@ func traffic(w io.Writer, m, n int, rate float64, cycles int, seed int64) error 
 	cube := hypercube.MustNew(m + n)
 	bf := butterfly.MustNew(m + n)
 
-	type entry struct {
-		name string
-		top  simnet.Topology
+	entries := []struct {
+		name  string
+		g     graph.Graph
+		route func(u, v int) []int
+	}{
+		{fmt.Sprintf("HB(%d,%d) [%d nodes]", m, n, hb.Order()), hb, hb.Route},
+		{fmt.Sprintf("HD(%d,%d) [%d nodes]", m, n, hd.Order()), hd, hd.Route},
+		{fmt.Sprintf("H(%d)    [%d nodes]", m+n, cube.Order()), cube, cube.Route},
+		{fmt.Sprintf("B(%d)    [%d nodes]", m+n, bf.Order()), bf, bf.Route},
 	}
-	entries := []entry{
-		{fmt.Sprintf("HB(%d,%d) [%d nodes]", m, n, hb.Order()), simnet.Routed{Graph: hb, Route: hb.Route}},
-		{fmt.Sprintf("HD(%d,%d) [%d nodes]", m, n, hd.Order()), simnet.Routed{Graph: hd, Route: hd.Route}},
-		{fmt.Sprintf("H(%d)    [%d nodes]", m+n, cube.Order()), simnet.Routed{Graph: cube, Route: cube.Route}},
-		{fmt.Sprintf("B(%d)    [%d nodes]", m+n, bf.Order()), simnet.Routed{Graph: bf, Route: bf.Route}},
-	}
-	adaptive := simnet.MinimalAdaptive(hb, hb.Distance)
 	tw := tabwriter.NewWriter(w, 2, 0, 2, ' ', 0)
-	fmt.Fprintln(tw, "pattern\tnetwork\tinjected\tdelivered\tavg latency\tmax latency\tavg hops\tthroughput\tmax queue")
-	for _, pat := range []simnet.Pattern{simnet.Uniform, simnet.Permutation} {
+	fmt.Fprintln(tw, "pattern\tnetwork\tinjected\tdelivered\tavg latency\tmax latency\tthroughput\tdeadlocked")
+	row := func(pat noc.Pattern, name string, res noc.Result) {
+		fmt.Fprintf(tw, "%s\t%s\t%d\t%d\t%.2f\t%d\t%.3f\t%v\n",
+			pat, name, res.Injected, res.Delivered, res.AvgLatency,
+			res.MaxLatency, res.Throughput, res.Deadlocked)
+	}
+	for _, pat := range []noc.Pattern{noc.Uniform, noc.Permutation} {
+		// Every route here is within 2(m+n) hops.
+		base := noc.Config{
+			Cycles: cycles, Rate: rate, PacketLen: 1, BufDepth: 1, VCs: 1,
+			Pattern: pat, Seed: seed, MaxRoute: 2 * (m + n),
+		}
 		for _, e := range entries {
-			res, err := simnet.Run(e.top, simnet.Config{
-				Cycles: cycles, Rate: rate, Pattern: pat, Seed: seed,
-			})
+			cfg := base
+			cfg.Route, cfg.Policy = e.route, wormhole.SingleVC
+			res, err := simulate(e.g, cfg)
 			if err != nil {
 				return err
 			}
-			fmt.Fprintf(tw, "%s\t%s\t%d\t%d\t%.2f\t%d\t%.2f\t%.3f\t%d\n",
-				pat, e.name, res.Injected, res.Delivered, res.AvgLatency,
-				res.MaxLatency, res.AvgHops, res.Throughput, res.MaxQueue)
+			row(pat, e.name, res)
 		}
-		res, err := simnet.RunAdaptive(adaptive, simnet.Config{
-			Cycles: cycles, Rate: rate, Pattern: pat, Seed: seed,
-		})
+		cfg := base
+		cfg.VCs, cfg.Adaptive = 4, hbAdaptiveConfig(hb)
+		res, err := simulate(hb, cfg)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(tw, "%s\tHB(%d,%d) adaptive\t%d\t%d\t%.2f\t%d\t%.2f\t%.3f\t%d\n",
-			pat, m, n, res.Injected, res.Delivered, res.AvgLatency,
-			res.MaxLatency, res.AvgHops, res.Throughput, res.MaxQueue)
+		row(pat, fmt.Sprintf("HB(%d,%d) adaptive", m, n), res)
 	}
 	tw.Flush()
 	return nil

@@ -89,3 +89,41 @@ func TestWormholeSmoke(t *testing.T) {
 		t.Errorf("stdout %q", stdout)
 	}
 }
+
+func TestTrafficSmoke(t *testing.T) {
+	code, stdout, stderr := runCmd(t, "-mode", "traffic", "-m", "2", "-n", "3", "-cycles", "300")
+	if code != 0 {
+		t.Fatalf("exit %d, stderr %q", code, stderr)
+	}
+	for _, want := range []string{"HB(2,3) [", "HD(2,3) [", "H(5) ", "B(5) ", "HB(2,3) adaptive"} {
+		if strings.Count(stdout, want) != 2 { // one row per pattern
+			t.Errorf("stdout lacks two %q rows:\n%s", want, stdout)
+		}
+	}
+}
+
+func TestChaosSmoke(t *testing.T) {
+	code, stdout, stderr := runCmd(t, "-mode", "chaos", "-m", "2", "-n", "3", "-rate", "0.05", "-cycles", "800")
+	if code != 0 {
+		t.Fatalf("exit %d, stderr %q", code, stderr)
+	}
+	if !strings.Contains(stdout, "gate:") {
+		t.Errorf("no gate line:\n%s", stdout)
+	}
+	// Columns: schedule (two words), max live, injected, delivered,
+	// dropped, skipped, reroutes, ...
+	rows := 0
+	for _, line := range strings.Split(stdout, "\n") {
+		f := strings.Fields(line)
+		if len(f) < 9 || (f[0] != "random" && f[0] != "adversarial") {
+			continue
+		}
+		rows++
+		if f[7] == "0" {
+			t.Errorf("no reroute in %q", line)
+		}
+	}
+	if rows != 2 {
+		t.Errorf("found %d schedule rows, want 2:\n%s", rows, stdout)
+	}
+}

@@ -13,7 +13,6 @@ import (
 	faultsim "repro/internal/faults"
 	"repro/internal/hyperdebruijn"
 	"repro/internal/noc"
-	"repro/internal/simnet"
 	"repro/internal/wormhole"
 )
 
@@ -31,7 +30,7 @@ type nocParams struct {
 	m, n, cycles, vcs, bufDepth int
 	rate                        float64
 	seed                        int64
-	pattern                     simnet.Pattern
+	pattern                     noc.Pattern
 	out                         string
 }
 
@@ -163,29 +162,21 @@ func nocMode(w io.Writer, p nocParams) error {
 		return pts, nil
 	}
 	rep.HB, err = sweep(fmt.Sprintf("HB(%d,%d) adaptive+escape", p.m, p.n), func(rate float64) (noc.Result, error) {
-		e, err := noc.New(hb, noc.Config{
+		return simulate(hb, noc.Config{
 			Cycles: p.cycles, Rate: rate, PacketLen: nocPacketLen,
 			BufDepth: p.bufDepth, VCs: p.vcs, Pattern: p.pattern, Seed: p.seed,
 			MaxRoute: hb.DiameterFormula(), Adaptive: hbAdaptiveConfig(hb),
 		})
-		if err != nil {
-			return noc.Result{}, err
-		}
-		return e.Run()
 	})
 	if err != nil {
 		return err
 	}
 	rep.HD, err = sweep(fmt.Sprintf("HD(%d,%d) BFS+tree escape", p.m, p.n), func(rate float64) (noc.Result, error) {
-		e, err := noc.New(hd, noc.Config{
+		return simulate(hd, noc.Config{
 			Cycles: p.cycles, Rate: rate, PacketLen: nocPacketLen,
 			BufDepth: p.bufDepth, VCs: p.vcs, Pattern: p.pattern, Seed: p.seed,
 			MaxRoute: 4 * (p.m + p.n), Adaptive: hdAd,
 		})
-		if err != nil {
-			return noc.Result{}, err
-		}
-		return e.Run()
 	})
 	if err != nil {
 		return err
@@ -197,15 +188,11 @@ func nocMode(w io.Writer, p nocParams) error {
 	if err != nil {
 		return err
 	}
-	quiet, err := noc.New(hb, noc.Config{
+	qres, err := simulate(hb, noc.Config{
 		Cycles: p.cycles, Rate: 0, PacketLen: 2, BufDepth: p.bufDepth, VCs: p.vcs,
 		MaxRoute: hb.DiameterFormula(), Adaptive: hbAdaptiveConfig(hb), Seed: p.seed,
 		Messages: bcast,
 	})
-	if err != nil {
-		return err
-	}
-	qres, err := quiet.Run()
 	if err != nil {
 		return err
 	}
@@ -215,16 +202,12 @@ func nocMode(w io.Writer, p nocParams) error {
 	if err != nil {
 		return err
 	}
-	loaded, err := noc.New(hb, noc.Config{
+	lres, err := simulate(hb, noc.Config{
 		Cycles: 4 * p.cycles, Rate: p.rate * 0.4, InjectCycles: 3 * p.cycles,
 		PacketLen: 2, BufDepth: p.bufDepth, VCs: p.vcs, Pattern: p.pattern,
 		MaxRoute: hb.DiameterFormula(), Adaptive: hbAdaptiveConfig(hb), Seed: p.seed + 1,
 		Messages: allr,
 	})
-	if err != nil {
-		return err
-	}
-	lres, err := loaded.Run()
 	if err != nil {
 		return err
 	}
@@ -252,16 +235,12 @@ func nocMode(w io.Writer, p nocParams) error {
 	if err != nil {
 		return err
 	}
-	churny, err := noc.New(hb, noc.Config{
+	cres, err := simulate(hb, noc.Config{
 		Cycles: p.cycles, Rate: p.rate * 0.4, InjectCycles: p.cycles / 2,
 		PacketLen: nocPacketLen, BufDepth: p.bufDepth, VCs: p.vcs, Pattern: p.pattern,
 		MaxRoute: hb.DiameterFormula(), Adaptive: hbAdaptiveConfig(hb), Seed: p.seed + 3,
 		Schedule: nodeChurn, Links: linkChurn,
 	})
-	if err != nil {
-		return err
-	}
-	cres, err := churny.Run()
 	if err != nil {
 		return err
 	}

@@ -15,7 +15,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/hyperdebruijn"
-	"repro/internal/simnet"
+	"repro/internal/noc"
+	"repro/internal/wormhole"
 )
 
 func main() {
@@ -36,22 +37,32 @@ func main() {
 		graph.ConnectivityVertexTransitive(hbD), graph.Connectivity(hdD))
 	w.Flush()
 
-	// Same offered load on both networks.
+	// Same offered load on both networks: single-flit packets on the
+	// noc engine, each network on its own routing algorithm.
 	fmt.Println("\nuniform traffic, rate 0.05, 2000 cycles:")
 	w = tabwriter.NewWriter(os.Stdout, 2, 0, 2, ' ', 0)
-	fmt.Fprintln(w, "network\tdelivered\tavg latency\tmax queue")
+	fmt.Fprintln(w, "network\tdelivered\tavg latency\tmax latency")
 	for _, e := range []struct {
-		name string
-		top  simnet.Topology
+		name  string
+		g     graph.Graph
+		route func(u, v int) []int
 	}{
-		{"HB(2,3)", simnet.Routed{Graph: hb, Route: hb.Route}},
-		{"HD(2,5)", simnet.Routed{Graph: hd, Route: hd.Route}},
+		{"HB(2,3)", hb, hb.Route},
+		{"HD(2,5)", hd, hd.Route},
 	} {
-		res, err := simnet.Run(e.top, simnet.Config{Cycles: 2000, Rate: 0.05, Pattern: simnet.Uniform, Seed: 7})
+		eng, err := noc.New(e.g, noc.Config{
+			Cycles: 2000, Rate: 0.05, PacketLen: 1, BufDepth: 1, VCs: 1,
+			Pattern: noc.Uniform, Seed: 7, MaxRoute: hd.RouteLengthBound(), // >= HB's diameter 6
+			Route: e.route, Policy: wormhole.SingleVC,
+		})
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Fprintf(w, "%s\t%d/%d\t%.2f\t%d\n", e.name, res.Delivered, res.Injected, res.AvgLatency, res.MaxQueue)
+		res, err := eng.Run()
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Fprintf(w, "%s\t%d/%d\t%.2f\t%d\n", e.name, res.Delivered, res.Injected, res.AvgLatency, res.MaxLatency)
 	}
 	w.Flush()
 }

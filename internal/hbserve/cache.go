@@ -144,15 +144,19 @@ func (c *RouteCache) Len() int {
 	return n
 }
 
-// fnv1a is the 64-bit FNV-1a hash, inlined to keep the shard pick
-// allocation-free.
+// fnv1a is the 64-bit FNV-1a hash with the murmur3 fmix64 finalizer,
+// inlined to keep the shard pick allocation-free. Plain FNV-1a leaves
+// strings that differ in their last bytes ("url#1", "url#2") close
+// together in the high bits, which clusters consistent-hash ring
+// points and keys; the finalizer spreads every input bit over the
+// whole word (TestRingBalanceAcrossPorts).
 func fnv1a(s string) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])
 		h *= 1099511628211
 	}
-	return h
+	return fmix64(h)
 }
 
 // fnv1aBytes is fnv1a over a byte slice; identical output for
@@ -163,5 +167,15 @@ func fnv1aBytes(b []byte) uint64 {
 		h ^= uint64(b[i])
 		h *= 1099511628211
 	}
+	return fmix64(h)
+}
+
+// fmix64 is murmur3's 64-bit finalizer, an avalanching bijection.
+func fmix64(h uint64) uint64 {
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
 	return h
 }

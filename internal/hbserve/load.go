@@ -18,7 +18,7 @@ import (
 
 // The load generator replays query mixes against a running hbd and
 // records the serving-performance baseline (EXPERIMENTS.md E-SV). Two
-// mixes mirror simnet's traffic patterns at the serving layer:
+// mixes mirror noc's traffic patterns at the serving layer:
 //
 //   - uniform: every request draws a fresh random (u,v) pair, so the
 //     route cache sees mostly misses on large instances — the cold-path

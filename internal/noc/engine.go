@@ -11,7 +11,6 @@ import (
 	"repro/internal/collectives"
 	"repro/internal/faults"
 	"repro/internal/graph"
-	"repro/internal/simnet"
 )
 
 const (
@@ -340,7 +339,7 @@ func (e *Engine) injectShard(s *shard, c int) {
 			s.skipped++
 			continue
 		}
-		dst, ok := simnet.DrawDest(e.cfg.Pattern, s.rng, e.perm, e.n, v, e.usable)
+		dst, ok := DrawDest(e.cfg.Pattern, s.rng, e.perm, e.n, v, e.usable)
 		if !ok {
 			s.skipped++
 			continue
@@ -428,32 +427,25 @@ func (e *Engine) startWorm(s *shard, c, src, dst int, msg int32) {
 		}
 	} else {
 		path := e.cfg.Route(src, dst)
+		if e.cfg.Rerouter != nil && e.crossesFault(path) {
+			var err error
+			if path, err = e.cfg.Rerouter.Reroute(src, dst); err != nil {
+				s.skipped++
+				e.freeWorm(s, w, slot)
+				return
+			}
+		}
 		if len(path) < 2 || path[0] != src || path[len(path)-1] != dst || len(path)-1 > e.cfg.MaxRoute {
 			s.err = fmt.Errorf("noc: bad route %v for %d->%d (MaxRoute %d)", path, src, dst, e.cfg.MaxRoute)
 			e.freeWorm(s, w, slot)
 			return
 		}
-		state := 0
-		ok := true
-		for i := 1; i < len(path); i++ {
-			var vc int
-			vc, state = e.cfg.Policy(i-1, path[i-1], path[i], state)
-			if vc < 0 || vc >= e.vcs {
-				s.err = fmt.Errorf("noc: policy chose vc %d of %d", vc, e.vcs)
-				e.freeWorm(s, w, slot)
-				return
+		if ok, err := e.extend(w, path, 0); !ok {
+			if err != nil {
+				s.err = err
+			} else {
+				s.skipped++
 			}
-			edge := e.edgeID(path[i-1], path[i])
-			if e.dynamic && (e.faulty[path[i]] || e.deadEdge[edge]) {
-				ok = false
-				break
-			}
-			w.path = append(w.path, int32(path[i]))
-			w.chans = append(w.chans, edge)
-			w.vcs = append(w.vcs, int8(vc))
-		}
-		if !ok {
-			s.skipped++
 			e.freeWorm(s, w, slot)
 			return
 		}
@@ -481,6 +473,36 @@ func (e *Engine) startWorm(s *shard, c, src, dst int, msg int32) {
 	s.seq++
 	s.injected++
 	s.act = append(s.act, slot)
+}
+
+// extend appends walk[1:] to w's route, choosing VCs by replaying
+// Policy from state; walk[0] must be w's last path node. It reports
+// false, leaving w partly extended, when a hop crosses a live fault.
+func (e *Engine) extend(w *worm, walk []int, state int) (bool, error) {
+	for i := 1; i < len(walk); i++ {
+		var vc int
+		vc, state = e.cfg.Policy(len(w.chans), walk[i-1], walk[i], state)
+		if vc < 0 || vc >= e.vcs {
+			return false, fmt.Errorf("noc: policy chose vc %d of %d", vc, e.vcs)
+		}
+		edge := e.edgeID(walk[i-1], walk[i])
+		if e.dynamic && (e.faulty[walk[i]] || e.deadEdge[edge]) {
+			return false, nil
+		}
+		w.path = append(w.path, int32(walk[i]))
+		w.chans = append(w.chans, edge)
+		w.vcs = append(w.vcs, int8(vc))
+	}
+	return true, nil
+}
+
+func (e *Engine) crossesFault(path []int) bool {
+	for _, x := range path {
+		if e.faulty[x] {
+			return true
+		}
+	}
+	return false
 }
 
 // --- claim phase ---
@@ -707,13 +729,20 @@ func (e *Engine) applyEvents(c int) {
 	for e.evNode < len(e.schedule) && e.schedule[e.evNode].Cycle <= c {
 		ev := e.schedule[e.evNode]
 		e.evNode++
+		rr := e.cfg.Rerouter
 		if ev.Fail {
 			if !e.faulty[ev.Node] {
 				e.faulty[ev.Node] = true
+				if rr != nil {
+					rr.Fail(ev.Node)
+				}
 				e.dropCrossing(int32(ev.Node), -1)
 			}
-		} else {
+		} else if e.faulty[ev.Node] {
 			e.faulty[ev.Node] = false
+			if rr != nil {
+				rr.Recover(ev.Node)
+			}
 		}
 	}
 	for e.evLink < len(e.links) && e.links[e.evLink].Cycle <= c {
@@ -733,7 +762,9 @@ func (e *Engine) applyEvents(c int) {
 }
 
 // dropCrossing retires every live worm whose remaining journey uses the
-// failed node or directed edge; runs serially at cycle start.
+// failed node or directed edge; runs serially at cycle start. With a
+// Rerouter, a worm hit by a node failure is re-pathed instead when
+// reroute can save it.
 func (e *Engine) dropCrossing(node, edge int32) {
 	for si := range e.shards {
 		s := &e.shards[si]
@@ -756,6 +787,9 @@ func (e *Engine) dropCrossing(node, edge int32) {
 					continue
 				}
 				slot := (int32(ci<<chunkShift|wi))<<e.shardBits | s.id
+				if node >= 0 && e.cfg.Rerouter != nil && e.reroute(s, w, slot, node) {
+					continue
+				}
 				for h := w.tailHop; h <= w.headHop; h++ {
 					ch := e.chIdx(w, h)
 					e.occ[ch] -= int32(w.occupied[h])
@@ -768,6 +802,71 @@ func (e *Engine) dropCrossing(node, edge int32) {
 			}
 		}
 	}
+}
+
+// reroute handles a worm whose route touches the newly failed node. A
+// worm keeps going untouched when the node lies only behind its flits,
+// and is re-pathed when the node lies ahead of its head: it keeps the
+// hops it holds and continues on Rerouter.Reroute from the head's node,
+// with VCs from Policy replayed along the kept prefix. It reports false
+// when the worm must be dropped: its destination failed, one of its
+// flits sits at the node, or no fault-free walk exists. A walk that
+// overflows the worm's hop capacity or crosses a fault fails the run.
+func (e *Engine) reroute(s *shard, w *worm, slot, node int32) bool {
+	keep := w.headHop + 2 // path nodes up to and including the head's
+	held := w.tailHop + 1 // first node buffering a flit
+	if w.toInject > 0 {
+		held = w.tailHop // the source still holds flits
+	}
+	for _, x := range w.path[held:keep] {
+		if x == node {
+			return false
+		}
+	}
+	ahead := false
+	for _, x := range w.path[keep:] {
+		ahead = ahead || x == node
+	}
+	if !ahead {
+		return true
+	}
+	head, dst := int(w.path[keep-1]), int(w.path[len(w.path)-1])
+	if dst == int(node) {
+		return false
+	}
+	walk, err := e.cfg.Rerouter.Reroute(head, dst)
+	if err != nil {
+		return false
+	}
+	if len(walk) < 2 || walk[0] != head || walk[len(walk)-1] != dst || int(keep)+len(walk)-2 > e.hopCap {
+		s.err = fmt.Errorf("noc: reroute %v for %d->%d does not fit %d kept hops and MaxRoute %d",
+			walk, head, dst, keep-1, e.cfg.MaxRoute)
+		return false
+	}
+	state := 0
+	for h := int32(0); h < keep-1; h++ {
+		_, state = e.cfg.Policy(int(h), int(w.path[h]), int(w.path[h+1]), state)
+	}
+	w.path, w.chans, w.vcs = w.path[:keep], w.chans[:keep-1], w.vcs[:keep-1]
+	if ok, err := e.extend(w, walk, state); !ok {
+		if err == nil {
+			err = fmt.Errorf("noc: reroute %v for %d->%d crosses a fault", walk, head, dst)
+		}
+		s.err = err
+		return false
+	}
+	w.occupied = w.occupied[:len(w.chans)]
+	for h := keep - 1; h < int32(len(w.chans)); h++ {
+		w.occupied[h] = 0
+	}
+	w.blocked = 0
+	if w.parked {
+		// Its waiter entry names a channel the new route may not use.
+		w.parked = false
+		w.epoch++
+		s.act = append(s.act, slot)
+	}
+	return true
 }
 
 func (e *Engine) msgDone(mi int32, c int) {
@@ -943,6 +1042,9 @@ func (e *Engine) reset() {
 		e.waiters[i] = e.waiters[i][:0]
 	}
 	for i := range e.faulty {
+		if e.faulty[i] && e.cfg.Rerouter != nil {
+			e.cfg.Rerouter.Recover(i) // left faulty by the previous Run
+		}
 		e.faulty[i] = false
 	}
 	for i := range e.deadEdge {

@@ -1,7 +1,9 @@
-// Package noc is a high-throughput discrete-event engine for flit-level
-// wormhole switching — the production-scale successor to the
-// O(nodes x cycles) scan loops of internal/simnet and
-// internal/wormhole. Three ideas carry the throughput:
+// Package noc is the repository's network simulator: a discrete-event
+// engine for flit-level wormhole switching behind every dynamic
+// experiment (traffic, chaos, wormhole deadlock, NoC saturation). It is
+// the production-scale successor to the O(nodes x cycles) scan loop of
+// internal/wormhole, which is kept as its differential oracle. Three
+// ideas carry the throughput:
 //
 //   - event-driven injection: each node's next injection cycle is drawn
 //     geometrically and kept in a per-shard min-heap, so a cycle costs
@@ -30,6 +32,10 @@
 // network cannot deadlock. See escape.go for the argument and the
 // conformance escape-acyclic invariant for the machine check.
 //
+// In oblivious mode a Rerouter (FaultRerouter over the paper's fault
+// router) re-paths worms around nodes that fail mid-flight instead of
+// dropping them; see reroute.go.
+//
 // Worker goroutines resolve channel contention with a two-phase
 // claim/commit protocol (atomic minimum on a priority key), which makes
 // results bit-identical for any worker count.
@@ -43,7 +49,6 @@ import (
 	"repro/internal/collectives"
 	"repro/internal/faults"
 	"repro/internal/graph"
-	"repro/internal/simnet"
 	"repro/internal/wormhole"
 )
 
@@ -70,12 +75,12 @@ type AdaptiveConfig struct {
 // oblivious mode — or Adaptive must be set.
 type Config struct {
 	Cycles       int
-	Rate         float64        // per-node per-cycle injection probability
-	InjectCycles int            // cycles during which injection runs (0 = Cycles)
-	PacketLen    int            // flits per packet (>= 1)
-	BufDepth     int            // flit buffer depth per (link, VC), 1..127
-	VCs          int            // virtual channels per link, 1..32
-	Pattern      simnet.Pattern // traffic pattern (uniform, permutation, ...)
+	Rate         float64 // per-node per-cycle injection probability
+	InjectCycles int     // cycles during which injection runs (0 = Cycles)
+	PacketLen    int     // flits per packet (>= 1)
+	BufDepth     int     // flit buffer depth per (link, VC), 1..127
+	VCs          int     // virtual channels per link, 1..32
+	Pattern      Pattern // traffic pattern (uniform, permutation, ...)
 	Seed         int64
 	Workers      int // goroutines (0 = min(Shards, GOMAXPROCS))
 	Shards       int // power-of-two logical shards (0 = 8); fixes determinism
@@ -88,6 +93,7 @@ type Config struct {
 	Adaptive *AdaptiveConfig
 
 	Schedule faults.Schedule     // node churn applied mid-run
+	Rerouter Rerouter            // oblivious: re-paths worms around node churn
 	Links    faults.LinkSchedule // link churn applied mid-run
 	Messages []collectives.Msg   // collective replay plan injected on top
 }
@@ -140,6 +146,9 @@ func (cfg *Config) validate(order int) error {
 	}
 	if oblivious == (cfg.Adaptive != nil) {
 		return fmt.Errorf("noc: exactly one of Route+Policy or Adaptive is required")
+	}
+	if cfg.Rerouter != nil && cfg.Adaptive != nil {
+		return fmt.Errorf("noc: a Rerouter needs oblivious mode (Route+Policy)")
 	}
 	if ad := cfg.Adaptive; ad != nil {
 		switch {

@@ -1,6 +1,6 @@
 // Package wormhole is a flit-level wormhole-switching simulator with
 // virtual channels — the switching layer a real implementation of the
-// paper's network would use (store-and-forward, modelled by simnet, was
+// paper's network would use (store-and-forward switching was
 // already dated in 1998). Packets are worms of L flits that stretch
 // across a chain of (link, virtual-channel) resources; a blocked head
 // leaves its body in place, which is exactly what makes wormhole
@@ -17,6 +17,10 @@
 // The deadlock detector is observational: a cycle in which no flit
 // moves while worms are in flight is a deadlock (with FIFO channel
 // ownership there is no livelock to confuse it with).
+//
+// Every simulation in the repository runs on internal/noc; this
+// cycle-scan loop is kept as noc's differential oracle and as the
+// oracle leg of hbsim -mode noc.
 package wormhole
 
 import (
