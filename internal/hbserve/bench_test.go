@@ -98,10 +98,12 @@ func BenchmarkHandlerRoute(b *testing.B) {
 }
 
 // BenchmarkRouterForward measures the router's own per-request
-// overhead — shard lookup, pooled body/copy buffers, relay — in front
-// of a live in-process replica. The allocs/op number is the satellite
-// this PR pins: the pooled buffers keep the router path from allocating
-// a fresh body and copy chunk per forward.
+// overhead — shard lookup, pooled buffers, the round trip on a pooled
+// replica connection, relay — in front of a live in-process replica.
+// On a 2-vCPU guest (Go 1.24, -count 6), forwarding over net/http.Client
+// took 53–69 µs and 147 allocs/op for single and 128–145 µs and 161
+// allocs/op for batch64; over the router's own connection pool it takes
+// 28–43 µs and 76 allocs/op, and 100–130 µs and 103 allocs/op.
 func BenchmarkRouterForward(b *testing.B) {
 	replica := httptest.NewServer(NewServer(Config{}).Handler())
 	defer replica.Close()

@@ -42,8 +42,9 @@ import (
 
 // ClusterConfig sizes a Router. Zero values select the defaults.
 type ClusterConfig struct {
-	// Replicas are the peer base URLs (e.g. http://127.0.0.1:9001); at
-	// least one is required.
+	// Replicas are the peer base URLs (e.g. http://127.0.0.1:9001), each
+	// http://host:port with an optional path prefix; at least one is
+	// required.
 	Replicas []string
 	// VNodes is the number of ring points per replica (defaultVNodes).
 	VNodes int
@@ -89,7 +90,7 @@ type Router struct {
 	replicas    []string
 	ring        *hashRing
 	health      *healthChecker
-	client      *http.Client
+	timeout     time.Duration // per-attempt forward deadline
 	mux         *http.ServeMux
 	queue       chan struct{}
 	attempts    int
@@ -109,12 +110,10 @@ type Router struct {
 	subPairs   atomic.Uint64
 	inflight   []atomic.Int64
 
-	// bodyPool holds request-body buffers and gathered sub-responses;
-	// copyPool holds the fixed chunks relay streams through;
-	// scatterPool holds scatterScratch. They keep the per-forward
-	// allocation profile flat under load.
+	// bodyPool holds request bodies and replica answers; scatterPool
+	// holds scatterScratch. They keep the per-forward allocation profile
+	// flat under load.
 	bodyPool    sync.Pool
-	copyPool    sync.Pool
 	scatterPool sync.Pool
 }
 
@@ -126,17 +125,18 @@ func NewRouter(cfg ClusterConfig) (*Router, error) {
 		return nil, fmt.Errorf("hbserve: router needs at least one replica URL")
 	}
 	replicas := make([]string, len(cfg.Replicas))
+	conns := make([]*replicaConns, len(cfg.Replicas))
 	seen := make(map[string]bool, len(cfg.Replicas))
 	for i, u := range cfg.Replicas {
-		u = strings.TrimRight(strings.TrimSpace(u), "/")
-		if u == "" {
-			return nil, fmt.Errorf("hbserve: replica %d has an empty URL", i)
+		c, err := newReplicaConns(u)
+		if err != nil {
+			return nil, err
 		}
-		if seen[u] {
-			return nil, fmt.Errorf("hbserve: duplicate replica URL %s", u)
+		if seen[c.url] {
+			return nil, fmt.Errorf("hbserve: duplicate replica URL %s", c.url)
 		}
-		seen[u] = true
-		replicas[i] = u
+		seen[c.url] = true
+		replicas[i], conns[i] = c.url, c
 	}
 	depth := cfg.QueueDepth
 	if depth == 0 {
@@ -160,15 +160,12 @@ func NewRouter(cfg ClusterConfig) (*Router, error) {
 	if replication > len(replicas) {
 		replication = len(replicas)
 	}
-	tr := http.DefaultTransport.(*http.Transport).Clone()
-	tr.MaxIdleConns = 2 * DefaultQueueDepth
-	tr.MaxIdleConnsPerHost = DefaultQueueDepth
 	rt := &Router{
 		cfg:         cfg,
 		replicas:    replicas,
 		ring:        newHashRing(replicas, cfg.VNodes),
-		health:      newHealthChecker(replicas, cfg.ProbeInterval, cfg.ProbeTimeout, cfg.EjectAfter, cfg.ReadmitAfter),
-		client:      &http.Client{Timeout: fwdTimeout, Transport: tr},
+		health:      newHealthChecker(conns, cfg.ProbeInterval, cfg.ProbeTimeout, cfg.EjectAfter, cfg.ReadmitAfter),
+		timeout:     fwdTimeout,
 		mux:         http.NewServeMux(),
 		attempts:    attempts,
 		replication: replication,
@@ -176,7 +173,6 @@ func NewRouter(cfg ClusterConfig) (*Router, error) {
 		start:       time.Now(),
 	}
 	rt.bodyPool.New = func() any { return new(bytes.Buffer) }
-	rt.copyPool.New = func() any { b := make([]byte, 32<<10); return &b }
 	rt.scatterPool.New = func() any { return new(scatterScratch) }
 	if depth > 0 {
 		rt.queue = make(chan struct{}, depth)
@@ -191,9 +187,15 @@ func NewRouter(cfg ClusterConfig) (*Router, error) {
 	return rt, nil
 }
 
-// Start launches the active health probes; Stop shuts them down.
+// Start launches the active health probes; Stop shuts them down and
+// closes the idle replica connections.
 func (rt *Router) Start() { rt.health.Start() }
-func (rt *Router) Stop()  { rt.health.Stop() }
+func (rt *Router) Stop() {
+	rt.health.Stop()
+	for _, r := range rt.health.replicas {
+		r.conns.closeIdle()
+	}
+}
 
 // Handler returns the router's root handler.
 func (rt *Router) Handler() http.Handler { return rt.mux }
@@ -268,6 +270,10 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request) {
 		r.Body.Close()
 		body = buf.Bytes()
 	}
+	if len(body) > maxBatchBody {
+		writeErr(w, badRequest("request body over the %d-byte cap", maxBatchBody))
+		return
+	}
 
 	if r.Method == http.MethodPost && r.URL.Path == "/batch" {
 		rt.forwardBatch(w, r, body)
@@ -287,17 +293,28 @@ func (rt *Router) forwardKeyed(w http.ResponseWriter, r *http.Request, key uint6
 	next := func(tried []bool) int {
 		return rt.ring.Lookup(key, func(i int) bool { return !tried[i] && rt.health.Healthy(i) })
 	}
+	target := r.URL.EscapedPath()
+	if r.URL.RawQuery != "" {
+		target += "?" + r.URL.RawQuery
+	}
+	ct := r.Header.Get("Content-Type")
+	out := rt.bodyPool.Get().(*bytes.Buffer)
+	defer rt.bodyPool.Put(out)
 	answered := rt.try(1, next, func(i int) bool {
-		resp, err := rt.forwardOnce(r, i, body)
-		if err != nil {
+		resp, err := rt.health.replicas[i].conns.roundTrip(r.Context(), r.Method, target, ct, body, rt.timeout, out)
+		if err != nil || resp.StatusCode >= 500 {
 			return true
 		}
-		if resp.StatusCode >= 500 {
-			io.Copy(io.Discard, resp.Body) // lets the connection be reused
-			resp.Body.Close()
-			return true
+		h := w.Header()
+		for _, k := range relayedHeaders {
+			if v := resp.Header.Get(k); v != "" {
+				h.Set(k, v)
+			}
 		}
-		rt.relay(w, resp, i)
+		h.Set("X-Replica", rt.replicas[i])
+		w.WriteHeader(resp.StatusCode)
+		w.Write(out.Bytes())
+		rt.health.replicas[i].forwarded.Add(1)
 		return false
 	})
 	if !answered {
@@ -342,44 +359,9 @@ func (rt *Router) noLiveReplica() error {
 		msg: fmt.Sprintf("no live replica (%d/%d healthy)", rt.health.HealthyCount(), len(rt.replicas))}
 }
 
-// forwardOnce sends the request to replica i under the per-attempt
-// deadline.
-func (rt *Router) forwardOnce(r *http.Request, i int, body []byte) (*http.Response, error) {
-	url := rt.replicas[i] + r.URL.Path
-	if r.URL.RawQuery != "" {
-		url += "?" + r.URL.RawQuery
-	}
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(r.Context(), r.Method, url, rd)
-	if err != nil {
-		return nil, err
-	}
-	if ct := r.Header.Get("Content-Type"); ct != "" {
-		req.Header.Set("Content-Type", ct)
-	}
-	return rt.client.Do(req)
-}
-
-// relay copies the replica's response to the client through a pooled
-// chunk, stamping which replica answered.
-func (rt *Router) relay(w http.ResponseWriter, resp *http.Response, i int) {
-	defer resp.Body.Close()
-	h := w.Header()
-	for _, k := range []string{"Content-Type", "X-Cache", "X-Snapshot", "Retry-After"} {
-		if v := resp.Header.Get(k); v != "" {
-			h.Set(k, v)
-		}
-	}
-	h.Set("X-Replica", rt.replicas[i])
-	w.WriteHeader(resp.StatusCode)
-	chunk := rt.copyPool.Get().(*[]byte)
-	io.CopyBuffer(w, resp.Body, *chunk)
-	rt.copyPool.Put(chunk)
-	rt.health.replicas[i].forwarded.Add(1)
-}
+// relayedHeaders are the replica answer headers a forward passes on to
+// the client, besides the X-Replica stamp the router adds.
+var relayedHeaders = []string{"Content-Type", "X-Cache", "X-Snapshot", "Retry-After"}
 
 // requestKey computes the shard key for one single-query request: the
 // full (dims,u,v) identity — the same identity the replica's route
@@ -468,7 +450,7 @@ func (rt *Router) Status() clusterStatus {
 	}
 	for i, r := range rt.health.replicas {
 		st.Replicas = append(st.Replicas, replicaStatus{
-			URL:          r.url,
+			URL:          r.conns.url,
 			Healthy:      r.healthy.Load(),
 			Forwarded:    r.forwarded.Load(),
 			Ejections:    r.ejections.Load(),

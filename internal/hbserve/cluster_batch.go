@@ -14,9 +14,9 @@ import (
 // Scatter-gather batch routing. Every /batch body that reaches the
 // router is decoded (both codecs), its pairs are partitioned by their
 // (m,n,u,v) ring owner sets, and one sub-batch per chosen replica is
-// fanned out concurrently over the keep-alive transport — so a single
-// client batch is answered by the whole fleet instead of serializing
-// on one replica. The sub-responses are re-merged into a single
+// fanned out concurrently over the router's pooled replica connections
+// (cluster_conn.go) — so a single client batch is answered by the whole
+// fleet instead of serializing on one replica. The sub-responses are re-merged into a single
 // response in the original pair order and re-encoded in the client's
 // codec, byte-exact with what one replica would have produced for the
 // whole body.
@@ -36,10 +36,6 @@ import (
 // answers 400 at the router — garbage is rejected at the edge, not
 // forwarded into the fleet.
 func (rt *Router) forwardBatch(w http.ResponseWriter, r *http.Request, body []byte) {
-	if len(body) > maxBatchBody {
-		writeErr(w, badRequest("batch body %d bytes over the %d cap", len(body), maxBatchBody))
-		return
-	}
 	ct := r.Header.Get("Content-Type")
 	if _, _, ok := peekBatchDims(ct, body); !ok {
 		writeErr(w, badRequest("unreadable batch dims (want explicit non-negative m and n)"))
@@ -247,20 +243,10 @@ func (rt *Router) nextAliveOwner(tried []bool) int {
 // is the replica's fault (transport error, 5xx, an undecodable 2xx)
 // rather than the request's (4xx).
 func (rt *Router) postSubBatch(r *http.Request, i int, op uint8, sb *subBatch) (retry bool, err error) {
-	req, err := http.NewRequestWithContext(r.Context(), http.MethodPost, rt.replicas[i]+"/batch", bytes.NewReader(sb.body))
-	if err != nil {
-		return false, err
-	}
-	req.Header.Set("Content-Type", ctBatchBin)
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		return true, err
-	}
-	defer resp.Body.Close()
 	buf := rt.bodyPool.Get().(*bytes.Buffer)
-	buf.Reset()
 	defer rt.bodyPool.Put(buf)
-	if _, err = buf.ReadFrom(resp.Body); err != nil {
+	resp, err := rt.health.replicas[i].conns.roundTrip(r.Context(), http.MethodPost, "/batch", ctBatchBin, sb.body, rt.timeout, buf)
+	if err != nil {
 		return true, err
 	}
 	if resp.StatusCode/100 != 2 {

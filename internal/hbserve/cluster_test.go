@@ -83,7 +83,7 @@ func TestHealthHysteresis(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	h := newHealthChecker([]string{ts.URL}, 10*time.Millisecond, 100*time.Millisecond, 2, 2)
+	h := newHealthChecker(mustReplicaConns(t, ts.URL), 10*time.Millisecond, 100*time.Millisecond, 2, 2)
 	h.Start()
 	defer h.Stop()
 
@@ -115,7 +115,7 @@ func TestHealthHysteresis(t *testing.T) {
 // TestHealthSingleFailureDoesNotEject: one dropped probe (below the
 // hysteresis width) must not flap the membership.
 func TestHealthSingleFailureDoesNotEject(t *testing.T) {
-	h := newHealthChecker([]string{"http://127.0.0.1:1"}, time.Hour, time.Second, 2, 2)
+	h := newHealthChecker(mustReplicaConns(t, "http://127.0.0.1:1"), time.Hour, time.Second, 2, 2)
 	h.ReportFailure(0)
 	if !h.Healthy(0) {
 		t.Fatal("ejected after a single failure with EjectAfter=2")
@@ -560,5 +560,33 @@ func TestNewRouterValidation(t *testing.T) {
 	}
 	if _, err := NewRouter(ClusterConfig{Replicas: []string{" "}}); err == nil {
 		t.Error("accepted a blank replica URL")
+	}
+	// The pool speaks plain HTTP/1.1 to http://host:port, which may carry
+	// a path prefix.
+	for _, tc := range []struct {
+		url string
+		ok  bool
+	}{
+		{"http://127.0.0.1:9001", true},
+		{"http://localhost:9001/", true},
+		{" http://[::1]:9001 ", true},
+		{"http://replica:9001/hbd/v1", true},
+		{"HTTP://replica:9001", true},
+		{"https://replica:9443", false},
+		{"ftp://replica:21", false},
+		{"http://:9001", false},
+		{"http:///hbd", false},
+		{"http://replica", false},
+		{"127.0.0.1:9001", false},
+		{"replica:9001", false},
+		{"http://user:pw@replica:9001", false},
+		{"http://replica:9001?x=1", false},
+		{"http://replica:9001/?", false},
+		{"http://replica:9001#top", false},
+	} {
+		_, err := NewRouter(ClusterConfig{Replicas: []string{tc.url}})
+		if (err == nil) != tc.ok {
+			t.Errorf("NewRouter(%q): err = %v, want ok = %v", tc.url, err, tc.ok)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package hbserve
 
 import (
+	"bytes"
 	"context"
 	"net/http"
 	"sync"
@@ -23,7 +24,7 @@ const (
 // the forwarding hot path; the hysteresis counters are only touched
 // under mu by the probe loop and by forward-failure reports.
 type replicaState struct {
-	url     string
+	conns   *replicaConns
 	healthy atomic.Bool
 
 	mu    sync.Mutex
@@ -48,14 +49,13 @@ type healthChecker struct {
 	ejectAfter   int
 	readmitAfter int
 
-	client   *http.Client
 	replicas []*replicaState
 
 	stop chan struct{}
 	done chan struct{}
 }
 
-func newHealthChecker(urls []string, interval, timeout time.Duration, ejectAfter, readmitAfter int) *healthChecker {
+func newHealthChecker(conns []*replicaConns, interval, timeout time.Duration, ejectAfter, readmitAfter int) *healthChecker {
 	if interval <= 0 {
 		interval = DefaultProbeInterval
 	}
@@ -73,12 +73,11 @@ func newHealthChecker(urls []string, interval, timeout time.Duration, ejectAfter
 		timeout:      timeout,
 		ejectAfter:   ejectAfter,
 		readmitAfter: readmitAfter,
-		client:       &http.Client{Timeout: timeout},
 		stop:         make(chan struct{}),
 		done:         make(chan struct{}),
 	}
-	for _, u := range urls {
-		r := &replicaState{url: u}
+	for _, c := range conns {
+		r := &replicaState{conns: c}
 		r.healthy.Store(true) // optimistic start; the forward path reports real failures
 		h.replicas = append(h.replicas, r)
 	}
@@ -115,7 +114,7 @@ func (h *healthChecker) probeAll() {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if h.probe(h.replicas[i].url) {
+			if h.probe(h.replicas[i].conns) {
 				h.reportSuccess(i)
 			} else {
 				h.ReportFailure(i)
@@ -125,19 +124,15 @@ func (h *healthChecker) probeAll() {
 	wg.Wait()
 }
 
-func (h *healthChecker) probe(url string) bool {
+// probe GETs the replica's /healthz over the forwarding pool, so a
+// probe also finds out when pooled connections went stale; the whole
+// probe, dial included, runs under the probe timeout.
+func (h *healthChecker) probe(c *replicaConns) bool {
 	ctx, cancel := context.WithTimeout(context.Background(), h.timeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url+"/healthz", nil)
-	if err != nil {
-		return false
-	}
-	resp, err := h.client.Do(req)
-	if err != nil {
-		return false
-	}
-	resp.Body.Close()
-	return resp.StatusCode/100 == 2
+	var body bytes.Buffer
+	resp, err := c.roundTrip(ctx, http.MethodGet, "/healthz", "", nil, h.timeout, &body)
+	return err == nil && resp.StatusCode/100 == 2
 }
 
 // Healthy reports whether replica i is currently admitted.

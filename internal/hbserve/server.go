@@ -33,6 +33,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/url"
 	"sort"
 	"strconv"
 	"strings"
@@ -325,12 +326,16 @@ func writeCached(w http.ResponseWriter, body []byte, hit bool) {
 
 // query parsing ------------------------------------------------------
 
-func (s *Server) instance(r *http.Request) (core.Topology, Dims, error) {
-	m, err := intParam(r, "m", 2)
+// The parameter readers take the url.Values a handler parsed once from
+// its request, not the request itself: r.URL.Query() parses the whole
+// query string on every call.
+
+func (s *Server) instance(q url.Values) (core.Topology, Dims, error) {
+	m, err := intParam(q, "m", 2)
 	if err != nil {
 		return nil, Dims{}, err
 	}
-	n, err := intParam(r, "n", 3)
+	n, err := intParam(q, "n", 3)
 	if err != nil {
 		return nil, Dims{}, err
 	}
@@ -342,8 +347,8 @@ func (s *Server) instance(r *http.Request) (core.Topology, Dims, error) {
 	return top, d, nil
 }
 
-func intParam(r *http.Request, name string, def int) (int, error) {
-	raw := r.URL.Query().Get(name)
+func intParam(q url.Values, name string, def int) (int, error) {
+	raw := q.Get(name)
 	if raw == "" {
 		return def, nil
 	}
@@ -354,8 +359,8 @@ func intParam(r *http.Request, name string, def int) (int, error) {
 	return v, nil
 }
 
-func nodeParam(r *http.Request, top core.Topology, name string) (core.Node, error) {
-	raw := r.URL.Query().Get(name)
+func nodeParam(q url.Values, top core.Topology, name string) (core.Node, error) {
+	raw := q.Get(name)
 	if raw == "" {
 		return 0, badRequest("missing node parameter %q", name)
 	}
@@ -412,17 +417,18 @@ type faultRouteResponse struct {
 // high-cardinality).
 func (s *Server) handleQuery(op uint8) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		top, d, err := s.instance(r)
+		q := r.URL.Query()
+		top, d, err := s.instance(q)
 		if err != nil {
 			writeErr(w, err)
 			return
 		}
-		u, err := nodeParam(r, top, "u")
+		u, err := nodeParam(q, top, "u")
 		if err != nil {
 			writeErr(w, err)
 			return
 		}
-		v, err := nodeParam(r, top, "v")
+		v, err := nodeParam(q, top, "v")
 		if err != nil {
 			writeErr(w, err)
 			return
@@ -434,7 +440,7 @@ func (s *Server) handleQuery(op uint8) http.HandlerFunc {
 				return
 			}
 		case batchOpFaultRoute:
-			faults, err := faultsParam(r, top)
+			faults, err := faultsParam(q, top)
 			if err != nil {
 				writeErr(w, err)
 				return
@@ -451,7 +457,7 @@ func (s *Server) handleQuery(op uint8) http.HandlerFunc {
 			writeBody(w, ctJSON, "", body)
 			return
 		}
-		verify := boolParam(r, "verify")
+		verify := boolParam(q, "verify")
 		body, hit, err := s.cache.GetOrCompute(cacheKey(batchOpNames[op], d, u, v, verify), func() ([]byte, error) {
 			defer s.countPanic()
 			return s.renderQuery(top, d, op, u, v, nil, verify)
@@ -546,9 +552,9 @@ func (s *Server) renderQuery(top core.Topology, d Dims, op uint8, u, v int, faul
 // always-non-nil slice, so the echoed "faults" field is a canonical JSON
 // array ([] rather than null, 3,3,1 rendered as [1,3]) regardless of how
 // the caller spelled the query.
-func faultsParam(r *http.Request, top core.Topology) ([]int, error) {
+func faultsParam(q url.Values, top core.Topology) ([]int, error) {
 	out := []int{}
-	raw := r.URL.Query().Get("faults")
+	raw := q.Get("faults")
 	if raw == "" {
 		return out, nil
 	}
@@ -584,7 +590,7 @@ type infoResponse struct {
 }
 
 func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
-	hb, d, err := s.instance(r)
+	hb, d, err := s.instance(r.URL.Query())
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -605,7 +611,7 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 const maxConformanceOrder = 1 << 12
 
 func (s *Server) handleConformance(w http.ResponseWriter, r *http.Request) {
-	top, d, err := s.instance(r)
+	top, d, err := s.instance(r.URL.Query())
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -667,21 +673,22 @@ type estimateResponse struct {
 // makes the response identity high-cardinality and recomputation is
 // only milliseconds.
 func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
-	top, d, err := s.instance(r)
+	q := r.URL.Query()
+	top, d, err := s.instance(q)
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
 	// A loaded snapshot makes the answer exact and O(1); live=1 opts back
 	// into the sampled path (for comparing the estimator against truth).
-	if !boolParam(r, "live") {
+	if !boolParam(q, "live") {
 		if e := s.snapshotFor(d); e != nil {
 			w.Header().Set("X-Snapshot", "hit")
 			writeBody(w, ctJSON, "", e.estimateBody)
 			return
 		}
 	}
-	samples, err := intParam(r, "samples", defaultEstimateSamples)
+	samples, err := intParam(q, "samples", defaultEstimateSamples)
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -690,12 +697,12 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, badRequest("samples=%d outside [1,%d]", samples, maxEstimateSamples))
 		return
 	}
-	seed, err := intParam(r, "seed", 0)
+	seed, err := intParam(q, "seed", 0)
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	scan, err := intParam(r, "scan", 0)
+	scan, err := intParam(q, "scan", 0)
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -749,8 +756,8 @@ func cacheKey(kind string, d Dims, u, v int, verify bool) string {
 }
 
 // boolParam reads a flag parameter (accepted forms: 1, true).
-func boolParam(r *http.Request, name string) bool {
-	raw := r.URL.Query().Get(name)
+func boolParam(q url.Values, name string) bool {
+	raw := q.Get(name)
 	return raw == "1" || raw == "true"
 }
 
