@@ -30,107 +30,139 @@ import (
 //   - the full ring, costing n + min(cw, ccw) where cw = (pi'-pi) mod n.
 //
 // Tests verify the resulting distances against BFS exhaustively for
-// n in 3..6 and by random sampling for larger n.
+// n in 3..6 and by random sampling for larger n, and the plans against
+// a scan over every beta exhaustively for n in 3..14.
 
-// walkPlan describes an optimal covering walk.
-type walkPlan struct {
-	full      bool // traverse the entire ring
-	clockwise bool // full case: initial overshoot direction
-	alpha     int  // arc case: clockwise extent (edges)
-	beta      int  // arc case: counter-clockwise extent (edges)
-	e         int  // arc case: signed destination offset, -beta <= e <= alpha
+// Walk is a planned minimum covering walk, packed as three runs of
+// level steps in alternating directions: bits 0-7, 8-15 and 16-23 hold
+// the runs' step counts, and walkCW marks a first run that goes
+// clockwise (+1, a left shift). Its step count is the butterfly
+// distance.
+type Walk uint32
+
+// walkCW flags a Walk whose first run is clockwise.
+const walkCW Walk = 1 << 24
+
+// arcWalk is the walk over the arc reaching alpha edges clockwise and
+// beta counter-clockwise that ends at signed offset e: for e >= 0 it
+// turns at -beta and at alpha, otherwise at alpha and at -beta.
+func arcWalk(alpha, beta, e int) Walk {
+	if e >= 0 {
+		return Walk(beta | (alpha+beta)<<8 | (alpha-e)<<16)
+	}
+	return walkCW | Walk(alpha|(alpha+beta)<<8|(e+beta)<<16)
 }
 
-// planWalk computes the minimum covering-walk length and a realizing
-// plan. req is the set of required ring edges as offsets from the start
-// level: bit k set means ring edge (start+k) mod n must be traversed.
-// cw is the clockwise distance to the destination level.
-func planWalk(n int, req uint64, cw int) (int, walkPlan) {
+// planWalk computes the minimum covering-walk length and a walk
+// realizing it. req is the set of required ring edges as offsets from
+// the start level: bit k set means ring edge (start+k) mod n must be
+// traversed. cw is the clockwise distance to the destination level.
+//
+// Covered edge offsets for an arc (alpha, beta) are [0, alpha-1] and
+// [n-beta, n-1], so the smallest alpha covering what the beta side
+// leaves is minAlpha(beta) = bitLen(req below n-beta). minAlpha is
+// constant between consecutive required bits, which splits beta's
+// range into popcount(req)+1 runs. Within a run every candidate's cost
+// grows by 2 per step of beta, so only each candidate kind's first
+// admissible beta can be optimal:
+//
+//	K1: alpha = minAlpha, ending clockwise (cw <= alpha), at the run start;
+//	K2: alpha = minAlpha, ending counter-clockwise (ccw <= beta), at max(start, ccw);
+//	K3: alpha = cw, ending clockwise (cw >= minAlpha), at the run start.
+//
+// (alpha = cw ending counter-clockwise never beats K2 at the same beta.)
+// Candidates are tried in ascending beta with strict <, so ties resolve
+// as in a scan over every beta; K2 and K3 are both admissible at the
+// same beta only when cw = 0, where K1 already holds their cost.
+func planWalk(n int, req uint64, cw int) (int, Walk) {
 	ccw := 0
 	if cw != 0 {
 		ccw = n - cw
 	}
 	// Full-ring candidate.
-	best := n + cw
-	plan := walkPlan{full: true, clockwise: true}
+	best, walk := n+cw, walkCW|Walk(cw|n<<8)
 	if ccw < cw {
-		best = n + ccw
-		plan.clockwise = false
+		best, walk = n+ccw, Walk(ccw|n<<8)
 	}
-	// Proper-arc candidates. Covered edge offsets for (alpha, beta) are
-	// [0, alpha-1] and [n-beta, n-1]. For a fixed beta the cost grows
-	// with alpha, so only two alphas can be optimal: the smallest alpha
-	// covering the required edges not handled by the beta side, and (if
-	// larger) the smallest alpha admitting the clockwise destination.
-	for beta := 0; beta < n; beta++ {
-		ccwMask := bitvec.Mask(beta) << uint(n-beta)
-		rest := req &^ ccwMask
-		minAlpha := bitLen(rest)
-		for _, alpha := range [2]int{minAlpha, cw} {
-			if alpha < minAlpha || alpha+beta > n-1 {
-				continue
+	for lo := 0; ; {
+		a := bits.Len64(req) // minAlpha over the run starting at beta = lo
+		hi := n - 1 - a      // the run's last beta with alpha+beta <= n-1
+		if lo <= hi {
+			if cost := 2*(a+lo) - cw; cw <= a && cost < best {
+				best, walk = cost, arcWalk(a, lo, cw)
 			}
-			if cw <= alpha {
-				if cost := 2*(alpha+beta) - cw; cost < best {
-					best = cost
-					plan = walkPlan{alpha: alpha, beta: beta, e: cw}
-				}
+			if cost := cw + 2*lo; cw >= a && cw+lo < n && cost < best {
+				best, walk = cost, arcWalk(cw, lo, cw)
 			}
-			if ccw <= beta {
-				if cost := 2*(alpha+beta) - ccw; cost < best {
-					best = cost
-					plan = walkPlan{alpha: alpha, beta: beta, e: -ccw}
+			if b := max(lo, ccw); b <= hi {
+				if cost := 2*(a+b) - ccw; cost < best {
+					best, walk = cost, arcWalk(a, b, -ccw)
 				}
 			}
 		}
+		if req == 0 {
+			return best, walk
+		}
+		// The next run starts where the top required bit falls to the
+		// beta side.
+		lo = n - a + 1
+		req &^= 1 << uint(a-1)
 	}
-	return best, plan
 }
 
-// bitLen returns the number of bits needed to represent x (0 for x == 0).
-func bitLen(x uint64) int { return bits.Len64(x) }
+// PlanWalk returns the distance from u to v and the walk Route takes.
+func (b *Butterfly) PlanWalk(u, v Node) (int, Walk) {
+	piU, maskU := b.Split(u)
+	piV, maskV := b.Split(v)
+	req := bitvec.RotR(maskU^maskV, b.n, piU) // edge offsets relative to piU
+	cw := piV - piU
+	if cw < 0 {
+		cw += b.n
+	}
+	return planWalk(b.n, req, cw)
+}
 
 // Distance returns the shortest-path distance between u and v in B_n.
 func (b *Butterfly) Distance(u, v Node) int {
-	piU, maskU := b.Split(u)
-	piV, maskV := b.Split(v)
-	diff := maskU ^ maskV
-	req := bitvec.RotR(diff, b.n, piU) // edge offsets relative to piU
-	cw := (piV - piU + b.n) % b.n
-	d, _ := planWalk(b.n, req, cw)
+	d, _ := b.PlanWalk(u, v)
 	return d
 }
 
-// moves expands a plan into a sequence of +1 (clockwise / left-shift)
-// and -1 (counter-clockwise / right-shift) level steps.
-func (p walkPlan) moves(n, cw int) []int {
-	var seq []int
-	emit := func(dir, count int) {
-		for i := 0; i < count; i++ {
-			seq = append(seq, dir)
+// AppendWalk appends base+w for every vertex w strictly after u on walk,
+// a plan PlanWalk(u, v) returned, allocation-free when buf has capacity.
+// Each step moves one level along the walk's run and, on crossing a ring
+// edge whose symbol still differs from v's, complements it (f or f^{-1}
+// rather than g or g^{-1}), so repeated crossings complement at most
+// once. The base offset lets product networks (core.HyperButterfly)
+// relabel the walk into a sub-butterfly without an intermediate slice.
+func (b *Butterfly) AppendWalk(u, v Node, walk Walk, base int, buf []int) []int {
+	n := b.n
+	pi, mask := b.Split(u)
+	_, maskV := b.Split(v)
+	clockwise := walk&walkCW != 0
+	for run := 0; run < 3; run++ {
+		steps := int(walk >> (8 * run) & 0xff)
+		for ; steps > 0; steps-- {
+			if clockwise {
+				mask ^= (mask ^ maskV) & (1 << uint(pi))
+				if pi++; pi == n {
+					pi = 0
+				}
+			} else {
+				if pi == 0 {
+					pi = n
+				}
+				pi--
+				mask ^= (mask ^ maskV) & (1 << uint(pi))
+			}
+			buf = append(buf, base+(pi<<uint(n)|int(mask)))
 		}
+		clockwise = !clockwise
 	}
-	if p.full {
-		if p.clockwise {
-			emit(+1, cw)
-			emit(-1, n)
-		} else {
-			emit(-1, n-cw) // ccw overshoot to destination's ccw image
-			emit(+1, n)
-		}
-		return seq
+	if end := pi<<uint(n) | int(mask); end != v {
+		panic(fmt.Sprintf("butterfly: route from %d ended at %d, want %d", u, end, v))
 	}
-	if p.e >= 0 {
-		// Counter-clockwise first: to -beta, up to alpha, back to e.
-		emit(-1, p.beta)
-		emit(+1, p.alpha+p.beta)
-		emit(-1, p.alpha-p.e)
-	} else {
-		emit(+1, p.alpha)
-		emit(-1, p.alpha+p.beta)
-		emit(+1, p.e+p.beta)
-	}
-	return seq
+	return buf
 }
 
 // AppendRoute appends a shortest u-v path (both endpoints included) to
@@ -139,122 +171,34 @@ func (p walkPlan) moves(n, cw int) []int {
 // no heap allocation, which is what lets the implicit engine route on
 // multi-million-node instances at dense-graph speeds.
 func (b *Butterfly) AppendRoute(u, v Node, buf []Node) []Node {
-	buf = append(buf, u)
-	return b.AppendRouteTail(u, v, 0, buf)
-}
-
-// AppendRouteTail appends base+w for every vertex w strictly after u on
-// the shortest u-v walk that Route produces, allocation-free. The base
-// offset lets product networks (core.HyperButterfly) relabel the walk
-// into a sub-butterfly without an intermediate slice.
-func (b *Butterfly) AppendRouteTail(u, v Node, base int, buf []int) []int {
-	piU, maskU := b.Split(u)
-	piV, maskV := b.Split(v)
-	req := bitvec.RotR(maskU^maskV, b.n, piU)
-	cw := (piV - piU + b.n) % b.n
-	_, plan := planWalk(b.n, req, cw)
-
-	// The plan expands to at most three constant-direction segments (the
-	// same sequence plan.moves emits, without materialising it).
-	var segs [3][2]int // {direction, step count}
-	ns := 0
-	switch {
-	case plan.full && plan.clockwise:
-		segs[0] = [2]int{+1, cw}
-		segs[1] = [2]int{-1, b.n}
-		ns = 2
-	case plan.full:
-		segs[0] = [2]int{-1, b.n - cw}
-		segs[1] = [2]int{+1, b.n}
-		ns = 2
-	case plan.e >= 0:
-		segs[0] = [2]int{-1, plan.beta}
-		segs[1] = [2]int{+1, plan.alpha + plan.beta}
-		segs[2] = [2]int{-1, plan.alpha - plan.e}
-		ns = 3
-	default:
-		segs[0] = [2]int{+1, plan.alpha}
-		segs[1] = [2]int{-1, plan.alpha + plan.beta}
-		segs[2] = [2]int{+1, plan.e + plan.beta}
-		ns = 3
-	}
-	cur := u
-	for s := 0; s < ns; s++ {
-		dir, count := segs[s][0], segs[s][1]
-		for i := 0; i < count; i++ {
-			pi, mask := b.Split(cur)
-			var gen int
-			if dir > 0 {
-				gen = GenG
-				if (mask^maskV)&(1<<uint(pi)) != 0 {
-					gen = GenF
-				}
-			} else {
-				gen = GenGInv
-				prev := (pi + b.n - 1) % b.n
-				if (mask^maskV)&(1<<uint(prev)) != 0 {
-					gen = GenFInv
-				}
-			}
-			cur = b.Apply(gen, cur)
-			buf = append(buf, base+cur)
-		}
-	}
-	if cur != v {
-		panic(fmt.Sprintf("butterfly: route from %d ended at %d, want %d", u, cur, v))
-	}
-	return buf
+	_, walk := b.PlanWalk(u, v)
+	return b.AppendWalk(u, v, walk, 0, append(buf, u))
 }
 
 // Route returns a shortest path from u to v as a node sequence including
 // both endpoints; its length always equals Distance(u, v) + 1.
 func (b *Butterfly) Route(u, v Node) []Node {
-	gens := b.RouteGenerators(u, v)
-	path := make([]Node, 0, len(gens)+1)
-	path = append(path, u)
-	cur := u
-	for _, g := range gens {
-		cur = b.Apply(g, cur)
-		path = append(path, cur)
-	}
-	if cur != v {
-		panic(fmt.Sprintf("butterfly: route from %d ended at %d, want %d", u, cur, v))
-	}
-	return path
+	d, walk := b.PlanWalk(u, v)
+	return b.AppendWalk(u, v, walk, 0, append(make([]Node, 0, d+1), u))
 }
 
-// RouteGenerators returns the generator sequence of a shortest u-v path.
-// Crossing a ring edge whose symbol still differs from the destination
-// applies the complementing generator (f or f^{-1}); all other crossings
-// use g/g^{-1}. Repeated crossings of the same edge therefore complement
-// at most once.
+// RouteGenerators returns the generator sequence of Route(u, v): a
+// clockwise step is g or f, a counter-clockwise one g^{-1} or f^{-1},
+// and f/f^{-1} are the steps that complement a symbol.
 func (b *Butterfly) RouteGenerators(u, v Node) []int {
-	piU, maskU := b.Split(u)
-	piV, maskV := b.Split(v)
-	diff := maskU ^ maskV
-	req := bitvec.RotR(diff, b.n, piU)
-	cw := (piV - piU + b.n) % b.n
-	_, plan := planWalk(b.n, req, cw)
-
-	gens := make([]int, 0, 3*b.n/2)
-	cur := u
-	for _, dir := range plan.moves(b.n, cw) {
-		pi, mask := b.Split(cur)
-		var gen int
-		if dir > 0 {
-			gen = GenG
-			if (mask^maskV)&(1<<uint(pi)) != 0 {
-				gen = GenF
-			}
+	path := b.Route(u, v)
+	gens := make([]int, len(path)-1)
+	for i := range gens {
+		pi, mask := b.Split(path[i])
+		next, nextMask := b.Split(path[i+1])
+		if next == (pi+1)%b.n {
+			gens[i] = GenG
 		} else {
-			gen = GenGInv
-			prev := (pi + b.n - 1) % b.n
-			if (mask^maskV)&(1<<uint(prev)) != 0 {
-				gen = GenFInv
-			}
+			gens[i] = GenGInv
 		}
-		gens = append(gens, gen)
-		cur = b.Apply(gen, cur)
+		if mask != nextMask {
+			gens[i]++ // GenF, GenFInv
+		}
 	}
 	return gens
 }

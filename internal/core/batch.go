@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+
+	"repro/internal/butterfly"
 )
 
 // Batch routing kernel.
@@ -20,11 +22,12 @@ import (
 // The route pass exploits a Theorem 3 invariant: the route emitted by
 // AppendRoute is optimal, so its node count is exactly Distance(u,v)+1.
 // That turns batch routing into two embarrassingly parallel passes with
-// no synchronisation on the arena: pass one computes all distances,
-// a serial prefix sum sizes the arena and assigns every pair a disjoint
-// segment, and pass two appends each route into its own full-capacity
-// segment. The offset column doubles as the columnar wire format the
-// /batch codecs emit, so the kernel output is encoded without copying.
+// no synchronisation on the arena: pass one plans every pair once (its
+// distance and its butterfly walk), a serial prefix sum sizes the
+// arena and assigns every pair a disjoint segment, and pass two
+// expands each stored walk into its own full-capacity segment. The
+// offset column doubles as the columnar wire format the /batch codecs
+// emit, so the kernel output is encoded without copying.
 
 // Per-pair status codes. They are wire-format values (the /batch
 // protocol echoes them verbatim), so they are stable small integers.
@@ -61,6 +64,8 @@ type BatchScratch struct {
 	Dist   []int32
 	Off    []int32 // len(pairs)+1 after BatchRoute; prefix sums into Nodes
 	Nodes  []Node  // route arena; segments are disjoint per pair
+
+	walks []butterfly.Walk // per pair, planned by the first pass
 }
 
 // batchChunkMin is the smallest per-worker slice of a batch worth a
@@ -90,16 +95,18 @@ func RouteBatch(t Topology, op BatchOp, src, dst []Node, workers int, bs *BatchS
 	if len(src) != len(dst) {
 		return fmt.Errorf("core: batch columns disagree: %d src, %d dst", len(src), len(dst))
 	}
+	r := batchRouterOf(t)
 	pairs := len(src)
-	bs.Status = growByte(bs.Status, pairs)
-	bs.Dist = growInt32(bs.Dist, pairs)
+	bs.Status = grow(bs.Status, pairs)
+	bs.Dist = grow(bs.Dist, pairs)
+	bs.walks = grow(bs.walks, pairs)
 	workers = batchWorkers(workers, pairs)
 
 	if workers == 1 {
-		batchDistRange(t, src, dst, bs, 0, pairs)
+		batchPlanRange(r, src, dst, bs, 0, pairs)
 	} else {
 		shardRange(workers, pairs, func(lo, hi int) {
-			batchDistRange(t, src, dst, bs, lo, hi)
+			batchPlanRange(r, src, dst, bs, lo, hi)
 		})
 	}
 	if op == BatchDist {
@@ -110,7 +117,7 @@ func RouteBatch(t Topology, op BatchOp, src, dst []Node, workers int, bs *BatchS
 
 	// Prefix-sum the route lengths (Distance+1 nodes per answered pair)
 	// into disjoint arena segments.
-	bs.Off = growInt32(bs.Off, pairs+1)
+	bs.Off = grow(bs.Off, pairs+1)
 	total := int32(0)
 	bs.Off[0] = 0
 	for i := 0; i < pairs; i++ {
@@ -119,44 +126,79 @@ func RouteBatch(t Topology, op BatchOp, src, dst []Node, workers int, bs *BatchS
 		}
 		bs.Off[i+1] = total
 	}
-	bs.Nodes = growNode(bs.Nodes, int(total))
+	bs.Nodes = grow(bs.Nodes, int(total))
 
 	if workers == 1 {
-		batchRouteRange(t, src, dst, bs, 0, pairs)
+		batchRouteRange(r, src, dst, bs, 0, pairs)
 	} else {
 		shardRange(workers, pairs, func(lo, hi int) {
-			batchRouteRange(t, src, dst, bs, lo, hi)
+			batchRouteRange(r, src, dst, bs, lo, hi)
 		})
 	}
 	return nil
 }
 
-// batchDistRange fills the status and distance columns for [lo, hi).
-func batchDistRange(t Topology, src, dst []Node, bs *BatchScratch, lo, hi int) {
+// batchRouter is what the kernel's two passes ask of a topology: plan
+// a pair once (its distance and its butterfly walk), then expand that
+// plan into the route.
+type batchRouter interface {
+	ValidNode(v Node) bool
+	planRoute(u, v Node) (int, butterfly.Walk)
+	appendPlanned(u, v Node, walk butterfly.Walk, buf []Node) []Node
+}
+
+// batchRouterOf returns the instance under t when t is one of this
+// package's backends. Any other Topology — one that wraps a backend and
+// may override its routing, like a fault-injecting test double — is
+// answered through its own Distance and AppendRoute.
+func batchRouterOf(t Topology) batchRouter {
+	if b, ok := t.(interface{ hyper() *HyperButterfly }); ok {
+		return b.hyper()
+	}
+	return topologyRouter{t}
+}
+
+// topologyRouter plans nothing: its distance is the Topology's and its
+// expansion is the Topology's AppendRoute.
+type topologyRouter struct{ Topology }
+
+func (t topologyRouter) planRoute(u, v Node) (int, butterfly.Walk) {
+	return t.Distance(u, v), 0
+}
+
+func (t topologyRouter) appendPlanned(u, v Node, _ butterfly.Walk, buf []Node) []Node {
+	return t.AppendRoute(u, v, buf)
+}
+
+// batchPlanRange fills the status, distance and walk columns for
+// [lo, hi).
+func batchPlanRange(r batchRouter, src, dst []Node, bs *BatchScratch, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		u, v := src[i], dst[i]
-		if !t.ValidNode(u) || !t.ValidNode(v) {
+		if !r.ValidNode(u) || !r.ValidNode(v) {
 			bs.Status[i] = BatchBadNode
 			bs.Dist[i] = -1
 			continue
 		}
 		bs.Status[i] = BatchOK
-		bs.Dist[i] = int32(t.Distance(u, v))
+		d, walk := r.planRoute(u, v)
+		bs.Dist[i], bs.walks[i] = int32(d), walk
 	}
 }
 
 // batchRouteRange appends each answered route of [lo, hi) into its
-// pre-sized arena segment. The three-index slice pins the segment
-// capacity, so AppendRoute writes in place and any length disagreement
-// with the distance column is a core invariant violation, not a quiet
-// overrun into the neighbouring pair.
-func batchRouteRange(t Topology, src, dst []Node, bs *BatchScratch, lo, hi int) {
+// pre-sized arena segment, expanding the walks the first pass planned.
+// The three-index slice pins the segment capacity, so the route is
+// written in place and any length disagreement with the distance
+// column is a core invariant violation, not a quiet overrun into the
+// neighbouring pair.
+func batchRouteRange(r batchRouter, src, dst []Node, bs *BatchScratch, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		if bs.Status[i] != BatchOK {
 			continue
 		}
 		start, end := bs.Off[i], bs.Off[i+1]
-		out := t.AppendRoute(src[i], dst[i], bs.Nodes[start:start:end])
+		out := r.appendPlanned(src[i], dst[i], bs.walks[i], bs.Nodes[start:start:end])
 		if int32(len(out)) != end-start {
 			panic(fmt.Sprintf("core: route %d->%d has %d nodes, distance column promised %d",
 				src[i], dst[i], len(out), end-start))
@@ -183,23 +225,11 @@ func shardRange(workers, n int, f func(lo, hi int)) {
 	wg.Wait()
 }
 
-func growByte(s []uint8, n int) []uint8 {
+// grow returns s with length n, reallocating only when it lacks the
+// capacity; the contents are overwritten by the caller.
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]uint8, n)
-	}
-	return s[:n]
-}
-
-func growInt32(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
-	}
-	return s[:n]
-}
-
-func growNode(s []Node, n int) []Node {
-	if cap(s) < n {
-		return make([]Node, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }

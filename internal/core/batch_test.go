@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -74,6 +75,67 @@ func TestRouteBatchMatchesSingle(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// oracleRoute builds the u-v route move by move: hypercube dimensions
+// lowest first, then the butterfly generators applied one at a time.
+// butterfly's TestRoutesMatchOracle pins RouteGenerators to the scan
+// planner's Apply-based expansion on every pair of B_3..B_7.
+func oracleRoute(hb *core.HyperButterfly, u, v core.Node) []core.Node {
+	hu, bu := hb.Decode(u)
+	hv, bv := hb.Decode(v)
+	path := []core.Node{u}
+	cur := u
+	for d := 0; d < hb.M(); d++ {
+		if (hu^hv)>>d&1 == 1 {
+			cur = hb.Apply(core.Move{Cube: true, Index: d}, cur)
+			path = append(path, cur)
+		}
+	}
+	for _, g := range hb.Butterfly().RouteGenerators(bu, bv) {
+		cur = hb.Apply(core.Move{Index: g}, cur)
+		path = append(path, cur)
+	}
+	return path
+}
+
+// wrappedTopology hides the backend behind the interface, the way a
+// serving wrapper would, so RouteBatch answers it through the wrapper's
+// own Distance and AppendRoute.
+type wrappedTopology struct{ core.Topology }
+
+// TestRouteBatchMatchesOracle: on every pair of HB(2,3), HB(2,4) and
+// HB(3,4), the batch kernel's routes (planned once, then expanded) equal
+// the oracle's, on both backends and on a wrapped backend.
+func TestRouteBatchMatchesOracle(t *testing.T) {
+	for _, dims := range [][2]int{{2, 3}, {2, 4}, {3, 4}} {
+		hb := core.MustNew(dims[0], dims[1])
+		order := hb.Order()
+		src := make([]core.Node, 0, order*order)
+		dst := make([]core.Node, 0, order*order)
+		for u := 0; u < order; u++ {
+			for v := 0; v < order; v++ {
+				src, dst = append(src, u), append(dst, v)
+			}
+		}
+		tops := batchBackends(t, dims[0], dims[1])
+		tops["wrapped"] = wrappedTopology{core.ImplicitOf(hb)}
+		for name, top := range tops {
+			var bs core.BatchScratch
+			if err := core.RouteBatch(top, core.BatchRoute, src, dst, 0, &bs); err != nil {
+				t.Fatal(err)
+			}
+			for i := range src {
+				want := oracleRoute(hb, src[i], dst[i])
+				if got := bs.Nodes[bs.Off[i]:bs.Off[i+1]]; !slices.Equal(got, want) {
+					t.Fatalf("HB(%d,%d) %s: pair %d->%d route %v, oracle %v", dims[0], dims[1], name, src[i], dst[i], got, want)
+				}
+				if int(bs.Dist[i]) != len(want)-1 {
+					t.Fatalf("HB(%d,%d) %s: pair %d->%d dist %d, oracle route has %d hops", dims[0], dims[1], name, src[i], dst[i], bs.Dist[i], len(want)-1)
+				}
+			}
+		}
 	}
 }
 

@@ -207,9 +207,8 @@ func (hb *HyperButterfly) VertexLabel(v Node) string {
 // of the Hamming distance of the hypercube parts and the butterfly
 // distance of the butterfly parts (Remark 8).
 func (hb *HyperButterfly) Distance(u, v Node) int {
-	hu, bu := hb.Decode(u)
-	hv, bv := hb.Decode(v)
-	return hb.cube.Distance(hu, hv) + hb.bf.Distance(bu, bv)
+	d, _ := hb.planRoute(u, v)
+	return d
 }
 
 // RouteMoves returns the generator sequence of a shortest u-v path,

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/butterfly"
 	"repro/internal/graph"
 )
 
@@ -56,13 +57,33 @@ var (
 // AppendRoute appends the shortest u-v path Route returns (both
 // endpoints included) to buf, allocation-free when buf has capacity:
 // the hypercube part is corrected lowest-dimension-first, then the
-// butterfly walk is emitted segment-by-segment without materialising
-// the move sequence. This is the routing primitive the hbd service and
-// the giant-instance smoke tests run at HB(10,10) scale.
+// butterfly walk is emitted run by run without materialising the move
+// sequence. This is the routing primitive the hbd service and the
+// giant-instance smoke tests run at HB(10,10) scale.
 func (hb *HyperButterfly) AppendRoute(u, v Node, buf []Node) []Node {
 	if !hb.ValidNode(u) || !hb.ValidNode(v) {
 		panic(fmt.Sprintf("core: AppendRoute endpoints %d,%d out of range [0,%d)", u, v, hb.Order()))
 	}
+	_, walk := hb.planRoute(u, v)
+	return hb.appendPlanned(u, v, walk, buf)
+}
+
+// hyper returns the instance a backend computes on. Both backends have
+// one (Implicit embeds it), so RouteBatch reaches their planned routing
+// through this method.
+func (hb *HyperButterfly) hyper() *HyperButterfly { return hb }
+
+// planRoute returns the u-v distance and the butterfly walk of the route
+// AppendRoute emits, for appendPlanned to expand.
+func (hb *HyperButterfly) planRoute(u, v Node) (int, butterfly.Walk) {
+	hu, bu := hb.Decode(u)
+	hv, bv := hb.Decode(v)
+	d, walk := hb.bf.PlanWalk(bu, bv)
+	return hb.cube.Distance(hu, hv) + d, walk
+}
+
+// appendPlanned is AppendRoute with the butterfly walk already planned.
+func (hb *HyperButterfly) appendPlanned(u, v Node, walk butterfly.Walk, buf []Node) []Node {
 	hu, bu := hb.Decode(u)
 	hv, bv := hb.Decode(v)
 	buf = append(buf, u)
@@ -71,10 +92,7 @@ func (hb *HyperButterfly) AppendRoute(u, v Node, buf []Node) []Node {
 		h ^= d & -d
 		buf = append(buf, h*hb.bSize+bu)
 	}
-	if bu == bv {
-		return buf
-	}
-	return hb.bf.AppendRouteTail(bu, bv, hv*hb.bSize, buf)
+	return hb.bf.AppendWalk(bu, bv, walk, hv*hb.bSize, buf)
 }
 
 // Implicit is the pure label-arithmetic backend of HB(m,n). It shares

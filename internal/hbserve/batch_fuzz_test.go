@@ -56,6 +56,39 @@ func FuzzParseBatchBody(f *testing.F) {
 	})
 }
 
+// FuzzPeekBatchDims: the router's edge check never panics, and on any
+// body both it and the full decoder accept, it reads the same dims.
+func FuzzPeekBatchDims(f *testing.F) {
+	cts := []string{ctJSON, ctBatchBin, "", ctJSON + "; charset=utf-8", ctBatchBin + "; v=1", "text/plain"}
+	for _, body := range []string{
+		`{"m":2,"n":3,"op":"route","src":[0,5],"dst":[9,95]}`,
+		`{"M":4,"n":5,"m":6,"src":[],"dst":[]}`,
+		`{"m":-1,"n":40,"src":[-5],"dst":[7]}`,
+		`{"n":3,"src":[1],"dst":[2]}`,
+		`{"m":2, "n":`,
+	} {
+		f.Add(uint8(0), []byte(body))
+	}
+	body, err := EncodeBatchBinRequest("route", 3, 8, nil, []int{0, 1}, []int{5, 9})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(uint8(1), body)
+	f.Add(uint8(4), body)
+	f.Add(uint8(1), body[:19])
+	f.Fuzz(func(t *testing.T, ctPick uint8, body []byte) {
+		ct := cts[int(ctPick)%len(cts)]
+		m, n, ok := peekBatchDims(ct, body)
+		req, err := parseBatchBody(ct, body)
+		if !ok || err != nil {
+			return
+		}
+		if m != req.m || n != req.n {
+			t.Fatalf("Content-Type %q body %q: peek read dims (%d,%d), the decoder (%d,%d)", ct, body, m, n, req.m, req.n)
+		}
+	})
+}
+
 // pairAnswer is one pair's answer: its status, distance and node
 // segments (one route for route and faultroute, the paths for paths).
 type pairAnswer struct {
@@ -166,20 +199,19 @@ func FuzzBatchBinResponse(f *testing.F) {
 			assign[i], localIdx[i] = int16(p), int32(len(byPart[p]))
 			byPart[p] = append(byPart[p], answers[i])
 		}
-		var subs []*subBatch
+		byRep := make([]batchColumns, parts)
 		for p, part := range byPart {
 			if len(part) == 0 {
 				continue
 			}
-			cols := dirtyColumns()
-			if err := decodeBatchBinResponse(appendBatchBin(nil, assembleColumns(op, faults, part)), op, len(part), cols); err != nil {
+			byRep[p] = *dirtyColumns()
+			if err := decodeBatchBinResponse(appendBatchBin(nil, assembleColumns(op, faults, part)), op, len(part), &byRep[p]); err != nil {
 				t.Fatalf("decoding sub-response %d: %v", p, err)
 			}
-			subs = append(subs, &subBatch{replica: p, cols: cols})
 		}
 		req := &batchRequest{op: op, m: whole.m, n: whole.n, faults: faults, src: make([]int, pairs)}
 		merged := dirtyColumns()
-		mergeSubBatches(req, subs, assign, localIdx, merged)
+		mergeSubBatches(req, byRep, assign, localIdx, merged)
 		if got := appendBatchBin(nil, merged); !bytes.Equal(got, wholeBin) {
 			t.Fatalf("merged binary response differs from the whole batch's")
 		}

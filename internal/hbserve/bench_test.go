@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -150,4 +151,59 @@ func BenchmarkRouterForward(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkScatterPartition times the router's per-batch bookkeeping
+// with no I/O: partitioning a 1024-pair HB(3,8) route batch over three
+// replicas (owner sets, least-loaded choice, sub-batch columns and
+// bodies) and merging the sub-answers back into the response columns.
+func BenchmarkScatterPartition(b *testing.B) {
+	const m, n, pairs = 3, 8, 1024
+	rt, err := NewRouter(ClusterConfig{Replicas: []string{
+		"http://127.0.0.1:47311", "http://127.0.0.1:47312", "http://127.0.0.1:47313"}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	top := core.MustNewImplicit(m, n)
+	req := &batchRequest{codec: "bin", op: batchOpRoute, m: m, n: n,
+		src: make([]int, pairs), dst: make([]int, pairs)}
+	for i := range req.src {
+		req.src[i], req.dst[i] = (i*2654435761)%top.Order(), (i*40503+13)%top.Order()
+	}
+	var whole core.BatchScratch
+	if err := core.RouteBatch(top, core.BatchRoute, req.src, req.dst, 1, &whole); err != nil {
+		b.Fatal(err)
+	}
+
+	// Answer each replica's sub-batch once, in process.
+	var gs scatterScratch
+	subs, err := rt.partition(req, &gs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	answers := make([]batchColumns, len(rt.replicas))
+	for _, sb := range subs {
+		sub, err := parseBatchBody(ctBatchBin, sb.body)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var bs core.BatchScratch
+		if err := core.RouteBatch(top, core.BatchRoute, sub.src, sub.dst, 1, &bs); err != nil {
+			b.Fatal(err)
+		}
+		answers[sb.replica] = batchColumns{op: batchOpRoute, status: bs.Status, dist: bs.Dist, off: bs.Off, nodes: bs.Nodes}
+	}
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := rt.partition(req, &gs); err != nil {
+			b.Fatal(err)
+		}
+		mergeSubBatches(req, answers, gs.assign, gs.localIdx, &gs.merged)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*pairs), "ns/pair")
+	if !slices.Equal(gs.merged.nodes, whole.Nodes) || !slices.Equal(gs.merged.dist, whole.Dist) {
+		b.Fatal("merged sub-answers differ from the whole batch's")
+	}
 }

@@ -151,24 +151,18 @@ func (c *RouteCache) Len() int {
 // points and keys; the finalizer spreads every input bit over the
 // whole word (TestRingBalanceAcrossPorts).
 func fnv1a(s string) uint64 {
-	h := uint64(14695981039346656037)
+	h := uint64(fnvOffset)
 	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
+		h = (h ^ uint64(s[i])) * fnvPrime
 	}
 	return fmix64(h)
 }
 
-// fnv1aBytes is fnv1a over a byte slice; identical output for
-// identical content, without a string conversion.
-func fnv1aBytes(b []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(b); i++ {
-		h ^= uint64(b[i])
-		h *= 1099511628211
-	}
-	return fmix64(h)
-}
+// The 64-bit FNV-1a parameters.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
 
 // fmix64 is murmur3's 64-bit finalizer, an avalanching bijection.
 func fmix64(h uint64) uint64 {

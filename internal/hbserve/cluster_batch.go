@@ -3,6 +3,7 @@ package hbserve
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"net/http"
 	"slices"
@@ -51,8 +52,8 @@ func (rt *Router) forwardBatch(w http.ResponseWriter, r *http.Request, body []by
 
 // subBatch is one replica's slice of a scattered request.
 type subBatch struct {
-	replica int   // chosen owner (first attempt target)
-	idx     []int // original pair indices, ascending
+	replica int // chosen owner (first attempt target)
+	pairs   int
 	body    []byte
 
 	cols     *batchColumns // decoded answer, in the scatter's scratch
@@ -61,97 +62,45 @@ type subBatch struct {
 }
 
 // scatterScratch is the pooled working set of one scattered batch: the
-// decoded sub-responses, the merged columns and the encoded response.
-// Reusing it keeps the gather path from allocating per pair.
+// partition's per-pair and per-replica columns, the decoded
+// sub-responses, the merged columns and the encoded response. Reusing
+// it keeps the scatter path from allocating per pair.
 type scatterScratch struct {
-	subs   []batchColumns
+	alive    []bool  // replica health, read once per batch
+	count    []int32 // pairs assigned to each replica so far
+	owners   []int
+	assign   []int16 // pair -> chosen replica
+	localIdx []int32 // pair -> its index inside that replica's sub-batch
+	start    []int32 // replica -> first slot of its pairs in src and dst
+	src, dst []int   // sub-batch columns, one replica's pairs after another
+
+	subs   []batchColumns // replica -> its decoded sub-response
 	merged batchColumns
 	out    []byte
 }
 
+// errNoReplica reports a batch with no live replica to place it on.
+var errNoReplica = errors.New("no live replica")
+
 // scatterBatch partitions, fans out, gathers, merges, and answers.
 func (rt *Router) scatterBatch(w http.ResponseWriter, r *http.Request, req *batchRequest) {
-	d := Dims{M: req.m, N: req.n}
-	n := len(rt.replicas)
-	pairs := len(req.src)
-	alive := func(i int) bool { return rt.health.Healthy(i) }
-	noReplica := func() {
+	gs := rt.scatterPool.Get().(*scatterScratch)
+	defer rt.scatterPool.Put(gs)
+	subs, err := rt.partition(req, gs)
+	if errors.Is(err, errNoReplica) {
 		rt.noReplica.Add(1)
 		w.Header().Set("Retry-After", "1")
-		writeErr(w, rt.noLiveReplica())
+		err = rt.noLiveReplica()
 	}
-
-	// Partition: each pair goes to the least-loaded member of its owner
-	// set, counting both globally in-flight pairs and pairs already
-	// assigned in this batch so one scatter cannot dogpile an owner.
-	assign := make([]int16, pairs)
-	localIdx := make([]int32, pairs)
-	perCount := make([]int32, n)
-	local := make([]int64, n)
-	var keyBuf [44]byte
-	owners := make([]int, 0, rt.replication)
-	for i := 0; i < pairs; i++ {
-		key := shardKeyAppend(d, req.src[i], req.dst[i], keyBuf[:0])
-		owners = rt.ring.LookupN(key, rt.replication, alive, owners[:0])
-		if len(owners) == 0 {
-			noReplica()
-			return
-		}
-		best := owners[0]
-		bestLoad := rt.inflight[best].Load() + local[best]
-		for _, o := range owners[1:] {
-			if l := rt.inflight[o].Load() + local[o]; l < bestLoad {
-				best, bestLoad = o, l
-			}
-		}
-		assign[i] = int16(best)
-		localIdx[i] = perCount[best]
-		perCount[best]++
-		local[best]++
-	}
-
-	// Build one sub-batch per chosen replica. An empty batch still goes
-	// to one replica, the owner of its dims, which validates the dims and
-	// faults as it would for any batch.
-	opName := batchOpNames[req.op]
-	subs := make([]*subBatch, 0, n)
-	for rep := 0; rep < n; rep++ {
-		if perCount[rep] > 0 {
-			subs = append(subs, &subBatch{replica: rep, idx: make([]int, 0, perCount[rep])})
-		}
-	}
-	if pairs == 0 {
-		rep := rt.ring.Lookup(shardKey(d, 0, 0), alive)
-		if rep < 0 {
-			noReplica()
-			return
-		}
-		subs = append(subs, &subBatch{replica: rep})
-	}
-	src := make([]int, 0, pairs)
-	dst := make([]int, 0, pairs)
-	for _, sb := range subs {
-		from := len(src)
-		for i := 0; i < pairs; i++ {
-			if int(assign[i]) == sb.replica {
-				sb.idx = append(sb.idx, i)
-				src = append(src, req.src[i])
-				dst = append(dst, req.dst[i])
-			}
-		}
-		var err error
-		if sb.body, err = EncodeBatchBinRequest(opName, req.m, req.n, req.faults, src[from:], dst[from:]); err != nil {
-			writeErr(w, err)
-			return
-		}
+	if err != nil {
+		writeErr(w, err)
+		return
 	}
 
 	// Fan out concurrently; gather everything before answering.
-	gs := rt.scatterPool.Get().(*scatterScratch)
-	defer rt.scatterPool.Put(gs)
-	gs.subs = resized(gs.subs, len(subs))
-	for k, sb := range subs {
-		sb.cols = &gs.subs[k]
+	gs.subs = resized(gs.subs, len(rt.replicas))
+	for _, sb := range subs {
+		sb.cols = &gs.subs[sb.replica]
 	}
 	var wg sync.WaitGroup
 	for _, sb := range subs {
@@ -162,7 +111,7 @@ func (rt *Router) scatterBatch(w http.ResponseWriter, r *http.Request, req *batc
 		}(sb)
 	}
 	wg.Wait()
-	rt.subPairs.Add(uint64(pairs))
+	rt.subPairs.Add(uint64(len(req.src)))
 
 	var answered []string
 	for _, sb := range subs {
@@ -179,12 +128,89 @@ func (rt *Router) scatterBatch(w http.ResponseWriter, r *http.Request, req *batc
 		answered = append(answered, rt.replicas[sb.answered])
 	}
 
-	mergeSubBatches(req, subs, assign, localIdx, &gs.merged)
+	mergeSubBatches(req, gs.subs, gs.assign, gs.localIdx, &gs.merged)
 	gs.out = req.appendAnswer(gs.out[:0], &gs.merged)
 	h := w.Header()
 	h.Set("X-Scatter", strconv.Itoa(len(subs)))
 	h.Set("X-Replica", strings.Join(answered, ","))
 	writeBody(w, req.contentType(), "", gs.out)
+}
+
+// partition places every pair of req on a replica and encodes one
+// binary sub-batch per chosen replica, leaving the placement in
+// gs.assign and gs.localIdx for the merge. Each pair goes to the
+// least-loaded member of its owner set, counting both globally
+// in-flight pairs and pairs already assigned in this batch so one
+// scatter cannot dogpile an owner. Replica health is read once, so the
+// whole batch is placed against one membership.
+func (rt *Router) partition(req *batchRequest, gs *scatterScratch) ([]*subBatch, error) {
+	n := len(rt.replicas)
+	pairs := len(req.src)
+	gs.alive = resized(gs.alive, n)
+	for i := range gs.alive {
+		gs.alive[i] = rt.health.Healthy(i)
+	}
+	if !slices.Contains(gs.alive, true) {
+		return nil, errNoReplica
+	}
+
+	key := newKeyHasher(Dims{M: req.m, N: req.n})
+	count := resized(gs.count, n)
+	clear(count)
+	assign := resized(gs.assign, pairs)
+	localIdx := resized(gs.localIdx, pairs)
+	owners := gs.owners
+	for i := 0; i < pairs; i++ {
+		owners = rt.ring.owners(key.key(req.src[i], req.dst[i]), rt.replication, gs.alive, owners)
+		best := owners[0]
+		bestLoad := rt.inflight[best].Load() + int64(count[best])
+		for _, o := range owners[1:] {
+			if l := rt.inflight[o].Load() + int64(count[o]); l < bestLoad {
+				best, bestLoad = o, l
+			}
+		}
+		assign[i] = int16(best)
+		localIdx[i] = count[best]
+		count[best]++
+	}
+	gs.count, gs.assign, gs.localIdx, gs.owners = count, assign, localIdx, owners
+
+	// One sub-batch per chosen replica, its pairs contiguous in the src
+	// and dst columns. An empty batch still goes to one replica, the
+	// owner of its dims, which validates the dims and faults as it would
+	// for any batch.
+	subs := make([]*subBatch, 0, n)
+	if pairs == 0 {
+		gs.owners = rt.ring.owners(key.key(0, 0), 1, gs.alive, owners)
+		subs = append(subs, &subBatch{replica: gs.owners[0]})
+	}
+	start := resized(gs.start, n)
+	at := int32(0)
+	for rep, c := range count {
+		start[rep] = at
+		at += c
+		if c > 0 {
+			subs = append(subs, &subBatch{replica: rep, pairs: int(c)})
+		}
+	}
+	src := resized(gs.src, pairs)
+	dst := resized(gs.dst, pairs)
+	for i := 0; i < pairs; i++ {
+		k := start[assign[i]] + localIdx[i]
+		src[k], dst[k] = req.src[i], req.dst[i]
+	}
+	gs.start, gs.src, gs.dst = start, src, dst
+
+	opName := batchOpNames[req.op]
+	for _, sb := range subs {
+		lo := start[sb.replica]
+		var err error
+		sb.body, err = EncodeBatchBinRequest(opName, req.m, req.n, req.faults, src[lo:lo+int32(sb.pairs)], dst[lo:lo+int32(sb.pairs)])
+		if err != nil {
+			return nil, err
+		}
+	}
+	return subs, nil
 }
 
 // sendSubBatch posts one sub-batch through the router's attempt loop:
@@ -199,7 +225,7 @@ func (rt *Router) sendSubBatch(r *http.Request, op uint8, sb *subBatch) {
 		return rt.nextAliveOwner(tried)
 	}
 	sent := 0
-	answered := rt.try(int64(len(sb.idx)), next, func(i int) bool {
+	answered := rt.try(int64(sb.pairs), next, func(i int) bool {
 		if sent++; sent == 1 {
 			rt.subFanout.Add(1)
 		} else {
@@ -252,7 +278,7 @@ func (rt *Router) postSubBatch(r *http.Request, i int, op uint8, sb *subBatch) (
 	if resp.StatusCode/100 != 2 {
 		return resp.StatusCode >= 500, &httpError{code: resp.StatusCode, msg: fmt.Sprintf("replica %s: %s", rt.replicas[i], bytes.TrimSpace(buf.Bytes()))}
 	}
-	if err := decodeBatchBinResponse(buf.Bytes(), op, len(sb.idx), sb.cols); err != nil {
+	if err := decodeBatchBinResponse(buf.Bytes(), op, sb.pairs, sb.cols); err != nil {
 		// A 2xx the router cannot decode is a corrupt replica; retrying
 		// elsewhere is safe and the failure feeds ejection.
 		return true, fmt.Errorf("replica %s: %v", rt.replicas[i], err)
@@ -358,30 +384,26 @@ func readIntFrame(data []byte, want int, name string, vals []int) ([]int, []byte
 	return vals, rest, nil
 }
 
-// mergeSubBatches reassembles the sub-responses into merged, in the
-// original pair order and reusing merged's storage. Offsets are rebased
+// mergeSubBatches reassembles the sub-responses, indexed by replica,
+// into merged, in the original pair order and reusing merged's storage:
+// pair i's answer is entry localIdx[i] of byRep[assign[i]]. Offsets are rebased
 // (they are prefix sums into each sub-response's private arena), so the
 // merged response is byte-identical to a single replica answering the
 // whole batch.
-func mergeSubBatches(req *batchRequest, subs []*subBatch, assign []int16, localIdx []int32, merged *batchColumns) {
+func mergeSubBatches(req *batchRequest, byRep []batchColumns, assign []int16, localIdx []int32, merged *batchColumns) {
 	pairs := len(req.src)
-	bySub := make(map[int16]*batchColumns, len(subs))
-	for _, sb := range subs {
-		bySub[int16(sb.replica)] = sb.cols
-	}
-	at := func(i int) (*batchColumns, int32) { return bySub[assign[i]], localIdx[i] }
 
 	merged.op, merged.m, merged.n, merged.faults = req.op, req.m, req.n, req.faults
 	merged.dist, merged.off, merged.poff, merged.nodes = merged.dist[:0], merged.off[:0], merged.poff[:0], merged.nodes[:0]
 	merged.status = resized(merged.status, pairs)
 	for i := 0; i < pairs; i++ {
-		c, j := at(i)
+		c, j := &byRep[assign[i]], localIdx[i]
 		merged.status[i] = c.status[j]
 	}
 	if req.op == batchOpDist || req.op == batchOpRoute {
 		merged.dist = resized(merged.dist, pairs)
 		for i := 0; i < pairs; i++ {
-			c, j := at(i)
+			c, j := &byRep[assign[i]], localIdx[i]
 			merged.dist[i] = c.dist[j]
 		}
 	}
@@ -392,13 +414,13 @@ func mergeSubBatches(req *batchRequest, subs []*subBatch, assign []int16, localI
 		merged.off[0] = 0
 		total := int32(0)
 		for i := 0; i < pairs; i++ {
-			c, j := at(i)
+			c, j := &byRep[assign[i]], localIdx[i]
 			total += c.off[j+1] - c.off[j]
 			merged.off[i+1] = total
 		}
 		merged.nodes = resized(merged.nodes, int(total))
 		for i := 0; i < pairs; i++ {
-			c, j := at(i)
+			c, j := &byRep[assign[i]], localIdx[i]
 			copy(merged.nodes[merged.off[i]:merged.off[i+1]], c.nodes[c.off[j]:c.off[j+1]])
 		}
 
@@ -407,7 +429,7 @@ func mergeSubBatches(req *batchRequest, subs []*subBatch, assign []int16, localI
 		merged.off[0] = 0
 		npaths, nnodes := int32(0), int32(0)
 		for i := 0; i < pairs; i++ {
-			c, j := at(i)
+			c, j := &byRep[assign[i]], localIdx[i]
 			npaths += c.off[j+1] - c.off[j]
 			merged.off[i+1] = npaths
 			for q := c.off[j]; q < c.off[j+1]; q++ {
@@ -417,7 +439,7 @@ func mergeSubBatches(req *batchRequest, subs []*subBatch, assign []int16, localI
 		merged.poff = append(slices.Grow(merged.poff, int(npaths)+1), 0)
 		merged.nodes = slices.Grow(merged.nodes, int(nnodes))
 		for i := 0; i < pairs; i++ {
-			c, j := at(i)
+			c, j := &byRep[assign[i]], localIdx[i]
 			for q := c.off[j]; q < c.off[j+1]; q++ {
 				merged.nodes = append(merged.nodes, c.nodes[c.poff[q]:c.poff[q+1]]...)
 				merged.poff = append(merged.poff, int32(len(merged.nodes)))

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -82,6 +83,55 @@ func TestLookupNOwnerSets(t *testing.T) {
 	}
 	if got := ring.LookupN(42, 2, func(int) bool { return false }, buf); len(got) != 0 {
 		t.Errorf("LookupN with none alive = %v, want empty", got)
+	}
+}
+
+// TestPartitionSubBatchColumns: every sub-batch body carries exactly its
+// replica's pairs in their original order, and a pooled scratch that
+// partitioned a full batch partitions an empty one into one empty
+// sub-batch for the dims' owner.
+func TestPartitionSubBatchColumns(t *testing.T) {
+	rt, err := NewRouter(ClusterConfig{Replicas: []string{"http://a:1", "http://b:2", "http://c:3"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var gs scatterScratch
+	req := &batchRequest{op: batchOpRoute, m: 2, n: 4}
+	for i := 0; i < 300; i++ {
+		req.src, req.dst = append(req.src, i%256), append(req.dst, (i*37+5)%256)
+	}
+	subs, err := rt.partition(req, &gs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sb := range subs {
+		var wantSrc, wantDst []int
+		for i, rep := range gs.assign {
+			if int(rep) == sb.replica {
+				if int(gs.localIdx[i]) != len(wantSrc) {
+					t.Fatalf("pair %d: local index %d, want %d", i, gs.localIdx[i], len(wantSrc))
+				}
+				wantSrc, wantDst = append(wantSrc, req.src[i]), append(wantDst, req.dst[i])
+			}
+		}
+		sub, err := parseBatchBody(ctBatchBin, sb.body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sb.pairs != len(wantSrc) || !slices.Equal(sub.src, wantSrc) || !slices.Equal(sub.dst, wantDst) {
+			t.Fatalf("replica %d: sub-batch %d pairs src %v dst %v, want %v %v", sb.replica, sb.pairs, sub.src, sub.dst, wantSrc, wantDst)
+		}
+	}
+
+	subs, err = rt.partition(&batchRequest{op: batchOpRoute, m: 2, n: 4}, &gs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(subs) != 1 || subs[0].pairs != 0 || subs[0].replica != rt.ring.Lookup(shardKey(Dims{M: 2, N: 4}, 0, 0), nil) {
+		t.Fatalf("empty batch partitioned into %+v, want one empty sub-batch for the dims' owner", subs)
+	}
+	if sub, err := parseBatchBody(ctBatchBin, subs[0].body); err != nil || len(sub.src) != 0 {
+		t.Fatalf("empty sub-batch body: %+v, %v", sub, err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package hbserve
 
 import (
+	"slices"
 	"sort"
 	"strconv"
 )
@@ -15,13 +16,8 @@ import (
 // stability under churn is the property the cluster tier's affinity
 // test pins.
 type hashRing struct {
-	points []ringPoint
-	n      int // replica count
-}
-
-type ringPoint struct {
-	hash    uint64
-	replica int
+	hashes   []uint64 // point hashes, ascending
+	replicas []int    // replicas[k] owns the point hashes[k]
 }
 
 // defaultVNodes balances the keyspace to within a few percent across a
@@ -35,20 +31,42 @@ func newHashRing(names []string, vnodes int) *hashRing {
 	if vnodes <= 0 {
 		vnodes = defaultVNodes
 	}
-	r := &hashRing{points: make([]ringPoint, 0, len(names)*vnodes), n: len(names)}
+	type point struct {
+		hash    uint64
+		replica int
+	}
+	points := make([]point, 0, len(names)*vnodes)
 	for i, name := range names {
 		for j := 0; j < vnodes; j++ {
-			h := fnv1a(name + "#" + strconv.Itoa(j))
-			r.points = append(r.points, ringPoint{hash: h, replica: i})
+			points = append(points, point{hash: fnv1a(name + "#" + strconv.Itoa(j)), replica: i})
 		}
 	}
-	sort.Slice(r.points, func(a, b int) bool {
-		if r.points[a].hash != r.points[b].hash {
-			return r.points[a].hash < r.points[b].hash
+	sort.Slice(points, func(a, b int) bool {
+		if points[a].hash != points[b].hash {
+			return points[a].hash < points[b].hash
 		}
-		return r.points[a].replica < r.points[b].replica
+		return points[a].replica < points[b].replica
 	})
+	r := &hashRing{hashes: make([]uint64, len(points)), replicas: make([]int, len(points))}
+	for k, p := range points {
+		r.hashes[k], r.replicas[k] = p.hash, p.replica
+	}
 	return r
+}
+
+// first returns the index of the first point clockwise from key: the
+// lowest hash >= key, or len(hashes) when the walk wraps to point 0.
+func (r *hashRing) first(key uint64) int {
+	lo, hi := 0, len(r.hashes)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if r.hashes[mid] < key {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 // Lookup returns the replica owning key among those alive accepts
@@ -56,70 +74,82 @@ func newHashRing(names []string, vnodes int) *hashRing {
 // rather than filtering the point set up front — is what preserves
 // surviving replicas' assignments under membership change.
 func (r *hashRing) Lookup(key uint64, alive func(int) bool) int {
-	if len(r.points) == 0 {
-		return -1
-	}
-	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= key })
-	for k := 0; k < len(r.points); k++ {
-		p := r.points[(i+k)%len(r.points)]
-		if alive == nil || alive(p.replica) {
-			return p.replica
+	i := r.first(key)
+	for k := 0; k < len(r.hashes); k++ {
+		p := r.replicas[(i+k)%len(r.hashes)]
+		if alive == nil || alive(p) {
+			return p
 		}
 	}
 	return -1
 }
 
-// LookupN returns the key's owner set: the first n distinct replicas
-// accepted by alive (nil = all) on the clockwise walk from the key's
-// ring position, primary first. Because the walk order is fixed by the
+// owners returns the key's owner set: the first n distinct replicas i
+// with alive[i] (nil = all) on the clockwise walk from the key's ring
+// position, primary first. Because the walk order is fixed by the
 // immutable point set, ejecting one member of an owner set promotes the
 // next member in place — a key replicated at factor R keeps an alive
 // owner inside its original owner set as long as fewer than R members
 // are down, with no re-walk past the set. The result is appended to
-// buf (pass buf[:0] to reuse an allocation across calls).
-func (r *hashRing) LookupN(key uint64, n int, alive func(int) bool, buf []int) []int {
+// buf (pass buf[:0] to reuse an allocation across calls). alive is a
+// snapshot the caller takes once for a whole batch.
+func (r *hashRing) owners(key uint64, n int, alive []bool, buf []int) []int {
 	owners := buf[:0]
-	if len(r.points) == 0 || n <= 0 {
-		return owners
-	}
-	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= key })
-	for k := 0; k < len(r.points) && len(owners) < n; k++ {
-		p := r.points[(i+k)%len(r.points)]
-		if alive != nil && !alive(p.replica) {
-			continue
+	p := r.first(key)
+	for k := 0; k < len(r.hashes) && len(owners) < n; k++ {
+		if p == len(r.hashes) {
+			p = 0
 		}
-		seen := false
-		for _, o := range owners {
-			if o == p.replica {
-				seen = true
-				break
-			}
-		}
-		if !seen {
-			owners = append(owners, p.replica)
+		rep := r.replicas[p]
+		p++
+		if (alive == nil || alive[rep]) && !slices.Contains(owners, rep) {
+			owners = append(owners, rep)
 		}
 	}
 	return owners
 }
 
-// shardKey hashes one (dims,u,v) query identity onto the ring.
-func shardKey(d Dims, u, v int) uint64 {
-	var buf [44]byte
-	return shardKeyAppend(d, u, v, buf[:0])
+// keyHasher hashes the (dims,u,v) keys of one dims onto the ring. The
+// FNV-1a state over the shared "m|n|" prefix is computed once; each key
+// finishes it with the decimal digits of u, a '|', and those of v — the
+// bytes of the string "m|n|u|v" the keys have always hashed, so batch
+// pairs and single queries for the same (dims,u,v) share an owner.
+type keyHasher uint64
+
+func newKeyHasher(d Dims) keyHasher {
+	h := fnvDecimal(fnvOffset, d.M)
+	h = fnvDecimal((h^'|')*fnvPrime, d.N)
+	return keyHasher((h ^ '|') * fnvPrime)
 }
 
-// shardKeyAppend is shardKey over a caller-provided scratch buffer, so
-// the per-pair partition loop in the scatter path hashes without
-// allocating. The byte sequence (and therefore the hash) is identical
-// to the original string-concatenation form, keeping batch pairs and
-// single queries for the same (dims,u,v) on the same owner.
-func shardKeyAppend(d Dims, u, v int, buf []byte) uint64 {
-	buf = strconv.AppendInt(buf, int64(d.M), 10)
-	buf = append(buf, '|')
-	buf = strconv.AppendInt(buf, int64(d.N), 10)
-	buf = append(buf, '|')
-	buf = strconv.AppendInt(buf, int64(u), 10)
-	buf = append(buf, '|')
-	buf = strconv.AppendInt(buf, int64(v), 10)
-	return fnv1aBytes(buf)
+// key returns the ring key of (u, v).
+func (k keyHasher) key(u, v int) uint64 {
+	h := fnvDecimal(uint64(k), u)
+	return fmix64(fnvDecimal((h^'|')*fnvPrime, v))
+}
+
+// shardKey hashes one (dims,u,v) query identity onto the ring.
+func shardKey(d Dims, u, v int) uint64 { return newKeyHasher(d).key(u, v) }
+
+// fnvDecimal continues the FNV-1a state h over the decimal form of x,
+// the bytes strconv.Itoa(x) returns.
+func fnvDecimal(h uint64, x int) uint64 {
+	ux := uint64(x)
+	if x < 0 {
+		h = (h ^ '-') * fnvPrime
+		ux = -ux
+	}
+	var digits [20]byte
+	i := len(digits)
+	for {
+		i--
+		digits[i] = byte('0' + ux%10)
+		if ux /= 10; ux == 0 {
+			break
+		}
+	}
+	for ; i < len(digits); i++ {
+		h = (h ^ uint64(digits[i])) * fnvPrime
+	}
+	return h
 }
