@@ -162,8 +162,7 @@ func (r *batchRequest) appendAnswer(out []byte, c *batchColumns) []byte {
 }
 
 // EncodeBatchJSONRequest renders a /batch request body in the JSON
-// codec (the load generator prebuilds its bodies with it). The faults
-// column is written only when non-empty.
+// codec. The faults column is written only when non-empty.
 func EncodeBatchJSONRequest(op string, m, n int, faults, src, dst []int) []byte {
 	out := make([]byte, 0, 48+12*(len(faults)+len(src)+len(dst)))
 	out = append(out, `{"m":`...)

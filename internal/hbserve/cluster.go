@@ -200,8 +200,7 @@ func (rt *Router) Stop() {
 // Handler returns the router's root handler.
 func (rt *Router) Handler() http.Handler { return rt.mux }
 
-// Healthy reports whether replica i is currently admitted (tests and
-// the cluster load generator read it).
+// Healthy reports whether replica i is currently admitted.
 func (rt *Router) Healthy(i int) bool { return rt.health.Healthy(i) }
 
 // Serve serves on ln until ctx is cancelled, then drains like
@@ -409,8 +408,7 @@ func peekBatchDims(ct string, body []byte) (m, n int, ok bool) {
 }
 
 // clusterStatus is the /cluster JSON body: live membership plus the
-// per-replica forwarding counters the cluster load generator turns into
-// per-replica shares.
+// per-replica forwarding counters.
 type clusterStatus struct {
 	Replicas    []replicaStatus `json:"replicas"`
 	Healthy     int             `json:"healthy"`
@@ -435,8 +433,8 @@ type replicaStatus struct {
 	Inflight     int64  `json:"inflight"`
 }
 
-// Status snapshots the cluster state (the /cluster handler and the
-// load generator both read it).
+// Status snapshots the cluster state (the /cluster handler and
+// perfbench both read it).
 func (rt *Router) Status() clusterStatus {
 	st := clusterStatus{
 		Healthy:         rt.health.HealthyCount(),

@@ -8,7 +8,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-	"time"
 )
 
 // --- owner sets -----------------------------------------------------
@@ -270,8 +269,9 @@ func TestRouterScatterSurvivesKilledReplica(t *testing.T) {
 		if !bytes.Equal(raw, want) {
 			t.Fatalf("batch %d: response with a dead replica differs from reference", i)
 		}
-		if got, err := countBatchPairs("bin", raw); err != nil || got != len(src) {
-			t.Fatalf("batch %d: answered %d pairs (err %v), want %d", i, got, err, len(src))
+		var cols batchColumns
+		if err := decodeBatchBinResponse(raw, batchOpRoute, len(src), &cols); err != nil {
+			t.Fatalf("batch %d: %v", i, err)
 		}
 	}
 	st := rt.Status()
@@ -384,51 +384,4 @@ func grepLine(text, prefix string) string {
 		}
 	}
 	return "<absent>"
-}
-
-// TestLoadClusterBatchLegs runs a miniature cluster bench with batch
-// legs and pins the report wiring: the batch legs exist, answered
-// every pair they sent, and contribute to the aggregate.
-func TestLoadClusterBatchLegs(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-window load run")
-	}
-	fleet := newTestFleet(t, 2)
-	_, ts := newTestRouter(t, ClusterConfig{Replicas: fleet.URLs()})
-
-	rep, err := LoadCluster(ClusterLoadConfig{
-		RouterURL: ts.URL,
-		Replicas:  fleet.URLs(),
-		M:         2, N: 3,
-		Endpoint: "route",
-		Mix:      "uniform",
-		QPS:      200,
-		Duration: 500 * time.Millisecond,
-		Workers:  8,
-		Seed:     1,
-		Batch:    16,
-		BatchQPS: 100,
-		Codec:    "bin",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.RouterBatch == nil || len(rep.DirectBatch) != 2 {
-		t.Fatalf("batch legs missing: %+v", rep)
-	}
-	if rep.RouterBatch.Pairs == 0 {
-		t.Fatal("router batch leg answered zero pairs")
-	}
-	if rep.RouterBatch.LostPairs != 0 {
-		t.Fatalf("router batch leg lost %d pairs on a healthy fleet", rep.RouterBatch.LostPairs)
-	}
-	if rep.BatchRoutesPerSec <= 0 {
-		t.Fatal("batch routes/s not aggregated")
-	}
-	if rep.AggregateRoutesPerSec < rep.BatchRoutesPerSec {
-		t.Fatal("aggregate does not include the batch legs")
-	}
-	if !rep.WithinBudget {
-		t.Fatalf("healthy fleet outside budget: %+v", rep.RouterResult)
-	}
 }

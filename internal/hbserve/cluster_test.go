@@ -138,7 +138,7 @@ func TestHealthSingleFailureDoesNotEject(t *testing.T) {
 // --- test fleet -----------------------------------------------------
 
 // testFleet runs n in-process hbd replicas on fixed ports so chaos can
-// kill and restart them at stable addresses (a ReplicaController).
+// kill and restart them at stable addresses.
 type testFleet struct {
 	t        *testing.T
 	handlers []http.Handler

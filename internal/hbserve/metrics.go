@@ -104,18 +104,6 @@ func (m *Metrics) BatchObserve(codec, op string, pairs int, elapsed time.Duratio
 	h.observe(elapsed)
 }
 
-// BatchPairs returns the total pairs answered by /batch across codecs
-// and ops (the load generator asserts on it).
-func (m *Metrics) BatchPairs() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	total := uint64(0)
-	for _, c := range m.batchPairs {
-		total += c.Load()
-	}
-	return total
-}
-
 func (m *Metrics) labelled(set *map[string]*atomic.Uint64, key string) *atomic.Uint64 {
 	m.mu.Lock()
 	c, ok := (*set)[key]

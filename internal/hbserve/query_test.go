@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -111,4 +112,67 @@ func TestSingleQueryMatchesOnePairBatch(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		check(3, 8, faults, rng.Intn(big.Order()), rng.Intn(big.Order()))
 	}
+}
+
+// FuzzGetQuery sends raw query strings to the single-pair GET
+// endpoints and to the router's shard-key parser. No query may panic
+// or draw a 5xx. A 200 /route answer must be a route of
+// Distance(u,v) hops from u to v, sharded on its own (dims,u,v).
+func FuzzGetQuery(f *testing.F) {
+	for _, q := range []string{
+		"m=2&n=3&u=0&v=95",
+		"m=2&n=3&u=0&v=95&verify=1",
+		"m=2&n=3&u=7&v=7",
+		"m=1&n=8&u=4095&v=3",
+		"m=2&n=3&u=1&v=95&faults=1,2,3",
+		"m=2&n=3&u=0&v=95&faults=,,-1,95,x",
+		"m=-1&n=99&u=-5&v=+3",
+		"m=30&n=30&u=1&v=2",
+		"m=9999999999999999999&n=3&u=1&v=2",
+		"u=&v=&m=&n=",
+		"%zz;m=2&&n=3&u=0&u=1&v=2",
+	} {
+		f.Add(q)
+	}
+	// A small MaxOrder keeps each iteration fast; over it is a 400.
+	h := NewServer(Config{MaxOrder: 1 << 12}).Handler()
+	rt, err := NewRouter(ClusterConfig{Replicas: []string{"http://127.0.0.1:1", "http://127.0.0.1:2"}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, raw string) {
+		req := httptest.NewRequest(http.MethodGet, "/route", nil)
+		req.URL.RawQuery = raw
+		key := rt.requestKey(req)
+		for _, ep := range []string{"/route", "/paths", "/faultroute"} {
+			req := httptest.NewRequest(http.MethodGet, ep, nil)
+			req.URL.RawQuery = raw
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			if rec.Code >= 500 {
+				t.Fatalf("%s?%s: status %d: %s", ep, raw, rec.Code, rec.Body.Bytes())
+			}
+			if ep != "/route" || rec.Code != http.StatusOK {
+				continue
+			}
+			var rr routeResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &rr); err != nil {
+				t.Fatalf("/route?%s: %v: %s", raw, err, rec.Body.Bytes())
+			}
+			hb := core.MustNew(rr.M, rr.N)
+			p := rr.Path
+			if len(p) == 0 || p[0] != rr.U || p[len(p)-1] != rr.V || len(p)-1 != hb.Distance(rr.U, rr.V) || rr.Distance != len(p)-1 {
+				t.Fatalf("/route?%s: path %v with distance %d, want %d hops from %d to %d",
+					raw, p, rr.Distance, hb.Distance(rr.U, rr.V), rr.U, rr.V)
+			}
+			for i := 1; i < len(p); i++ {
+				if !slices.Contains(hb.AppendNeighbors(p[i-1], nil), p[i]) {
+					t.Fatalf("/route?%s: hop %d->%d is not an edge", raw, p[i-1], p[i])
+				}
+			}
+			if want := shardKey(Dims{M: rr.M, N: rr.N}, rr.U, rr.V); key != want {
+				t.Fatalf("/route?%s: router key %#x, want the answer's (dims,u,v) key %#x", raw, key, want)
+			}
+		}
+	})
 }

@@ -151,8 +151,8 @@ func NewServer(cfg Config) *Server {
 // Handler returns the daemon's root handler.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Metrics exposes the live registry (the load generator reads it when
-// it runs in-process during tests).
+// Metrics exposes the live registry (perfbench and the tests read it
+// in-process).
 func (s *Server) Metrics() *Metrics { return s.metrics }
 
 // Cache exposes the route cache for stats inspection.
