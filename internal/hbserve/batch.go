@@ -187,8 +187,14 @@ func EncodeBatchBinRequest(op string, m, n int, faults, src, dst []int) ([]byte,
 	if !ok {
 		return nil, fmt.Errorf("hbserve: unknown batch op %q", op)
 	}
+	return appendBatchBinRequest(nil, code, m, n, faults, src, dst), nil
+}
+
+// appendBatchBinRequest appends EncodeBatchBinRequest's body for op
+// code to out.
+func appendBatchBinRequest(out []byte, code uint8, m, n int, faults, src, dst []int) []byte {
 	le := binary.LittleEndian
-	out := make([]byte, 0, 4+24+12+4*(len(faults)+len(src)+len(dst)))
+	out = slices.Grow(out, 4+24+12+4*(len(faults)+len(src)+len(dst)))
 	out = le.AppendUint32(out, 24)
 	out = le.AppendUint32(out, batchBinMagic)
 	out = le.AppendUint16(out, batchBinVersion)
@@ -203,7 +209,7 @@ func EncodeBatchBinRequest(op string, m, n int, faults, src, dst []int) ([]byte,
 			out = le.AppendUint32(out, uint32(v))
 		}
 	}
-	return out, nil
+	return out
 }
 
 // request decoding ---------------------------------------------------

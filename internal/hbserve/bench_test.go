@@ -3,6 +3,7 @@ package hbserve
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -157,53 +158,86 @@ func BenchmarkRouterForward(b *testing.B) {
 // with no I/O: partitioning a 1024-pair HB(3,8) route batch over three
 // replicas (owner sets, least-loaded choice, sub-batch columns and
 // bodies) and merging the sub-answers back into the response columns.
+// It cycles through 256 distinct seeded batches, so the branch
+// predictor cannot learn one batch's keys the way it would replaying a
+// single batch.
 func BenchmarkScatterPartition(b *testing.B) {
-	const m, n, pairs = 3, 8, 1024
+	const m, n, pairs, batches = 3, 8, 1024, 256
 	rt, err := NewRouter(ClusterConfig{Replicas: []string{
 		"http://127.0.0.1:47311", "http://127.0.0.1:47312", "http://127.0.0.1:47313"}})
 	if err != nil {
 		b.Fatal(err)
 	}
 	top := core.MustNewImplicit(m, n)
-	req := &batchRequest{codec: "bin", op: batchOpRoute, m: m, n: n,
-		src: make([]int, pairs), dst: make([]int, pairs)}
-	for i := range req.src {
-		req.src[i], req.dst[i] = (i*2654435761)%top.Order(), (i*40503+13)%top.Order()
-	}
-	var whole core.BatchScratch
-	if err := core.RouteBatch(top, core.BatchRoute, req.src, req.dst, 1, &whole); err != nil {
-		b.Fatal(err)
-	}
-
-	// Answer each replica's sub-batch once, in process.
+	rng := rand.New(rand.NewSource(1))
 	var gs scatterScratch
-	subs, err := rt.partition(req, &gs)
-	if err != nil {
-		b.Fatal(err)
-	}
-	answers := make([]batchColumns, len(rt.replicas))
-	for _, sb := range subs {
-		sub, err := parseBatchBody(ctBatchBin, sb.body)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var bs core.BatchScratch
-		if err := core.RouteBatch(top, core.BatchRoute, sub.src, sub.dst, 1, &bs); err != nil {
-			b.Fatal(err)
-		}
-		answers[sb.replica] = batchColumns{op: batchOpRoute, status: bs.Status, dist: bs.Dist, off: bs.Off, nodes: bs.Nodes}
+	reqs := make([]*batchRequest, batches)
+	answers := make([][]batchColumns, batches)
+	for k := range reqs {
+		reqs[k] = randomRouteBatch(rng, m, n, top.Order(), pairs)
+		answers[k] = answerScatter(b, rt, top, reqs[k], &gs)
 	}
 
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		req := reqs[i%batches]
 		if _, err := rt.partition(req, &gs); err != nil {
 			b.Fatal(err)
 		}
-		mergeSubBatches(req, answers, gs.assign, gs.localIdx, &gs.merged)
+		mergeSubBatches(req, answers[i%batches], gs.assign, gs.localIdx, &gs.merged)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*pairs), "ns/pair")
-	if !slices.Equal(gs.merged.nodes, whole.Nodes) || !slices.Equal(gs.merged.dist, whole.Dist) {
-		b.Fatal("merged sub-answers differ from the whole batch's")
+	b.StopTimer()
+	checkMergedWhole(b, top, reqs[(b.N-1)%batches], &gs.merged)
+}
+
+// randomRouteBatch draws a route batch of uniform pairs on HB(m,n).
+func randomRouteBatch(rng *rand.Rand, m, n, order, pairs int) *batchRequest {
+	req := &batchRequest{codec: "bin", op: batchOpRoute, m: m, n: n,
+		src: make([]int, pairs), dst: make([]int, pairs)}
+	for i := range req.src {
+		req.src[i], req.dst[i] = rng.Intn(order), rng.Intn(order)
+	}
+	return req
+}
+
+// answerScatter partitions req on gs, answers every sub-batch body in
+// process, and checks that merging the answers gives the whole batch's
+// routes. It returns the answers, indexed by replica, for replaying the
+// merge.
+func answerScatter(tb testing.TB, rt *Router, top core.Topology, req *batchRequest, gs *scatterScratch) []batchColumns {
+	tb.Helper()
+	subs, err := rt.partition(req, gs)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	answers := make([]batchColumns, len(rt.replicas))
+	for _, sb := range subs {
+		sub, err := parseBatchBody(ctBatchBin, sb.body)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		var bs core.BatchScratch
+		if err := core.RouteBatch(top, core.BatchRoute, sub.src, sub.dst, 1, &bs); err != nil {
+			tb.Fatal(err)
+		}
+		answers[sb.replica] = batchColumns{op: batchOpRoute, status: bs.Status, dist: bs.Dist, off: bs.Off, nodes: bs.Nodes}
+	}
+	mergeSubBatches(req, answers, gs.assign, gs.localIdx, &gs.merged)
+	checkMergedWhole(tb, top, req, &gs.merged)
+	return answers
+}
+
+// checkMergedWhole fails unless merged holds the routes of req's whole
+// batch answered at once.
+func checkMergedWhole(tb testing.TB, top core.Topology, req *batchRequest, merged *batchColumns) {
+	tb.Helper()
+	var whole core.BatchScratch
+	if err := core.RouteBatch(top, core.BatchRoute, req.src, req.dst, 1, &whole); err != nil {
+		tb.Fatal(err)
+	}
+	if !slices.Equal(merged.nodes, whole.Nodes) || !slices.Equal(merged.dist, whole.Dist) || !slices.Equal(merged.off, whole.Off) {
+		tb.Fatal("merged sub-answers differ from the whole batch's")
 	}
 }

@@ -23,8 +23,9 @@ import (
 // whole body.
 //
 // Pair placement uses the replicated owner set: each pair's key maps
-// to its first R distinct alive replicas clockwise (ring.LookupN), and
-// the pair goes to the least-loaded member by in-flight pair count —
+// to its first R distinct alive replicas clockwise (hashRing.owners,
+// read from the batch membership's hashRing.ownerTable), and the pair
+// goes to the least-loaded member by in-flight pair count —
 // power-of-two-choices when R is the default 2. A sub-batch runs the
 // router's one attempt loop (Router.try), so a replica killed mid-batch
 // loses zero pairs. Sub-requests are always encoded in the binary
@@ -68,15 +69,23 @@ type subBatch struct {
 type scatterScratch struct {
 	alive    []bool  // replica health, read once per batch
 	count    []int32 // pairs assigned to each replica so far
-	owners   []int
 	assign   []int16 // pair -> chosen replica
 	localIdx []int32 // pair -> its index inside that replica's sub-batch
 	start    []int32 // replica -> first slot of its pairs in src and dst
 	src, dst []int   // sub-batch columns, one replica's pairs after another
 
-	subs   []batchColumns // replica -> its decoded sub-response
-	merged batchColumns
-	out    []byte
+	// tab is hashRing.ownerTable for membership tabAlive at owner-set
+	// size tabR, rebuilt only when a batch's snapshot or R differs.
+	tab      []int
+	tabWidth int
+	tabAlive []bool
+	tabR     int
+
+	batches []subBatch     // this scatter's sub-batches
+	bodies  [][]byte       // replica -> its encoded sub-batch body
+	subs    []batchColumns // replica -> its decoded sub-response
+	merged  batchColumns
+	out     []byte
 }
 
 // errNoReplica reports a batch with no live replica to place it on.
@@ -99,16 +108,15 @@ func (rt *Router) scatterBatch(w http.ResponseWriter, r *http.Request, req *batc
 
 	// Fan out concurrently; gather everything before answering.
 	gs.subs = resized(gs.subs, len(rt.replicas))
-	for _, sb := range subs {
-		sb.cols = &gs.subs[sb.replica]
-	}
 	var wg sync.WaitGroup
-	for _, sb := range subs {
+	for i := range subs {
+		sb := &subs[i]
+		sb.cols = &gs.subs[sb.replica]
 		wg.Add(1)
-		go func(sb *subBatch) {
+		go func() {
 			defer wg.Done()
 			rt.sendSubBatch(r, req.op, sb)
-		}(sb)
+		}()
 	}
 	wg.Wait()
 	rt.subPairs.Add(uint64(len(req.src)))
@@ -142,8 +150,9 @@ func (rt *Router) scatterBatch(w http.ResponseWriter, r *http.Request, req *batc
 // least-loaded member of its owner set, counting both globally
 // in-flight pairs and pairs already assigned in this batch so one
 // scatter cannot dogpile an owner. Replica health is read once, so the
-// whole batch is placed against one membership.
-func (rt *Router) partition(req *batchRequest, gs *scatterScratch) ([]*subBatch, error) {
+// whole batch is placed against one membership. The sub-batches and
+// their bodies live in gs until its next partition.
+func (rt *Router) partition(req *batchRequest, gs *scatterScratch) ([]subBatch, error) {
 	n := len(rt.replicas)
 	pairs := len(req.src)
 	gs.alive = resized(gs.alive, n)
@@ -153,15 +162,19 @@ func (rt *Router) partition(req *batchRequest, gs *scatterScratch) ([]*subBatch,
 	if !slices.Contains(gs.alive, true) {
 		return nil, errNoReplica
 	}
+	if gs.tabR != rt.replication || !slices.Equal(gs.tabAlive, gs.alive) {
+		gs.tab, gs.tabWidth = rt.ring.ownerTable(rt.replication, gs.alive, gs.tab)
+		gs.tabAlive, gs.tabR = append(gs.tabAlive[:0], gs.alive...), rt.replication
+	}
+	tab, w := gs.tab, gs.tabWidth
 
 	key := newKeyHasher(Dims{M: req.m, N: req.n})
 	count := resized(gs.count, n)
 	clear(count)
 	assign := resized(gs.assign, pairs)
 	localIdx := resized(gs.localIdx, pairs)
-	owners := gs.owners
 	for i := 0; i < pairs; i++ {
-		owners = rt.ring.owners(key.key(req.src[i], req.dst[i]), rt.replication, gs.alive, owners)
+		owners := tab[rt.ring.first(key.key(req.src[i], req.dst[i]))*w:][:w]
 		best := owners[0]
 		bestLoad := rt.inflight[best].Load() + int64(count[best])
 		for _, o := range owners[1:] {
@@ -173,16 +186,15 @@ func (rt *Router) partition(req *batchRequest, gs *scatterScratch) ([]*subBatch,
 		localIdx[i] = count[best]
 		count[best]++
 	}
-	gs.count, gs.assign, gs.localIdx, gs.owners = count, assign, localIdx, owners
+	gs.count, gs.assign, gs.localIdx = count, assign, localIdx
 
 	// One sub-batch per chosen replica, its pairs contiguous in the src
 	// and dst columns. An empty batch still goes to one replica, the
 	// owner of its dims, which validates the dims and faults as it would
 	// for any batch.
-	subs := make([]*subBatch, 0, n)
+	subs := gs.batches[:0]
 	if pairs == 0 {
-		gs.owners = rt.ring.owners(key.key(0, 0), 1, gs.alive, owners)
-		subs = append(subs, &subBatch{replica: gs.owners[0]})
+		subs = append(subs, subBatch{replica: rt.ring.owners(key.key(0, 0), 1, gs.alive, nil)[0]})
 	}
 	start := resized(gs.start, n)
 	at := int32(0)
@@ -190,7 +202,7 @@ func (rt *Router) partition(req *batchRequest, gs *scatterScratch) ([]*subBatch,
 		start[rep] = at
 		at += c
 		if c > 0 {
-			subs = append(subs, &subBatch{replica: rep, pairs: int(c)})
+			subs = append(subs, subBatch{replica: rep, pairs: int(c)})
 		}
 	}
 	src := resized(gs.src, pairs)
@@ -199,16 +211,14 @@ func (rt *Router) partition(req *batchRequest, gs *scatterScratch) ([]*subBatch,
 		k := start[assign[i]] + localIdx[i]
 		src[k], dst[k] = req.src[i], req.dst[i]
 	}
-	gs.start, gs.src, gs.dst = start, src, dst
+	gs.start, gs.src, gs.dst, gs.batches = start, src, dst, subs
 
-	opName := batchOpNames[req.op]
-	for _, sb := range subs {
-		lo := start[sb.replica]
-		var err error
-		sb.body, err = EncodeBatchBinRequest(opName, req.m, req.n, req.faults, src[lo:lo+int32(sb.pairs)], dst[lo:lo+int32(sb.pairs)])
-		if err != nil {
-			return nil, err
-		}
+	gs.bodies = resized(gs.bodies, n)
+	for i := range subs {
+		sb := &subs[i]
+		lo, hi := start[sb.replica], start[sb.replica]+int32(sb.pairs)
+		sb.body = appendBatchBinRequest(gs.bodies[sb.replica][:0], req.op, req.m, req.n, req.faults, src[lo:hi], dst[lo:hi])
+		gs.bodies[sb.replica] = sb.body
 	}
 	return subs, nil
 }

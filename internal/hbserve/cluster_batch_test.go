@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // --- owner sets -----------------------------------------------------
@@ -131,6 +134,33 @@ func TestPartitionSubBatchColumns(t *testing.T) {
 	}
 	if sub, err := parseBatchBody(ctBatchBin, subs[0].body); err != nil || len(sub.src) != 0 {
 		t.Fatalf("empty sub-batch body: %+v, %v", sub, err)
+	}
+}
+
+// TestPartitionMergeAllocsFlat: with a warm scratch, partitioning a
+// batch and merging its sub-answers allocates no more for 4,096 pairs
+// than for 64: the owner table, sub-batch list, columns and bodies all
+// live in the scratch.
+func TestPartitionMergeAllocsFlat(t *testing.T) {
+	rt, err := NewRouter(ClusterConfig{Replicas: []string{"http://a:1", "http://b:2", "http://c:3"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	top := core.MustNewImplicit(3, 8)
+	rng := rand.New(rand.NewSource(3))
+	allocs := func(pairs int) float64 {
+		req := randomRouteBatch(rng, 3, 8, top.Order(), pairs)
+		var gs scatterScratch
+		answers := answerScatter(t, rt, top, req, &gs)
+		return testing.AllocsPerRun(20, func() {
+			if _, err := rt.partition(req, &gs); err != nil {
+				t.Fatal(err)
+			}
+			mergeSubBatches(req, answers, gs.assign, gs.localIdx, &gs.merged)
+		})
+	}
+	if small, large := allocs(64), allocs(4096); small != large {
+		t.Fatalf("partition+merge: %v allocs for 64 pairs, %v for 4096", small, large)
 	}
 }
 

@@ -1,6 +1,7 @@
 package hbserve
 
 import (
+	"math/bits"
 	"slices"
 	"sort"
 	"strconv"
@@ -18,6 +19,8 @@ import (
 type hashRing struct {
 	hashes   []uint64 // point hashes, ascending
 	replicas []int    // replicas[k] owns the point hashes[k]
+	index    []int32  // index[b]: the first point whose hash is >= b<<shift
+	shift    uint     // 64 - log2(len(index)); len(index) >= 4 points
 }
 
 // defaultVNodes balances the keyspace to within a few percent across a
@@ -47,26 +50,32 @@ func newHashRing(names []string, vnodes int) *hashRing {
 		}
 		return points[a].replica < points[b].replica
 	})
-	r := &hashRing{hashes: make([]uint64, len(points)), replicas: make([]int, len(points))}
+	nbits := bits.Len(uint(max(4*len(points), 1) - 1))
+	r := &hashRing{hashes: make([]uint64, len(points)), replicas: make([]int, len(points)),
+		index: make([]int32, 1<<nbits), shift: uint(64 - nbits)}
 	for k, p := range points {
 		r.hashes[k], r.replicas[k] = p.hash, p.replica
+	}
+	k := 0
+	for b := range r.index {
+		for k < len(r.hashes) && r.hashes[k] < uint64(b)<<r.shift {
+			k++
+		}
+		r.index[b] = int32(k)
 	}
 	return r
 }
 
 // first returns the index of the first point clockwise from key: the
 // lowest hash >= key, or len(hashes) when the walk wraps to point 0.
+// Every point before index[key>>shift] hashes below the bucket's start,
+// so the scan from there finds the same point a binary search would.
 func (r *hashRing) first(key uint64) int {
-	lo, hi := 0, len(r.hashes)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if r.hashes[mid] < key {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+	i := int(r.index[key>>r.shift])
+	for i < len(r.hashes) && r.hashes[i] < key {
+		i++
 	}
-	return lo
+	return i
 }
 
 // Lookup returns the replica owning key among those alive accepts
@@ -94,62 +103,51 @@ func (r *hashRing) Lookup(key uint64, alive func(int) bool) int {
 // buf (pass buf[:0] to reuse an allocation across calls). alive is a
 // snapshot the caller takes once for a whole batch.
 func (r *hashRing) owners(key uint64, n int, alive []bool, buf []int) []int {
-	owners := buf[:0]
-	p := r.first(key)
-	for k := 0; k < len(r.hashes) && len(owners) < n; k++ {
+	return r.appendOwners(buf[:0], r.first(key), n, alive)
+}
+
+// appendOwners appends to dst the owner set of a walk that starts at
+// point p (p = len(hashes) wraps to point 0).
+func (r *hashRing) appendOwners(dst []int, p, n int, alive []bool) []int {
+	base := len(dst)
+	for k := 0; k < len(r.hashes) && len(dst)-base < n; k++ {
 		if p == len(r.hashes) {
 			p = 0
 		}
 		rep := r.replicas[p]
 		p++
-		if (alive == nil || alive[rep]) && !slices.Contains(owners, rep) {
-			owners = append(owners, rep)
+		if (alive == nil || alive[rep]) && !slices.Contains(dst[base:], rep) {
+			dst = append(dst, rep)
 		}
 	}
-	return owners
+	return dst
 }
 
-// keyHasher hashes the (dims,u,v) keys of one dims onto the ring. The
-// FNV-1a state over the shared "m|n|" prefix is computed once; each key
-// finishes it with the decimal digits of u, a '|', and those of v — the
-// bytes of the string "m|n|u|v" the keys have always hashed, so batch
-// pairs and single queries for the same (dims,u,v) share an owner.
+// ownerTable lists, for every walk start p in 0..len(hashes), the owner
+// set appendOwners gives under one alive snapshot, into tab's storage.
+// Every walk passes every point, so each set has the same width,
+// min(n, alive replicas), and p's set is tab[p*width:][:width]: a key's
+// owners are then one first and one slice away.
+func (r *hashRing) ownerTable(n int, alive []bool, tab []int) (_ []int, width int) {
+	tab = tab[:0]
+	for p := 0; p <= len(r.hashes); p++ {
+		tab = r.appendOwners(tab, p, n, alive)
+	}
+	return tab, len(tab) / (len(r.hashes) + 1)
+}
+
+// keyHasher hashes the (dims,u,v) keys of one dims onto the ring with
+// murmur3 fmix64 rounds over the integers: the dims part is mixed once,
+// and each key mixes in u, then v. Batch pairs and single queries share
+// it, so a pair and its GET land on the same owners.
 type keyHasher uint64
 
-func newKeyHasher(d Dims) keyHasher {
-	h := fnvDecimal(fnvOffset, d.M)
-	h = fnvDecimal((h^'|')*fnvPrime, d.N)
-	return keyHasher((h ^ '|') * fnvPrime)
-}
+func newKeyHasher(d Dims) keyHasher { return keyHasher(keyHasher(0).key(d.M, d.N)) }
 
 // key returns the ring key of (u, v).
 func (k keyHasher) key(u, v int) uint64 {
-	h := fnvDecimal(uint64(k), u)
-	return fmix64(fnvDecimal((h^'|')*fnvPrime, v))
+	return fmix64(fmix64(uint64(k)^uint64(u)) ^ uint64(v))
 }
 
 // shardKey hashes one (dims,u,v) query identity onto the ring.
 func shardKey(d Dims, u, v int) uint64 { return newKeyHasher(d).key(u, v) }
-
-// fnvDecimal continues the FNV-1a state h over the decimal form of x,
-// the bytes strconv.Itoa(x) returns.
-func fnvDecimal(h uint64, x int) uint64 {
-	ux := uint64(x)
-	if x < 0 {
-		h = (h ^ '-') * fnvPrime
-		ux = -ux
-	}
-	var digits [20]byte
-	i := len(digits)
-	for {
-		i--
-		digits[i] = byte('0' + ux%10)
-		if ux /= 10; ux == 0 {
-			break
-		}
-	}
-	for ; i < len(digits); i++ {
-		h = (h ^ uint64(digits[i])) * fnvPrime
-	}
-	return h
-}

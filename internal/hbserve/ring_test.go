@@ -4,17 +4,18 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"slices"
 	"sort"
-	"strconv"
 	"testing"
 )
 
 // TestRingBalanceAcrossPorts: three local replicas at the default vnode
 // count split uniform HB(3,8) keys evenly whatever ports they listen
-// on. Unfinalized FNV-1a clusters the ring points "url#j" and the keys
-// "m|n|u|v", so some port triples handed one replica a third of its
-// fair share and another twice it — and a test whose target replica
+// on. Unfinalized FNV-1a clustered the ring points "url#j" and the
+// decimal keys "m|n|u|v" it once hashed, so some port triples handed
+// one replica a third of its fair share and another twice it — and a test whose target replica
 // owned almost no keys never saw enough failures to eject it.
 func TestRingBalanceAcrossPorts(t *testing.T) {
 	const replicas, keys = 3, 6000
@@ -67,16 +68,16 @@ func (r *hashRing) LookupN(key uint64, n int, alive func(int) bool, buf []int) [
 	return owners
 }
 
-// shardKeyStrconv is shardKey as it was first written: FNV-1a over the
-// formatted string "m|n|u|v". keyHasher must hash the same bytes.
-func shardKeyStrconv(d Dims, u, v int) uint64 {
-	return fnv1a(strconv.Itoa(d.M) + "|" + strconv.Itoa(d.N) + "|" + strconv.Itoa(u) + "|" + strconv.Itoa(v))
-}
-
-// TestKeyHasherMatchesStrconv: the per-batch key, finished from the
-// dims prefix's FNV-1a state, equals the hash of the formatted key for
-// random dims and endpoints, negative and multi-digit ones included.
-func TestKeyHasherMatchesStrconv(t *testing.T) {
+// TestRequestKeyMatchesPartitionKey: the key the router derives from
+// a GET URL is the key partition uses for the same (dims,u,v), for
+// random dims and endpoints, negative, zero and extreme ones included,
+// so a pair and its GET share an owner set. With R=1 a one-pair batch
+// lands on the GET's owner.
+func TestRequestKeyMatchesPartitionKey(t *testing.T) {
+	rt, err := NewRouter(ClusterConfig{Replicas: []string{"http://a:1", "http://b:2", "http://c:3"}, Replication: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	rng := rand.New(rand.NewSource(17))
 	ints := []func() int{
 		func() int { return rng.Intn(10) },
@@ -86,20 +87,82 @@ func TestKeyHasherMatchesStrconv(t *testing.T) {
 		func() int { return []int{0, -1, math.MinInt64, math.MaxInt64, 9, 10, -10}[rng.Intn(7)] },
 	}
 	pick := func() int { return ints[rng.Intn(len(ints))]() }
+	var gs scatterScratch
 	for trial := 0; trial < 200; trial++ {
 		d := Dims{M: pick(), N: pick()}
 		key := newKeyHasher(d)
 		for k := 0; k < 50; k++ {
 			u, v := pick(), pick()
-			want := shardKeyStrconv(d, u, v)
-			if got := key.key(u, v); got != want {
-				t.Fatalf("dims %+v pair (%d,%d): key %#x, strconv form %#x", d, u, v, got, want)
+			get := httptest.NewRequest(http.MethodGet, fmt.Sprintf("/route?m=%d&n=%d&u=%d&v=%d", d.M, d.N, u, v), nil)
+			got := rt.requestKey(get)
+			if want := key.key(u, v); got != want {
+				t.Fatalf("dims %+v pair (%d,%d): GET key %#x, partition key %#x", d, u, v, got, want)
 			}
-			if got := shardKey(d, u, v); got != want {
-				t.Fatalf("dims %+v pair (%d,%d): shardKey %#x, strconv form %#x", d, u, v, got, want)
+			subs, err := rt.partition(&batchRequest{op: batchOpRoute, m: d.M, n: d.N, src: []int{u}, dst: []int{v}}, &gs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if owner := rt.ring.Lookup(got, nil); len(subs) != 1 || subs[0].replica != owner {
+				t.Fatalf("dims %+v pair (%d,%d): one-pair batch placed %+v, GET owner %d", d, u, v, subs, owner)
 			}
 		}
 	}
+}
+
+// FuzzRingOwners differentially checks the bucketed first and the
+// owner table against the sort.Search oracle LookupN, over fleets of
+// 1-8 replicas with 1-128 vnodes, owner-set sizes 0..n+1 and any alive
+// mask. Each input also probes the exact hash of one ring point and the
+// start of the key's bucket, where an off-by-one would show.
+func FuzzRingOwners(f *testing.F) {
+	f.Add(uint8(2), uint8(63), uint8(2), uint8(0xff), uint64(0))
+	f.Add(uint8(2), uint8(63), uint8(2), uint8(0xff), uint64(math.MaxUint64))
+	f.Add(uint8(0), uint8(0), uint8(1), uint8(1), uint64(1)<<63)
+	f.Add(uint8(7), uint8(127), uint8(9), uint8(0x5a), uint64(0x9e3779b97f4a7c15))
+	f.Add(uint8(3), uint8(5), uint8(0), uint8(0), uint64(42))
+	for _, c := range []struct{ fleet, vnodes uint8 }{{2, 63}, {0, 0}, {7, 127}} {
+		ring := fuzzRing(c.fleet, c.vnodes)
+		for _, h := range ring.hashes[:min(8, len(ring.hashes))] {
+			f.Add(c.fleet, c.vnodes, uint8(2), uint8(0xff), h)
+			f.Add(c.fleet, c.vnodes, uint8(2), uint8(0xff), h>>ring.shift<<ring.shift)
+		}
+	}
+	f.Fuzz(func(t *testing.T, fleet, vnodes, r, mask uint8, key uint64) {
+		ring := fuzzRing(fleet, vnodes)
+		n := int(fleet)%8 + 1
+		R := int(r) % (n + 2)
+		alive := make([]bool, n)
+		for i := range alive {
+			alive[i] = mask>>i&1 == 1
+		}
+		tab, width := ring.ownerTable(R, alive, nil)
+		if len(tab) != width*(len(ring.hashes)+1) {
+			t.Fatalf("owner table of %d entries is not %d rows of %d", len(tab), len(ring.hashes)+1, width)
+		}
+		point := ring.hashes[key%uint64(len(ring.hashes))]
+		for _, k := range []uint64{key, point, point + 1, key >> ring.shift << ring.shift} {
+			i := ring.first(k)
+			if want := sort.Search(len(ring.hashes), func(i int) bool { return ring.hashes[i] >= k }); i != want {
+				t.Fatalf("key %#x: first %d, sort.Search %d", k, i, want)
+			}
+			want := ring.LookupN(k, R, func(i int) bool { return alive[i] }, nil)
+			if got := tab[i*width:][:width]; !slices.Equal(got, want) {
+				t.Fatalf("key %#x alive %v R=%d: owner table %v, LookupN %v", k, alive, R, got, want)
+			}
+			if got := ring.owners(k, R, alive, nil); !slices.Equal(got, want) {
+				t.Fatalf("key %#x alive %v R=%d: owners %v, LookupN %v", k, alive, R, got, want)
+			}
+		}
+	})
+}
+
+// fuzzRing is FuzzRingOwners's fleet: 1-8 replicas, 1-128 vnodes each.
+func fuzzRing(fleet, vnodes uint8) *hashRing {
+	names := make([]string, int(fleet)%8+1)
+	for i := range names {
+		names[i] = fmt.Sprintf("http://10.0.0.%d:%d", i+1, 9000+i)
+	}
+	return newHashRing(names, int(vnodes)%128+1)
 }
 
 // TestOwnersMatchLookupN: the snapshot lookup returns the closure
