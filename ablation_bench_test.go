@@ -137,14 +137,14 @@ func BenchmarkAblationDiameter(b *testing.B) {
 	})
 	b.Run("all-sources-sequential", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if graph.Diameter(d) != hb.DiameterFormula() {
+			if graph.Diameter(d, 1) != hb.DiameterFormula() {
 				b.Fatal("wrong diameter")
 			}
 		}
 	})
 	b.Run("all-sources-parallel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if graph.DiameterParallel(d, 0) != hb.DiameterFormula() {
+			if graph.Diameter(d, 0) != hb.DiameterFormula() {
 				b.Fatal("wrong diameter")
 			}
 		}

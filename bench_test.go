@@ -22,7 +22,6 @@ import (
 	"repro/internal/layout"
 	"repro/internal/noc"
 	"repro/internal/tables"
-	"repro/internal/wormhole"
 )
 
 // BenchmarkFigure1 (E-F1) regenerates the Figure 1 comparison with all
@@ -134,7 +133,7 @@ func BenchmarkConnectivityExact(b *testing.B) {
 	d := hb.Dense()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if graph.ConnectivityVertexTransitive(d) != hb.ConnectivityFormula() {
+		if graph.ConnectivityVertexTransitive(d, 1) != hb.ConnectivityFormula() {
 			b.Fatal("connectivity mismatch")
 		}
 	}
@@ -219,7 +218,7 @@ func BenchmarkTraffic(b *testing.B) {
 			e, err := noc.New(c.g, noc.Config{
 				Cycles: 500, Rate: 0.05, PacketLen: 1, BufDepth: 1, VCs: 1,
 				Pattern: noc.Uniform, Seed: 11, MaxRoute: hb.DiameterFormula(), // = HD(2,6)'s route bound
-				Route: c.route, Policy: wormhole.SingleVC,
+				Route: c.route, Policy: noc.SingleVC,
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -398,17 +397,20 @@ func BenchmarkBisection(b *testing.B) {
 	}
 }
 
-// BenchmarkWormhole (E-W1) runs the flit-level simulator on HB(2,3)
-// with the dateline VC policy at heavy load.
+// BenchmarkWormhole (E-W1) runs flit-level wormhole switching on the
+// noc engine on HB(2,3) with the dateline VC policy at heavy load.
 func BenchmarkWormhole(b *testing.B) {
 	hb := core.MustNew(2, 3)
-	policy := wormhole.HBDateline(hb)
+	e, err := noc.New(hb, noc.Config{
+		Cycles: 500, Rate: 0.2, PacketLen: 4, BufDepth: 1, VCs: 2,
+		MaxRoute: hb.DiameterFormula(), Policy: noc.HBDateline(hb), Route: hb.Route, Seed: 11,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := wormhole.Run(hb, wormhole.Config{
-			Cycles: 500, Rate: 0.2, PacketLen: 4, BufDepth: 1, VCs: 2,
-			Policy: policy, Route: hb.Route, Seed: 11,
-		})
+		res, err := e.Run()
 		if err != nil || res.Deadlocked {
 			b.Fatalf("err %v deadlocked %v", err, res.Deadlocked)
 		}

@@ -129,13 +129,13 @@ func runConnSweep(targets []conformance.Target, workers int, stdout, stderr io.W
 		t0 := time.Now()
 		var kappa int
 		if t.VertexTransitive {
-			kappa = graph.ConnectivityVertexTransitiveParallel(d, workers)
+			kappa = graph.ConnectivityVertexTransitive(d, workers)
 		} else {
-			kappa = graph.ConnectivityParallel(d, workers)
+			kappa = graph.Connectivity(d, workers)
 		}
 		kElapsed := time.Since(t0)
 		t0 = time.Now()
-		lambda := graph.EdgeConnectivityParallel(d, workers)
+		lambda := graph.EdgeConnectivity(d, workers)
 		lElapsed := time.Since(t0)
 		status := "ok"
 		if t.Connectivity >= 0 && kappa != t.Connectivity {

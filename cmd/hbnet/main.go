@@ -280,7 +280,7 @@ func verify(w io.Writer, hb *core.HyperButterfly) error {
 	ecc, _ := d.EccentricityScratch(hb.Identity(), graph.NewScratch(d.Order()))
 	check("diameter (Theorem 3)", ecc, hb.DiameterFormula())
 	if d.Order() <= 8192 {
-		check("connectivity (Corollary 1)", graph.ConnectivityVertexTransitive(d), hb.ConnectivityFormula())
+		check("connectivity (Corollary 1)", graph.ConnectivityVertexTransitive(d, 0), hb.ConnectivityFormula())
 	} else {
 		fmt.Fprintln(w, "  connectivity: instance too large for exact max-flow sweep; see tests for exact small-instance verification")
 	}

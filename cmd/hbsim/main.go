@@ -18,7 +18,7 @@
 //	    dynamic fault injection: churn + adversarial min-cut schedules
 //	    with in-flight rerouting; exits 1 on any Remark-10 violation (E-CH)
 //	hbsim -mode noc -m 3 -n 3 -rate 0.5 -cycles 2000 -vcs 4 -bufdepth 2 -out BENCH_noc.json
-//	    event-driven NoC engine (E-NC): engine-vs-oracle flit throughput,
+//	    event-driven NoC engine (E-NC): engine flit throughput,
 //	    HB vs hyper-deBruijn saturation curves with escape-channel
 //	    adaptive routing, collectives under load, churn resilience;
 //	    exits 1 if any adaptive run deadlocks
@@ -45,7 +45,6 @@ import (
 	"repro/internal/hypercube"
 	"repro/internal/hyperdebruijn"
 	"repro/internal/noc"
-	"repro/internal/wormhole"
 )
 
 func main() {
@@ -206,7 +205,7 @@ func worm(w io.Writer, m, n int, rate float64, cycles int, seed int64) error {
 	}
 	tw := tabwriter.NewWriter(w, 2, 0, 2, ' ', 0)
 	fmt.Fprintln(tw, "policy\tVCs\tdeadlocked\tinjected\tdelivered\tavg latency")
-	runOne := func(name string, vcs int, policy wormhole.VCPolicy) error {
+	runOne := func(name string, vcs int, policy noc.VCPolicy) error {
 		res, err := simulate(hb, noc.Config{
 			Cycles: cycles, Rate: rate, PacketLen: 4, BufDepth: 1, VCs: vcs, Seed: seed,
 			MaxRoute: hb.DiameterFormula(), Route: hb.Route, Policy: policy,
@@ -222,10 +221,10 @@ func worm(w io.Writer, m, n int, rate float64, cycles int, seed int64) error {
 			name, vcs, dead, res.Injected, res.Delivered, res.AvgLatency)
 		return nil
 	}
-	if err := runOne("single VC", 1, wormhole.SingleVC); err != nil {
+	if err := runOne("single VC", 1, noc.SingleVC); err != nil {
 		return err
 	}
-	if err := runOne("dateline", 2, wormhole.HBDateline(hb)); err != nil {
+	if err := runOne("dateline", 2, noc.HBDateline(hb)); err != nil {
 		return err
 	}
 	tw.Flush()
@@ -287,7 +286,7 @@ func chaos(w io.Writer, m, n int, rate float64, cycles int, seed int64) error {
 		res, err := simulate(hb, noc.Config{
 			Cycles: cycles, InjectCycles: inject, Rate: rate, Seed: seed,
 			PacketLen: 1, BufDepth: 1, VCs: 2, MaxRoute: 4 * hb.DiameterFormula(),
-			Route: hb.Route, Policy: wormhole.HBDateline(hb), Schedule: sch, Rerouter: rr,
+			Route: hb.Route, Policy: noc.HBDateline(hb), Schedule: sch, Rerouter: rr,
 		})
 		if err != nil {
 			return err
@@ -360,7 +359,7 @@ func traffic(w io.Writer, m, n int, rate float64, cycles int, seed int64) error 
 		}
 		for _, e := range entries {
 			cfg := base
-			cfg.Route, cfg.Policy = e.route, wormhole.SingleVC
+			cfg.Route, cfg.Policy = e.route, noc.SingleVC
 			res, err := simulate(e.g, cfg)
 			if err != nil {
 				return err

@@ -73,7 +73,7 @@ func TestNoCSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"engine_flit_events_per_sec", "speedup_vs_oracle", "hb_saturation", "hyperdebruijn_saturation"} {
+	for _, key := range []string{"engine_flit_events_per_sec", "hb_saturation", "hyperdebruijn_saturation"} {
 		if !strings.Contains(string(raw), key) {
 			t.Errorf("artifact lacks %q", key)
 		}

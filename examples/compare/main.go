@@ -16,7 +16,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/hyperdebruijn"
 	"repro/internal/noc"
-	"repro/internal/wormhole"
 )
 
 func main() {
@@ -32,9 +31,9 @@ func main() {
 	fmt.Fprintf(w, "nodes\t%d\t%d\n", hbD.Order(), hdD.Order())
 	fmt.Fprintf(w, "degree\t%d (regular)\t%d..%d (irregular)\n", hbSt.Max, hdSt.Min, hdSt.Max)
 	ecc, _ := graph.Eccentricity(hb, hb.Identity())
-	fmt.Fprintf(w, "diameter\t%d\t%d\n", ecc, graph.Diameter(hdD))
+	fmt.Fprintf(w, "diameter\t%d\t%d\n", ecc, graph.Diameter(hdD, 0))
 	fmt.Fprintf(w, "connectivity\t%d = degree (maximal)\t%d < max degree\n",
-		graph.ConnectivityVertexTransitive(hbD), graph.Connectivity(hdD))
+		graph.ConnectivityVertexTransitive(hbD, 0), graph.Connectivity(hdD, 0))
 	w.Flush()
 
 	// Same offered load on both networks: single-flit packets on the
@@ -53,7 +52,7 @@ func main() {
 		eng, err := noc.New(e.g, noc.Config{
 			Cycles: 2000, Rate: 0.05, PacketLen: 1, BufDepth: 1, VCs: 1,
 			Pattern: noc.Uniform, Seed: 7, MaxRoute: hd.RouteLengthBound(), // >= HB's diameter 6
-			Route: e.route, Policy: wormhole.SingleVC,
+			Route: e.route, Policy: noc.SingleVC,
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -136,7 +136,7 @@ func DefaultInvariants() []Invariant {
 					}
 					got = ecc
 				} else {
-					got = graph.DiameterParallel(env.Dense(), 0)
+					got = graph.Diameter(env.Dense(), 0)
 				}
 				if got != t.Diameter {
 					return fmt.Errorf("diameter %d, want %d", got, t.Diameter)
@@ -161,9 +161,9 @@ func DefaultInvariants() []Invariant {
 				d := env.Dense()
 				var got int
 				if t.VertexTransitive {
-					got = graph.ConnectivityVertexTransitiveParallel(d, 0)
+					got = graph.ConnectivityVertexTransitive(d, 0)
 				} else {
-					got = graph.ConnectivityParallel(d, 0)
+					got = graph.Connectivity(d, 0)
 				}
 				if got != t.Connectivity {
 					return fmt.Errorf("connectivity %d, want %d", got, t.Connectivity)
@@ -186,7 +186,7 @@ func DefaultInvariants() []Invariant {
 				return ""
 			},
 			Check: func(t *Target, env *Env) error {
-				if got := graph.EdgeConnectivityParallel(env.Dense(), 0); got != t.EdgeConnectivity {
+				if got := graph.EdgeConnectivity(env.Dense(), 0); got != t.EdgeConnectivity {
 					return fmt.Errorf("edge connectivity %d, want %d", got, t.EdgeConnectivity)
 				}
 				return nil

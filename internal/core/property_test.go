@@ -115,7 +115,7 @@ func TestQuickDecodeEncode(t *testing.T) {
 func TestEdgeConnectivityMatchesDegree(t *testing.T) {
 	for _, dims := range [][2]int{{0, 3}, {1, 3}, {2, 3}} {
 		hb := MustNew(dims[0], dims[1])
-		if got := graph.EdgeConnectivity(hb.Dense()); got != hb.Degree() {
+		if got := graph.EdgeConnectivity(hb.Dense(), 0); got != hb.Degree() {
 			t.Errorf("HB%v: edge connectivity %d, want %d", dims, got, hb.Degree())
 		}
 	}
@@ -133,12 +133,12 @@ func TestCorollary1LargerInstances(t *testing.T) {
 	for _, dims := range [][2]int{{3, 4}, {4, 3}} {
 		hb := MustNew(dims[0], dims[1])
 		want := hb.ConnectivityFormula()
-		if got := graph.ConnectivityVertexTransitiveParallel(hb.Dense(), 0); got != want {
+		if got := graph.ConnectivityVertexTransitive(hb.Dense(), 0); got != want {
 			t.Errorf("HB%v: vertex connectivity %d, want %d", dims, got, want)
 		}
 	}
 	hb := MustNew(3, 4)
-	if got := graph.EdgeConnectivityParallel(hb.Dense(), 0); got != hb.Degree() {
+	if got := graph.EdgeConnectivity(hb.Dense(), 0); got != hb.Degree() {
 		t.Errorf("HB(3,4): edge connectivity %d, want %d", got, hb.Degree())
 	}
 }
@@ -153,8 +153,78 @@ func TestGirth(t *testing.T) {
 		if dims[1] == 3 {
 			want = 3
 		}
-		if got := graph.Girth(hb); got != want {
+		if got := girth(hb); got != want {
 			t.Errorf("HB%v: girth %d, want %d", dims, got, want)
 		}
 	}
+}
+
+// girth returns the length of a shortest cycle of g, or -1 for a forest.
+// Self-loops count as girth 1 and multi-edges as girth 2.
+//
+// Implementation: a BFS from every vertex; a non-tree edge closing at
+// depths d1, d2 witnesses a cycle of length d1+d2+1. This is exact and
+// O(V·E) — fine for the instance sizes TestGirth uses.
+func girth(g graph.Graph) int {
+	n := g.Order()
+	best := -1
+	update := func(c int) {
+		if best == -1 || c < best {
+			best = c
+		}
+	}
+	var buf []int
+	// Self-loops and multi-edges first (BFS below assumes simple).
+	for v := 0; v < n; v++ {
+		buf = g.AppendNeighbors(v, buf[:0])
+		seen := make(map[int]bool, len(buf))
+		for _, w := range buf {
+			if w == v {
+				update(1)
+				continue
+			}
+			if seen[w] {
+				update(2)
+			}
+			seen[w] = true
+		}
+	}
+	if best != -1 {
+		return best
+	}
+	dist := make([]int32, n)
+	parent := make([]int32, n)
+	queue := make([]int32, 0, n)
+	for src := 0; src < n; src++ {
+		if best == 3 {
+			break // cannot improve on a triangle in a simple graph
+		}
+		for i := range dist {
+			dist[i] = graph.Unreachable
+			parent[i] = -1
+		}
+		dist[src] = 0
+		queue = append(queue[:0], int32(src))
+		for head := 0; head < len(queue); head++ {
+			v := int(queue[head])
+			if best != -1 && int(2*dist[v]) >= best {
+				break // deeper levels cannot yield a shorter cycle
+			}
+			buf = g.AppendNeighbors(v, buf[:0])
+			for _, w := range buf {
+				if int32(w) == parent[v] {
+					parent[v] = -2 // consume one parent edge (multi-edges already handled)
+					continue
+				}
+				if dist[w] == graph.Unreachable {
+					dist[w] = dist[v] + 1
+					parent[w] = int32(v)
+					queue = append(queue, int32(w))
+					continue
+				}
+				update(int(dist[v] + dist[w] + 1))
+			}
+		}
+	}
+	return best
 }

@@ -216,8 +216,21 @@ func TestTheorem4MeshOfTrees(t *testing.T) {
 				if err != nil {
 					t.Fatalf("HB%v MT(2^%d,2^%d): %v", dims, p, q, err)
 				}
-				if err := graph.CheckMeshOfTrees(mt); err != nil {
-					t.Fatalf("HB%v MT(2^%d,2^%d): bad guest: %v", dims, p, q, err)
+				// The guest itself: the real (non-padding) vertices number
+				// 2^q row-tree copies plus 2^p column-tree copies sharing
+				// 2^(p+q) leaves, and form one connected graph.
+				padding := make([]bool, mt.Order())
+				real := 0
+				for v := range padding {
+					padding[v] = !mt.Contains(v)
+					if !padding[v] {
+						real++
+					}
+				}
+				want := (1<<(p+1)-1)<<q + (1<<(q+1)-1)<<p - 1<<(p+q)
+				if real != want || !graph.IsConnected(mt, padding) {
+					t.Fatalf("HB%v MT(2^%d,2^%d): bad guest: %d real vertices (want %d), connected %v",
+						dims, p, q, real, want, graph.IsConnected(mt, padding))
 				}
 				if err := graph.VerifyEmbedding(mt, hb, phi); err != nil {
 					t.Fatalf("HB%v MT(2^%d,2^%d): %v", dims, p, q, err)

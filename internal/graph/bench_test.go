@@ -79,7 +79,7 @@ func BenchmarkDiameterParallelScratch(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if got := graph.DiameterParallel(d, 0); got != want {
+				if got := graph.Diameter(d, 0); got != want {
 					b.Fatalf("diameter %d, want %d", got, want)
 				}
 			}
@@ -115,7 +115,7 @@ func BenchmarkDistanceHistogram(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if hist := graph.DistanceHistogram(d); hist == nil {
+				if !d.AllSourcesBits(nil, 0).Complete {
 					b.Fatal("disconnected")
 				}
 			}
@@ -240,7 +240,7 @@ func TestEmitBenchGraph(t *testing.T) {
 			kernel: func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					graph.DiameterParallel(d, 0)
+					graph.Diameter(d, 0)
 				}
 			},
 			reference: func(b *testing.B) {
@@ -255,7 +255,7 @@ func TestEmitBenchGraph(t *testing.T) {
 			kernel: func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					graph.DistanceHistogram(d)
+					d.AllSourcesBits(nil, 0)
 				}
 			},
 			reference: func(b *testing.B) {

@@ -14,10 +14,9 @@ const Unreachable = int32(math.MaxInt32)
 // may be nil. The source itself must not be excluded.
 //
 // Dense graphs are dispatched to the direction-optimizing CSR kernel
-// (see kernel.go); other Graph implementations fall back to
-// BFSReference. Callers running many BFS over one Dense should hold a
-// Scratch and call Dense.BFSScratch (or AllSources) to skip the
-// per-call allocation.
+// (see kernel.go); other Graph implementations run BFSReference.
+// Callers running many BFS over one Dense should hold a Scratch and
+// call Dense.BFSScratch to skip the per-call allocation.
 func BFS(g Graph, src int, excluded []bool) []int32 {
 	if d, ok := g.(*Dense); ok {
 		// A fresh Scratch per call keeps the returned slice caller-owned,
@@ -27,10 +26,12 @@ func BFS(g Graph, src int, excluded []bool) []int32 {
 	return BFSReference(g, src, excluded)
 }
 
-// BFSReference is the straightforward interface-dispatched BFS retained
-// as the differential-testing oracle for the CSR kernel (and as the path
-// for Graph implementations that were never materialised). Semantics
-// are identical to BFS.
+// BFSReference is the straightforward interface-dispatched BFS. It is
+// the production path for every Graph that is not a Dense — BFS,
+// Eccentricity and IsConnected fall back to it, and faultroute's
+// label-arithmetic topologies reach it through IsConnected — and the
+// differential-testing oracle for the CSR kernel. Semantics are
+// identical to BFS.
 func BFSReference(g Graph, src int, excluded []bool) []int32 {
 	n := g.Order()
 	dist := make([]int32, n)
@@ -124,22 +125,32 @@ func Eccentricity(g Graph, src int) (ecc int, connected bool) {
 	return ecc, connected
 }
 
-// Diameter computes the exact diameter of g by running a BFS from every
-// vertex on the pooled sweep engine (see AllSources). It returns -1 for
-// a disconnected graph. For vertex-transitive graphs prefer
-// Eccentricity from any single vertex. Non-Dense graphs are
-// materialised first; pass the Dense directly to avoid rebuilding.
-func Diameter(g Graph) int {
-	return diameterAllSources(asDense(g), 0)
-}
-
-// asDense returns g itself when it already is a Dense and materialises
-// it otherwise.
-func asDense(g Graph) *Dense {
-	if d, ok := g.(*Dense); ok {
-		return d
+// Diameter computes the exact diameter of g on the bit-parallel
+// all-sources sweep (Dense.AllSourcesBits) across `workers` goroutines
+// (GOMAXPROCS when workers <= 0); the result does not depend on
+// workers. It returns -1 for a disconnected graph. For vertex-transitive
+// graphs prefer Eccentricity from any single vertex. Non-Dense graphs
+// are materialised first; pass the Dense directly to avoid rebuilding
+// per call.
+func Diameter(g Graph, workers int) int {
+	d, ok := g.(*Dense)
+	if !ok {
+		d = Build(g)
 	}
-	return Build(g)
+	if d.Order() == 0 {
+		return 0
+	}
+	sweep := d.AllSourcesBits(nil, workers)
+	if !sweep.Complete {
+		return -1
+	}
+	diam := int32(0)
+	for _, e := range sweep.Ecc {
+		if e > diam {
+			diam = e
+		}
+	}
+	return int(diam)
 }
 
 // IsConnected reports whether g is connected after removing the excluded
@@ -172,44 +183,4 @@ func IsConnected(g Graph, excluded []bool) bool {
 		}
 	}
 	return reached == remaining
-}
-
-// Components returns the connected component id of every vertex and the
-// number of components.
-func Components(g Graph) (comp []int32, count int) {
-	n := g.Order()
-	comp = make([]int32, n)
-	for i := range comp {
-		comp[i] = -1
-	}
-	var buf []int
-	for v := 0; v < n; v++ {
-		if comp[v] != -1 {
-			continue
-		}
-		id := int32(count)
-		count++
-		queue := []int32{int32(v)}
-		comp[v] = id
-		for head := 0; head < len(queue); head++ {
-			u := int(queue[head])
-			buf = g.AppendNeighbors(u, buf[:0])
-			for _, w := range buf {
-				if comp[w] == -1 {
-					comp[w] = id
-					queue = append(queue, int32(w))
-				}
-			}
-		}
-	}
-	return comp, count
-}
-
-// DistanceHistogram returns hist where hist[d] is the number of ordered
-// pairs (src, v) at distance d, computed by BFS from every vertex of g
-// on the pooled sweep engine. Each worker's sub-histogram is sized once
-// per source from the observed eccentricity. It returns nil for a
-// disconnected graph.
-func DistanceHistogram(g Graph) []int64 {
-	return distanceHistogramAllSources(asDense(g), 0)
 }

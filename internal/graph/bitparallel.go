@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/bits"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -177,7 +178,7 @@ func (d *Dense) AllSourcesBits(excluded []bool, workers int) *BatchSweep {
 	}
 
 	batches := (n + wordSources - 1) / wordSources
-	w := EffectiveWorkers(workers, batches)
+	w := effectiveWorkers(workers, batches)
 	var (
 		nextBatch atomic.Int64
 		stop      atomic.Bool
@@ -226,6 +227,22 @@ func (d *Dense) AllSourcesBits(excluded []bool, workers int) *BatchSweep {
 }
 
 const wordSources = 64
+
+// effectiveWorkers returns the worker count of a pool over n work units
+// given the requested count (<= 0 means GOMAXPROCS): never more than n,
+// never fewer than one.
+func effectiveWorkers(workers, n int) int {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers > n {
+		workers = n
+	}
+	if workers < 1 {
+		workers = 1
+	}
+	return workers
+}
 
 func mergeHist(dst, src []int64) []int64 {
 	for len(dst) < len(src) {

@@ -73,7 +73,7 @@ func BenchmarkConnectivity(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if got := graph.ConnectivityVertexTransitiveParallel(d, 0); got != want {
+				if got := graph.ConnectivityVertexTransitive(d, 0); got != want {
 					b.Fatalf("connectivity %d, want %d", got, want)
 				}
 			}
@@ -111,7 +111,7 @@ func BenchmarkEdgeConnectivity(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if got := graph.EdgeConnectivityParallel(d, 0); got != want {
+				if got := graph.EdgeConnectivity(d, 0); got != want {
 					b.Fatalf("edge connectivity %d, want %d", got, want)
 				}
 			}
@@ -211,7 +211,7 @@ func TestEmitBenchConn(t *testing.T) {
 			engine: func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					graph.ConnectivityVertexTransitiveParallel(d, 0)
+					graph.ConnectivityVertexTransitive(d, 0)
 				}
 			},
 			reference: func(b *testing.B) {
@@ -226,7 +226,7 @@ func TestEmitBenchConn(t *testing.T) {
 			engine: func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					graph.EdgeConnectivityParallel(d, 0)
+					graph.EdgeConnectivity(d, 0)
 				}
 			},
 			reference: func(b *testing.B) {

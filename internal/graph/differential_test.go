@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/conformance"
+	"repro/internal/core"
 	"repro/internal/graph"
 )
 
@@ -58,11 +59,11 @@ func TestKernelMatchesReferenceOnConformanceTargets(t *testing.T) {
 }
 
 // TestMengerMatchesReferenceOnConformanceTargets runs the Menger engine
-// differential over the same sweep: the parallel connectivity drivers,
-// the per-pair arena, and the flat-decomposition DisjointPaths must
-// agree with the retained reference flow on every topology family —
-// including the irregular de Bruijn graphs with self-loops and
-// multi-edges.
+// differential over the same sweep: the connectivity entry points at one and
+// at GOMAXPROCS workers, the per-pair arena, and the flat-decomposition
+// DisjointPaths must agree with the test-only reference flow on every
+// topology family — including the irregular de Bruijn graphs with
+// self-loops and multi-edges.
 func TestMengerMatchesReferenceOnConformanceTargets(t *testing.T) {
 	targets, err := conformance.Sweep(1, 2, 3, 4)
 	if err != nil {
@@ -75,26 +76,19 @@ func TestMengerMatchesReferenceOnConformanceTargets(t *testing.T) {
 			continue // exact global connectivity on every target stays fast
 		}
 		wantK := graph.ConnectivityReference(d)
-		if got := graph.Connectivity(d); got != wantK {
-			t.Fatalf("%s: Connectivity = %d, reference %d", target.Name, got, wantK)
-		}
-		if got := graph.ConnectivityParallel(d, 0); got != wantK {
-			t.Fatalf("%s: ConnectivityParallel = %d, reference %d", target.Name, got, wantK)
-		}
-		if target.VertexTransitive {
-			if got := graph.ConnectivityVertexTransitive(d); got != wantK {
-				t.Fatalf("%s: ConnectivityVertexTransitive = %d, reference %d", target.Name, got, wantK)
-			}
-			if got := graph.ConnectivityVertexTransitiveParallel(d, 0); got != wantK {
-				t.Fatalf("%s: ConnectivityVertexTransitiveParallel = %d, reference %d", target.Name, got, wantK)
-			}
-		}
 		wantL := graph.EdgeConnectivityReference(d)
-		if got := graph.EdgeConnectivity(d); got != wantL {
-			t.Fatalf("%s: EdgeConnectivity = %d, reference %d", target.Name, got, wantL)
-		}
-		if got := graph.EdgeConnectivityParallel(d, 0); got != wantL {
-			t.Fatalf("%s: EdgeConnectivityParallel = %d, reference %d", target.Name, got, wantL)
+		for _, workers := range []int{1, 0} {
+			if got := graph.Connectivity(d, workers); got != wantK {
+				t.Fatalf("%s: Connectivity(w=%d) = %d, reference %d", target.Name, workers, got, wantK)
+			}
+			if target.VertexTransitive {
+				if got := graph.ConnectivityVertexTransitive(d, workers); got != wantK {
+					t.Fatalf("%s: ConnectivityVertexTransitive(w=%d) = %d, reference %d", target.Name, workers, got, wantK)
+				}
+			}
+			if got := graph.EdgeConnectivity(d, workers); got != wantL {
+				t.Fatalf("%s: EdgeConnectivity(w=%d) = %d, reference %d", target.Name, workers, got, wantL)
+			}
 		}
 		// Sampled pairs: engine local values and path decomposition vs
 		// the reference, reusing one arena across pairs as consumers do.
@@ -121,5 +115,66 @@ func TestMengerMatchesReferenceOnConformanceTargets(t *testing.T) {
 				t.Fatalf("%s: DisjointPaths(%d,%d): %v", target.Name, s, u, err)
 			}
 		}
+	}
+}
+
+// TestNodeToSetMatchesReferenceOnConformanceTargets runs the Fan
+// differential on every hyper-butterfly of the sweep: from sampled
+// sources, m+4 random targets (the fan size Corollary 1 guarantees)
+// must yield a verified fan from both NodeToSetDisjointPaths and the
+// test-only reference, and adding one more target must fail in both
+// when the targets include every neighbour of the source.
+func TestNodeToSetMatchesReferenceOnConformanceTargets(t *testing.T) {
+	targets, err := conformance.Sweep(1, 3, 3, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked := 0
+	for _, target := range targets {
+		hb, ok := target.Graph.(*core.HyperButterfly)
+		if !ok {
+			continue
+		}
+		d := hb.Dense()
+		n := d.Order()
+		rng := rand.New(rand.NewSource(target.Seed))
+		for trial := 0; trial < 8; trial++ {
+			src := rng.Intn(n)
+			fan := make([]int, 0, hb.Degree())
+			for _, v := range rng.Perm(n) {
+				if v != src && len(fan) < hb.Degree() {
+					fan = append(fan, v)
+				}
+			}
+			got, gerr := graph.NodeToSetDisjointPaths(d, src, fan)
+			want, werr := graph.NodeToSetDisjointPathsReference(d, src, fan)
+			if gerr != nil || werr != nil {
+				t.Fatalf("%s src %d targets %v: error %v, reference %v", target.Name, src, fan, gerr, werr)
+			}
+			if err := graph.VerifyNodeToSetPaths(d, src, fan, got); err != nil {
+				t.Fatalf("%s src %d targets %v: %v", target.Name, src, fan, err)
+			}
+			if err := graph.VerifyNodeToSetPaths(d, src, fan, want); err != nil {
+				t.Fatalf("%s src %d targets %v: reference: %v", target.Name, src, fan, err)
+			}
+			// The source's neighbours plus one more vertex exceed its
+			// degree: no fan exists, and both must say so identically.
+			over := append(d.AppendNeighbors(src, nil), fan[0])
+			if d.HasEdge(src, fan[0]) {
+				over[len(over)-1] = (src + n/2) % n
+				for over[len(over)-1] == src || d.HasEdge(src, over[len(over)-1]) {
+					over[len(over)-1] = (over[len(over)-1] + 1) % n
+				}
+			}
+			_, gerr = graph.NodeToSetDisjointPaths(d, src, over)
+			_, werr = graph.NodeToSetDisjointPathsReference(d, src, over)
+			if gerr == nil || werr == nil || gerr.Error() != werr.Error() {
+				t.Fatalf("%s src %d targets %v: error %v, reference %v", target.Name, src, over, gerr, werr)
+			}
+			checked++
+		}
+	}
+	if checked == 0 {
+		t.Fatal("sweep produced no hyper-butterfly targets")
 	}
 }

@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 )
@@ -142,57 +141,4 @@ func EstimateDistanceHistogram(order int, dist func(u, v int) int, cfg EstConfig
 		est.MeanCI = float64(cfg.KnownUpper) * est.CIHalfWidth
 	}
 	return est
-}
-
-// ConnSpotCheck summarises randomized Menger probes: each probe asks
-// the backend for `want` vertex-disjoint paths between a random pair
-// and verifies the certificate edge-by-edge against the graph, so
-// every certified probe is a machine-checked witness that the local
-// connectivity of that pair is at least want.
-type ConnSpotCheck struct {
-	// Pairs is the number of (s,t) probes attempted; Certified of them
-	// produced a verified set of `want` disjoint paths.
-	Pairs     int
-	Certified int
-	Want      int
-	// FirstFailure describes the first probe that could not be
-	// certified, empty when Certified == Pairs.
-	FirstFailure string
-}
-
-// SpotCheckConnectivity draws cfg.Samples random distinct pairs from g
-// and certifies `want` disjoint paths between each via the supplied
-// path oracle. It returns an error only on malformed inputs; probe
-// failures are reported in the result so callers can surface partial
-// evidence.
-func SpotCheckConnectivity(g Graph, paths func(u, v int) ([][]int, error), want int, cfg EstConfig) (ConnSpotCheck, error) {
-	cfg.normalize()
-	order := g.Order()
-	if order < 2 {
-		return ConnSpotCheck{}, fmt.Errorf("graph: spot-check needs order >= 2, have %d", order)
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	out := ConnSpotCheck{Pairs: cfg.Samples, Want: want}
-	for i := 0; i < cfg.Samples; i++ {
-		u := rng.Intn(order)
-		v := rng.Intn(order)
-		for v == u {
-			v = rng.Intn(order)
-		}
-		ps, err := paths(u, v)
-		if err == nil && len(ps) < want {
-			err = fmt.Errorf("got %d paths, want %d", len(ps), want)
-		}
-		if err == nil {
-			err = VerifyDisjointPaths(g, u, v, ps)
-		}
-		if err != nil {
-			if out.FirstFailure == "" {
-				out.FirstFailure = fmt.Sprintf("pair (%d,%d): %v", u, v, err)
-			}
-			continue
-		}
-		out.Certified++
-	}
-	return out, nil
 }

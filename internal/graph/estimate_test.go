@@ -1,7 +1,9 @@
 package graph_test
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/core"
@@ -45,7 +47,7 @@ func exactHistogram(t *testing.T, d *graph.Dense) (fractions []float64, mean flo
 func TestEstimateDiameterBracketsExact(t *testing.T) {
 	for _, inst := range []struct{ m, n int }{{1, 3}, {2, 3}, {2, 4}, {3, 3}} {
 		imp := core.MustNewImplicit(inst.m, inst.n)
-		exact := graph.DiameterParallel(imp.HyperButterfly.Dense(), 0)
+		exact := graph.Diameter(imp.HyperButterfly.Dense(), 0)
 		if exact != imp.DiameterFormula() {
 			t.Fatalf("HB(%d,%d): exact diameter %d != formula %d", inst.m, inst.n, exact, imp.DiameterFormula())
 		}
@@ -123,32 +125,67 @@ func TestEstimateHistogramCoverage(t *testing.T) {
 	}
 }
 
+// spotCheck summarises randomized Menger probes: each probe asks a
+// path backend for `want` vertex-disjoint paths between a random pair
+// and verifies the certificate edge by edge against the graph.
+type spotCheck struct {
+	Pairs, Certified int
+	// FirstFailure describes the first probe that could not be
+	// certified, empty when Certified == Pairs.
+	FirstFailure string
+}
+
+// spotCheckConnectivity draws `samples` random distinct pairs of g and
+// certifies `want` disjoint paths between each via the supplied path
+// oracle.
+func spotCheckConnectivity(g graph.Graph, paths func(u, v int) ([][]int, error), want, samples int, seed int64) spotCheck {
+	order := g.Order()
+	rng := rand.New(rand.NewSource(seed))
+	out := spotCheck{Pairs: samples}
+	for i := 0; i < samples; i++ {
+		u := rng.Intn(order)
+		v := rng.Intn(order)
+		for v == u {
+			v = rng.Intn(order)
+		}
+		ps, err := paths(u, v)
+		if err == nil && len(ps) < want {
+			err = fmt.Errorf("got %d paths, want %d", len(ps), want)
+		}
+		if err == nil {
+			err = graph.VerifyDisjointPaths(g, u, v, ps)
+		}
+		if err != nil {
+			if out.FirstFailure == "" {
+				out.FirstFailure = fmt.Sprintf("pair (%d,%d): %v", u, v, err)
+			}
+			continue
+		}
+		out.Certified++
+	}
+	return out
+}
+
+// TestSpotCheckConnectivityCertifies certifies the implicit backend's
+// Theorem 5 paths on sampled pairs, and checks that a deficient backend
+// is caught.
 func TestSpotCheckConnectivityCertifies(t *testing.T) {
 	imp := core.MustNewImplicit(2, 3)
-	res, err := graph.SpotCheckConnectivity(imp, func(u, v int) ([][]int, error) {
+	res := spotCheckConnectivity(imp, func(u, v int) ([][]int, error) {
 		return imp.DisjointPaths(u, v)
-	}, imp.ConnectivityFormula(), graph.EstConfig{Samples: 40, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, imp.ConnectivityFormula(), 40, 7)
 	if res.Certified != res.Pairs || res.Pairs != 40 {
 		t.Fatalf("certified %d of %d probes (want all 40): %s", res.Certified, res.Pairs, res.FirstFailure)
 	}
-	if res.Want != imp.ConnectivityFormula() {
-		t.Fatalf("probe width %d, want %d", res.Want, imp.ConnectivityFormula())
-	}
 
 	// A deliberately deficient oracle must not certify.
-	res, err = graph.SpotCheckConnectivity(imp, func(u, v int) ([][]int, error) {
+	res = spotCheckConnectivity(imp, func(u, v int) ([][]int, error) {
 		ps, err := imp.DisjointPaths(u, v)
 		if err != nil || len(ps) == 0 {
 			return ps, err
 		}
 		return ps[:len(ps)-1], nil
-	}, imp.ConnectivityFormula(), graph.EstConfig{Samples: 5, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, imp.ConnectivityFormula(), 5, 7)
 	if res.Certified != 0 || res.FirstFailure == "" {
 		t.Fatalf("deficient oracle certified %d probes", res.Certified)
 	}

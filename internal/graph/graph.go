@@ -143,23 +143,6 @@ func (d *Dense) HasEdge(u, w int) bool {
 	return i < len(row) && row[i] == int32(w)
 }
 
-// SimpleCopy returns a copy of d with self-loops and duplicate edges
-// removed.
-func (d *Dense) SimpleCopy() *Dense {
-	n := d.Order()
-	edges := make([][2]int, 0, len(d.adj)/2)
-	for v := 0; v < n; v++ {
-		prev := int32(-1)
-		for _, w := range d.Neighbors(v) {
-			if int(w) > v && w != prev {
-				edges = append(edges, [2]int{v, int(w)})
-			}
-			prev = w
-		}
-	}
-	return NewDense(n, edges)
-}
-
 // DegreeStats summarises the degree sequence of a graph.
 type DegreeStats struct {
 	Min, Max int

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -60,10 +61,6 @@ func TestSelfLoopAndMultiEdge(t *testing.T) {
 	if d.EdgeCount() != 3 {
 		t.Fatalf("EdgeCount = %d, want 3", d.EdgeCount())
 	}
-	s := d.SimpleCopy()
-	if s.Degree(0) != 1 || s.EdgeCount() != 1 {
-		t.Fatalf("SimpleCopy: degree %d edges %d", s.Degree(0), s.EdgeCount())
-	}
 }
 
 func TestDegrees(t *testing.T) {
@@ -84,7 +81,7 @@ func TestBFSAndDiameter(t *testing.T) {
 	if dist[0] != 0 || dist[1] != 1 || dist[7] != 2 {
 		t.Fatalf("BFS dists wrong: %v", dist)
 	}
-	if d := Diameter(p); d != 2 {
+	if d := Diameter(p, 0); d != 2 {
 		t.Fatalf("Petersen diameter = %d, want 2", d)
 	}
 	ecc, conn := Eccentricity(p, 3)
@@ -130,20 +127,13 @@ func TestBFSPath(t *testing.T) {
 
 func TestComponentsAndConnected(t *testing.T) {
 	d := NewDense(5, [][2]int{{0, 1}, {2, 3}})
-	comp, count := Components(d)
-	if count != 3 {
-		t.Fatalf("count = %d", count)
-	}
-	if comp[0] != comp[1] || comp[2] != comp[3] || comp[0] == comp[2] || comp[4] == comp[0] {
-		t.Fatalf("components = %v", comp)
-	}
 	if IsConnected(d, nil) {
 		t.Fatal("disconnected graph reported connected")
 	}
 	if !IsConnected(petersen(), nil) {
 		t.Fatal("Petersen reported disconnected")
 	}
-	if Diameter(d) != -1 {
+	if Diameter(d, 0) != -1 {
 		t.Fatal("Diameter of disconnected graph should be -1")
 	}
 	// Excluding vertex 4 and {2,3} leaves {0,1}: connected.
@@ -153,7 +143,11 @@ func TestComponentsAndConnected(t *testing.T) {
 }
 
 func TestDistanceHistogram(t *testing.T) {
-	hist := DistanceHistogram(petersen())
+	sweep := petersen().AllSourcesBits(nil, 0)
+	if !sweep.Complete {
+		t.Fatal("Petersen sweep incomplete")
+	}
+	hist := sweep.Hist
 	// 10 pairs at distance 0, 30 ordered pairs at distance 1 (15 edges),
 	// the remaining 60 ordered pairs at distance 2.
 	want := []int64{10, 30, 60}
@@ -165,15 +159,16 @@ func TestDistanceHistogram(t *testing.T) {
 			t.Fatalf("hist[%d] = %d, want %d", i, hist[i], want[i])
 		}
 	}
-	if h := DistanceHistogram(NewDense(3, nil)); h != nil {
-		t.Fatal("histogram of disconnected graph should be nil")
+	if NewDense(3, nil).AllSourcesBits(nil, 0).Complete {
+		t.Fatal("sweep of a disconnected graph reported complete")
 	}
 }
 
 func TestLocalConnectivityAndDisjointPaths(t *testing.T) {
 	p := petersen()
+	fs := NewFlowScratch(p)
 	for _, pair := range [][2]int{{0, 7}, {0, 2}, {5, 6}, {0, 1}} {
-		got := LocalConnectivity(p, pair[0], pair[1])
+		got := fs.LocalConnectivity(pair[0], pair[1], -1)
 		if got != 3 {
 			t.Fatalf("LocalConnectivity(%d,%d) = %d, want 3", pair[0], pair[1], got)
 		}
@@ -212,13 +207,13 @@ func TestConnectivity(t *testing.T) {
 		{"single", NewDense(1, nil), 0},
 	}
 	for _, c := range cases {
-		if got := Connectivity(c.g); got != c.want {
+		if got := Connectivity(c.g, 1); got != c.want {
 			t.Errorf("%s: Connectivity = %d, want %d", c.name, got, c.want)
 		}
 	}
 	// Vertex-transitive shortcut agrees on transitive instances.
 	for _, c := range cases[:2] {
-		if got := ConnectivityVertexTransitive(c.g); got != c.want {
+		if got := ConnectivityVertexTransitive(c.g, 1); got != c.want {
 			t.Errorf("%s: transitive Connectivity = %d, want %d", c.name, got, c.want)
 		}
 	}
@@ -227,12 +222,67 @@ func TestConnectivity(t *testing.T) {
 func TestConnectivityCutVertex(t *testing.T) {
 	// Two triangles sharing vertex 2: connectivity 1, cut at vertex 2.
 	d := NewDense(5, [][2]int{{0, 1}, {1, 2}, {2, 0}, {2, 3}, {3, 4}, {4, 2}})
-	if got := Connectivity(d); got != 1 {
+	if got := Connectivity(d, 1); got != 1 {
 		t.Fatalf("Connectivity = %d, want 1", got)
 	}
-	if got := LocalConnectivity(d, 0, 3); got != 1 {
+	if got := NewFlowScratch(d).LocalConnectivity(0, 3, -1); got != 1 {
 		t.Fatalf("LocalConnectivity(0,3) = %d, want 1", got)
 	}
+}
+
+// Product is the Cartesian product G □ H (Definition 3 of the paper uses
+// exactly this product to define HB(m,n) = H_m □ B_n): vertex (u,x) is
+// adjacent to (v,y) iff u=v and {x,y} is an edge of H, or x=y and {u,v}
+// is an edge of G.
+//
+// Vertices are encoded as u*H.Order() + x, i.e. the G coordinate is the
+// high digit. Product implements Graph lazily; Build it for algorithms
+// needing random access.
+type Product struct {
+	G, H Graph
+}
+
+// NewProduct returns the Cartesian product of g and h.
+func NewProduct(g, h Graph) *Product { return &Product{G: g, H: h} }
+
+// Order returns |G|·|H|.
+func (p *Product) Order() int { return p.G.Order() * p.H.Order() }
+
+// Encode maps a coordinate pair to a product vertex id.
+func (p *Product) Encode(u, x int) int { return u*p.H.Order() + x }
+
+// Decode splits a product vertex id into its (G, H) coordinates.
+func (p *Product) Decode(v int) (u, x int) { return v / p.H.Order(), v % p.H.Order() }
+
+// AppendNeighbors implements Graph.
+func (p *Product) AppendNeighbors(v int, buf []int) []int {
+	u, x := p.Decode(v)
+	start := len(buf)
+	buf = p.G.AppendNeighbors(u, buf)
+	for i := start; i < len(buf); i++ {
+		buf[i] = p.Encode(buf[i], x)
+	}
+	start = len(buf)
+	buf = p.H.AppendNeighbors(x, buf)
+	for i := start; i < len(buf); i++ {
+		buf[i] = p.Encode(u, buf[i])
+	}
+	return buf
+}
+
+// VertexLabel renders a product vertex as "(gLabel; hLabel)", using the
+// factors' own labels when available.
+func (p *Product) VertexLabel(v int) string {
+	u, x := p.Decode(v)
+	gl := fmt.Sprintf("%d", u)
+	if n, ok := p.G.(Named); ok {
+		gl = n.VertexLabel(u)
+	}
+	hl := fmt.Sprintf("%d", x)
+	if n, ok := p.H.(Named); ok {
+		hl = n.VertexLabel(x)
+	}
+	return "(" + gl + "; " + hl + ")"
 }
 
 func TestProduct(t *testing.T) {
@@ -255,7 +305,7 @@ func TestProduct(t *testing.T) {
 	if u != 2 || x != 1 {
 		t.Fatalf("Encode/Decode mismatch: %d,%d", u, x)
 	}
-	if got := Connectivity(d); got != 3 {
+	if got := Connectivity(d, 0); got != 3 {
 		t.Fatalf("prism connectivity = %d", got)
 	}
 }
@@ -278,7 +328,7 @@ func TestTorus(t *testing.T) {
 	if err := VerifyEmbedding(prod, d, phi); err != nil {
 		t.Fatalf("torus != C4 x C5: %v", err)
 	}
-	if got := Connectivity(d); got != 4 {
+	if got := Connectivity(d, 0); got != 4 {
 		t.Fatalf("torus connectivity = %d", got)
 	}
 }
@@ -350,23 +400,25 @@ func TestVerifyGeneratorAction(t *testing.T) {
 	}
 }
 
+// TestDiameterParallel pins Diameter across worker counts: the same
+// value from one worker, several, and the GOMAXPROCS default.
 func TestDiameterParallel(t *testing.T) {
 	p := petersen()
-	if got := DiameterParallel(p, 4); got != 2 {
-		t.Fatalf("DiameterParallel = %d", got)
+	if got := Diameter(p, 4); got != 2 {
+		t.Fatalf("Diameter(workers=4) = %d", got)
 	}
-	if got := DiameterParallel(p, 0); got != 2 {
-		t.Fatalf("DiameterParallel default workers = %d", got)
+	if got := Diameter(p, 0); got != 2 {
+		t.Fatalf("Diameter default workers = %d", got)
 	}
-	if got := DiameterParallel(NewDense(4, [][2]int{{0, 1}, {2, 3}}), 2); got != -1 {
-		t.Fatalf("disconnected DiameterParallel = %d", got)
+	if got := Diameter(NewDense(4, [][2]int{{0, 1}, {2, 3}}), 2); got != -1 {
+		t.Fatalf("disconnected Diameter = %d", got)
 	}
 	big := Build(Torus{N1: 11, N2: 13})
-	if seq, par := Diameter(big), DiameterParallel(big, 3); seq != par {
-		t.Fatalf("sequential %d vs parallel %d", seq, par)
+	if seq, par := Diameter(big, 1), Diameter(big, 3); seq != par {
+		t.Fatalf("one worker %d vs three %d", seq, par)
 	}
-	if got := DiameterParallel(NewDense(0, nil), 1); got != 0 {
-		t.Fatalf("empty DiameterParallel = %d", got)
+	if got := Diameter(NewDense(0, nil), 1); got != 0 {
+		t.Fatalf("empty Diameter = %d", got)
 	}
 }
 
@@ -387,35 +439,12 @@ func TestEdgeConnectivity(t *testing.T) {
 		{"bowtie", NewDense(5, [][2]int{{0, 1}, {1, 2}, {2, 0}, {2, 3}, {3, 4}, {4, 2}}), 2},
 	}
 	for _, c := range cases {
-		if got := EdgeConnectivity(c.g); got != c.want {
+		if got := EdgeConnectivity(c.g, 1); got != c.want {
 			t.Errorf("%s: EdgeConnectivity = %d, want %d", c.name, got, c.want)
 		}
 	}
-	if got := LocalEdgeConnectivity(petersen(), 0, 7); got != 3 {
+	if got := NewEdgeFlowScratch(petersen()).LocalEdgeConnectivity(0, 7, -1); got != 3 {
 		t.Errorf("LocalEdgeConnectivity = %d", got)
-	}
-}
-
-func TestGirth(t *testing.T) {
-	cases := []struct {
-		name string
-		g    Graph
-		want int
-	}{
-		{"petersen", petersen(), 5},
-		{"ring7", Ring{N: 7}, 7},
-		{"k4", Complete{N: 4}, 3},
-		{"path5", Path{N: 5}, -1},
-		{"torus4x5", Torus{N1: 4, N2: 5}, 4},
-		{"selfloop", NewDense(2, [][2]int{{0, 0}, {0, 1}}), 1},
-		{"multiedge", NewDense(2, [][2]int{{0, 1}, {0, 1}}), 2},
-		{"tree", CompleteBinaryTree{Levels: 4}, -1},
-		{"evencycle8", Ring{N: 8}, 8},
-	}
-	for _, c := range cases {
-		if got := Girth(c.g); got != c.want {
-			t.Errorf("%s: Girth = %d, want %d", c.name, got, c.want)
-		}
 	}
 }
 
@@ -475,9 +504,6 @@ func TestVerifyNodeToSetRejects(t *testing.T) {
 
 func TestMeshOfTreesDirect(t *testing.T) {
 	mt := MeshOfTrees{P: 2, Q: 2}
-	if err := CheckMeshOfTrees(mt); err != nil {
-		t.Fatal(err)
-	}
 	// Encode/Decode round trip over the ambient product.
 	for v := 0; v < mt.Order(); v++ {
 		i, j := mt.Decode(v)
@@ -504,8 +530,13 @@ func TestMeshOfTreesDirect(t *testing.T) {
 	if buf = mt.AppendNeighbors(pad, buf[:0]); len(buf) != 0 {
 		t.Fatalf("padding vertex has %d neighbors", len(buf))
 	}
-	if err := CheckMeshOfTrees(MeshOfTrees{P: -1, Q: 1}); err == nil {
-		t.Error("accepted negative p")
+	// The real vertices (padding excluded) form one connected graph.
+	padding := make([]bool, mt.Order())
+	for v := range padding {
+		padding[v] = !mt.Contains(v)
+	}
+	if !IsConnected(mt, padding) {
+		t.Fatal("mesh of trees disconnected")
 	}
 }
 

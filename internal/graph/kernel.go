@@ -13,10 +13,10 @@ import (
 // operates directly on the Dense offset/adjacency arrays — no Graph
 // interface dispatch, no per-vertex neighbor copying — and switches
 // between conventional top-down expansion and Beamer-style bottom-up
-// "pull" steps. All per-BFS state lives in a Scratch that callers (and
-// the AllSources driver) reuse, so a sweep performs zero steady-state
-// allocations per source. (Aggregate all-sources queries — diameter,
-// distance histogram — go through the 64-way bit-parallel engine in
+// "pull" steps. All per-BFS state lives in a Scratch that callers
+// reuse, so repeated queries perform zero steady-state allocations.
+// (Aggregate all-sources queries — diameter, distance histogram, fault
+// diameter — go through the 64-way bit-parallel engine in
 // bitparallel.go instead.)
 //
 // Three departures from the textbook formulation keep the constant
@@ -129,8 +129,8 @@ func (d *Dense) EccentricityScratch(src int, s *Scratch) (ecc int, connected boo
 }
 
 // bfsBits is the direction-optimizing kernel. excl (may be nil) is the
-// bit-packed fault set; it is only read, so one set can be shared by
-// every worker of a sweep. Results land in s (dist, reached, maxDist).
+// bit-packed fault set; it is only read. Results land in s (dist,
+// reached, maxDist).
 func (d *Dense) bfsBits(src int, excl *bitvec.Set, s *Scratch) {
 	n := len(d.offsets) - 1
 	s.grow(n)

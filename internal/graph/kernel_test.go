@@ -119,54 +119,6 @@ func TestKernelExcludedSourcePanics(t *testing.T) {
 	d.BFSScratch(3, excluded, NewScratch(8))
 }
 
-// TestAllSourcesVisitsEverySurvivor checks the sweep driver's coverage,
-// exclusion handling and per-worker scratch plumbing.
-func TestAllSourcesVisitsEverySurvivor(t *testing.T) {
-	n := 70
-	d := gnp(n, 0.2, 9)
-	excluded := randomExcluded(n, 0.25, 0, 10)
-	w := EffectiveWorkers(4, n)
-	seen := make([][]bool, w)
-	for i := range seen {
-		seen[i] = make([]bool, n)
-	}
-	AllSources(d, excluded, 4, func(worker, src int, s *Scratch) bool {
-		if excluded[src] {
-			t.Errorf("visited excluded source %d", src)
-		}
-		seen[worker][src] = true
-		return true
-	})
-	for src := 0; src < n; src++ {
-		count := 0
-		for _, sw := range seen {
-			if sw[src] {
-				count++
-			}
-		}
-		want := 1
-		if excluded[src] {
-			want = 0
-		}
-		if count != want {
-			t.Errorf("source %d visited %d times, want %d", src, count, want)
-		}
-	}
-}
-
-// TestAllSourcesCancel: a false visit return stops the sweep early.
-func TestAllSourcesCancel(t *testing.T) {
-	d := gnp(200, 0.05, 11)
-	visits := 0
-	AllSources(d, nil, 1, func(worker, src int, s *Scratch) bool {
-		visits++
-		return visits < 3
-	})
-	if visits != 3 {
-		t.Fatalf("visits = %d, want 3", visits)
-	}
-}
-
 // TestDiameterKernelAgainstReference cross-checks the pooled diameter
 // and histogram against a from-scratch reference computation.
 func TestDiameterKernelAgainstReference(t *testing.T) {
@@ -196,13 +148,16 @@ func TestDiameterKernelAgainstReference(t *testing.T) {
 			wantDiam = -1
 			refHist = nil
 		}
-		if got := Diameter(d); got != wantDiam {
-			t.Errorf("seed %d: Diameter = %d, want %d", seed, got, wantDiam)
+		if got := Diameter(d, 1); got != wantDiam {
+			t.Errorf("seed %d: Diameter(workers=1) = %d, want %d", seed, got, wantDiam)
 		}
-		if got := DiameterParallel(d, 3); got != wantDiam {
-			t.Errorf("seed %d: DiameterParallel = %d, want %d", seed, got, wantDiam)
+		if got := Diameter(d, 3); got != wantDiam {
+			t.Errorf("seed %d: Diameter(workers=3) = %d, want %d", seed, got, wantDiam)
 		}
-		got := DistanceHistogram(d)
+		var got []int64
+		if sweep := d.AllSourcesBits(nil, 0); sweep.Complete {
+			got = sweep.Hist
+		}
 		if len(got) != len(refHist) {
 			t.Fatalf("seed %d: hist %v, want %v", seed, got, refHist)
 		}

@@ -8,8 +8,8 @@ import (
 
 // This file is the Menger engine: the flat-CSR flow arena behind every
 // connectivity query (the C1/T5 ground truth, edge connectivity,
-// disjoint-path extraction) and the worker-pool pair fan-out that
-// computes global connectivity in parallel. It is the flow-side
+// disjoint-path extraction, node-to-set fans) and the worker-pool pair
+// fan-out that computes global connectivity. It is the flow-side
 // counterpart of the BFS kernel in kernel.go — a FlowScratch is built
 // once per graph (one CSR over the node-split or edge-doubled network,
 // reverse-arc indices precomputed), reset in place per (s,t) pair with
@@ -17,12 +17,13 @@ import (
 // iterative (non-recursive) Dinic augmenter whose per-pair steady state
 // performs zero allocations.
 //
-// The pre-engine per-pair implementation — rebuild the [][]flowEdge
-// network from scratch, recursive DFS augmentation, serial unbounded
-// seed loops — is retained verbatim in flow.go/edgeconn.go as
-// ConnectivityReference / LocalConnectivityReference /
-// EdgeConnectivityReference: the differential-test oracle and the
-// before/after benchmark baseline (see BENCH_conn.json, E-T5/E-EC).
+// The paper's Theorem 5 claims m+4 node-disjoint paths between any two
+// hyper-butterfly nodes and Corollary 1 concludes vertex connectivity
+// m+4; these routines are the independent ground truth those claims are
+// tested against. The pre-engine per-pair max-flow (network rebuilt per
+// call, recursive augmentation) lives in the package's test code as the
+// *Reference differential oracle and benchmark baseline (see
+// BENCH_conn.json, E-T5/E-EC).
 
 // terminalCap is the effectively-infinite split-arc capacity of the two
 // terminals of a vertex-connectivity query; 127 is far above any degree
@@ -64,12 +65,12 @@ type FlowScratch struct {
 	pathPos []int32 // original vertex -> index in the path being walked
 }
 
-// splitInN and splitOutN map an original vertex to its node-split
-// halves (shared with the reference implementation in flow.go).
+// splitIn and splitOut map an original vertex to its node-split halves.
+func splitIn(v int) int  { return 2 * v }
+func splitOut(v int) int { return 2*v + 1 }
 
 // NewFlowScratch builds the node-split flow arena of d for vertex
-// connectivity queries. Multi-edges and self-loops are ignored, exactly
-// as in LocalConnectivityReference.
+// connectivity queries. Multi-edges and self-loops are ignored.
 func NewFlowScratch(d *Dense) *FlowScratch {
 	n := d.Order()
 	fs := &FlowScratch{n: n, nodeSplit: true}
@@ -102,8 +103,7 @@ func NewFlowScratch(d *Dense) *FlowScratch {
 }
 
 // NewEdgeFlowScratch builds the edge-doubled flow arena of d for edge
-// connectivity queries (multi-edges and self-loops ignored, as in
-// EdgeConnectivityReference).
+// connectivity queries (multi-edges and self-loops ignored).
 func NewEdgeFlowScratch(d *Dense) *FlowScratch {
 	n := d.Order()
 	fs := &FlowScratch{n: n, nodeSplit: false}
@@ -447,7 +447,7 @@ func runConnPairs(pairs []connPair, best *atomic.Int32, workers int, skipSeedsPa
 	if len(pairs) == 0 {
 		return
 	}
-	w := EffectiveWorkers(workers, (len(pairs)+connChunk-1)/connChunk)
+	w := effectiveWorkers(workers, (len(pairs)+connChunk-1)/connChunk)
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(w)
@@ -478,16 +478,30 @@ func runConnPairs(pairs []connPair, best *atomic.Int32, workers int, skipSeedsPa
 	wg.Wait()
 }
 
-// ConnectivityParallel computes the vertex connectivity of d exactly on
-// the Menger engine, fanning the seed-argument pairs across a worker
-// pool (workers <= 0 means GOMAXPROCS). Semantics are identical to
-// ConnectivityReference: the classic seed argument processes seeds
-// until their count exceeds the best cut found, which the minimum
-// simple degree bounds from the start (kappa <= delta), so the pair
-// list covers seeds 0..delta and the shared atomic bound prunes both
-// in-flight flows and whole seeds as the best cut drops. Complete
-// graphs (no non-adjacent pair) return n-1.
-func ConnectivityParallel(d *Dense, workers int) int {
+// DisjointPaths returns a maximum set of pairwise internally
+// vertex-disjoint s-t paths in d, each as a vertex sequence including the
+// endpoints. If limit >= 0, at most limit paths are returned. An error
+// (never seen on well-formed inputs) reports a failed flow
+// decomposition. Callers extracting paths for many pairs of one graph
+// should hold a NewFlowScratch and call its DisjointPaths method.
+func DisjointPaths(d *Dense, s, t, limit int) ([][]int, error) {
+	if s == t {
+		return [][]int{{s}}, nil
+	}
+	return NewFlowScratch(d).DisjointPaths(s, t, limit)
+}
+
+// Connectivity computes the vertex connectivity of d exactly with the
+// classic seed argument: a minimum cut C has |C| = kappa vertices, so
+// among any kappa+1 seed vertices at least one lies outside C, and the
+// minimum local connectivity from that seed to its non-neighbours is
+// |C|. The minimum simple degree caps kappa from the start, so the pair
+// list covers seeds 0..delta; the pairs fan out across `workers`
+// goroutines (GOMAXPROCS when workers <= 0), and the shared atomic
+// bound prunes both in-flight flows and whole seeds as the best cut
+// drops. The result does not depend on workers. Complete graphs (no
+// non-adjacent pair) return n-1.
+func Connectivity(d *Dense, workers int) int {
 	n := d.Order()
 	if n <= 1 {
 		return 0
@@ -511,11 +525,11 @@ func ConnectivityParallel(d *Dense, workers int) int {
 	return int(best.Load())
 }
 
-// ConnectivityVertexTransitiveParallel is ConnectivityParallel under
-// the vertex-transitivity shortcut of ConnectivityVertexTransitive:
-// some minimum cut avoids the base vertex 0, so the single seed 0
-// suffices. All the Cayley graphs in this repository qualify.
-func ConnectivityVertexTransitiveParallel(d *Dense, workers int) int {
+// ConnectivityVertexTransitive is Connectivity for a vertex-transitive
+// d: some minimum cut avoids the base vertex 0 (an automorphism can
+// always move the cut off it), so the single seed 0 suffices. All the
+// Cayley graphs in this repository qualify.
+func ConnectivityVertexTransitive(d *Dense, workers int) int {
 	n := d.Order()
 	if n <= 1 {
 		return 0
@@ -535,11 +549,14 @@ func ConnectivityVertexTransitiveParallel(d *Dense, workers int) int {
 	return int(best.Load())
 }
 
-// EdgeConnectivityParallel computes the edge connectivity of d exactly
-// on the Menger engine: every edge cut separates vertex 0 from some
-// other vertex, so the pairs (0, v) cover all cuts; the minimum simple
-// degree seeds the shared bound (lambda <= delta).
-func EdgeConnectivityParallel(d *Dense, workers int) int {
+// EdgeConnectivity computes the edge connectivity of d exactly on the
+// edge-doubled arena: every edge cut separates vertex 0 from some other
+// vertex, so the pairs (0, v) cover all cuts; the minimum simple degree
+// seeds the shared bound (lambda <= delta). Edge connectivity
+// complements the paper's node fault tolerance: a network also loses
+// links, and for the regular networks here lambda equals the degree.
+// workers is as for Connectivity.
+func EdgeConnectivity(d *Dense, workers int) int {
 	n := d.Order()
 	if n <= 1 {
 		return 0

@@ -6,8 +6,8 @@ import (
 )
 
 // Differential tests of the FlowScratch Menger engine (menger.go)
-// against the retained reference implementations: random graphs here,
-// every conformance topology in differential_test.go, and the
+// against the test-only reference flow of oracle_test.go: random graphs
+// here, every conformance topology in differential_test.go, and the
 // FuzzLocalConnectivity target below. The engine must match the
 // reference exactly — same counts, same global minima — on every input.
 
@@ -80,28 +80,23 @@ func TestFlowScratchMatchesReferenceRandom(t *testing.T) {
 				}
 			}
 			wantK := ConnectivityReference(d)
-			if got := Connectivity(d); got != wantK {
-				t.Fatalf("n=%d p=%v seed %d: Connectivity = %d, reference %d", c.n, c.p, seed, got, wantK)
-			}
+			wantL := EdgeConnectivityReference(d)
 			for _, workers := range []int{1, 4} {
-				if got := ConnectivityParallel(d, workers); got != wantK {
-					t.Fatalf("n=%d p=%v seed %d: ConnectivityParallel(w=%d) = %d, reference %d",
+				if got := Connectivity(d, workers); got != wantK {
+					t.Fatalf("n=%d p=%v seed %d: Connectivity(w=%d) = %d, reference %d",
 						c.n, c.p, seed, workers, got, wantK)
 				}
-			}
-			wantL := EdgeConnectivityReference(d)
-			if got := EdgeConnectivity(d); got != wantL {
-				t.Fatalf("n=%d seed %d: EdgeConnectivity = %d, reference %d", c.n, seed, got, wantL)
-			}
-			if got := EdgeConnectivityParallel(d, 3); got != wantL {
-				t.Fatalf("n=%d seed %d: EdgeConnectivityParallel = %d, reference %d", c.n, seed, got, wantL)
+				if got := EdgeConnectivity(d, workers); got != wantL {
+					t.Fatalf("n=%d seed %d: EdgeConnectivity(w=%d) = %d, reference %d",
+						c.n, seed, workers, got, wantL)
+				}
 			}
 		}
 	}
 }
 
 // TestParallelDriversEdgeCases pins the degenerate inputs the drivers
-// share with the serial API: empty, singleton, disconnected, complete.
+// handle at several workers: empty, singleton, disconnected, complete.
 func TestParallelDriversEdgeCases(t *testing.T) {
 	cases := []struct {
 		name string
@@ -116,18 +111,18 @@ func TestParallelDriversEdgeCases(t *testing.T) {
 		{"petersen", petersen(), 3},
 	}
 	for _, c := range cases {
-		if got := ConnectivityParallel(c.d, 2); got != c.want {
-			t.Errorf("%s: ConnectivityParallel = %d, want %d", c.name, got, c.want)
+		if got := Connectivity(c.d, 2); got != c.want {
+			t.Errorf("%s: Connectivity = %d, want %d", c.name, got, c.want)
 		}
-		if got := ConnectivityVertexTransitiveParallel(c.d, 2); got != c.want {
-			t.Errorf("%s: ConnectivityVertexTransitiveParallel = %d, want %d", c.name, got, c.want)
+		if got := ConnectivityVertexTransitive(c.d, 2); got != c.want {
+			t.Errorf("%s: ConnectivityVertexTransitive = %d, want %d", c.name, got, c.want)
 		}
 	}
-	if got := EdgeConnectivityParallel(petersen(), 2); got != 3 {
-		t.Errorf("petersen: EdgeConnectivityParallel = %d, want 3", got)
+	if got := EdgeConnectivity(petersen(), 2); got != 3 {
+		t.Errorf("petersen: EdgeConnectivity = %d, want 3", got)
 	}
-	if got := EdgeConnectivityParallel(NewDense(4, [][2]int{{0, 1}, {2, 3}}), 2); got != 0 {
-		t.Errorf("disconnected: EdgeConnectivityParallel = %d, want 0", got)
+	if got := EdgeConnectivity(NewDense(4, [][2]int{{0, 1}, {2, 3}}), 2); got != 0 {
+		t.Errorf("disconnected: EdgeConnectivity = %d, want 0", got)
 	}
 }
 
@@ -258,4 +253,64 @@ func FuzzLocalConnectivity(f *testing.F) {
 			t.Fatalf("LocalEdgeConnectivity(%d,%d) = %d, reference %d", s, u, got, wantE)
 		}
 	})
+}
+
+// TestNodeToSetMatchesReferenceRandom compares NodeToSetDisjointPaths
+// (the sink-augmented Menger arena) with the test-only flowNet reference
+// on seeded G(n,p) graphs. Target sets range from one vertex to more
+// than the source's degree, so many are infeasible; sparse graphs also
+// disconnect targets. Both implementations must agree on the error
+// (same message, or both nil), and every fan returned must verify.
+func TestNodeToSetMatchesReferenceRandom(t *testing.T) {
+	cases := []struct {
+		n          int
+		p          float64
+		degenerate bool
+	}{
+		{4, 0.5, false},
+		{10, 0.3, true},
+		{16, 0.2, false},
+		{16, 0.4, true},
+		{24, 0.15, false},
+		{32, 0.25, true},
+	}
+	fans, infeasible := 0, 0
+	for _, c := range cases {
+		for seed := int64(0); seed < 6; seed++ {
+			rng := rand.New(rand.NewSource(seed*131 + int64(c.n)))
+			d := randomDense(rng, c.n, c.p, c.degenerate)
+			for trial := 0; trial < 20; trial++ {
+				src := rng.Intn(c.n)
+				k := 1 + rng.Intn(c.n-1)
+				if k > 8 {
+					k = 1 + rng.Intn(8)
+				}
+				targets := make([]int, 0, k)
+				for _, v := range rng.Perm(c.n) {
+					if v != src && len(targets) < k {
+						targets = append(targets, v)
+					}
+				}
+				got, gerr := NodeToSetDisjointPaths(d, src, targets)
+				want, werr := NodeToSetDisjointPathsReference(d, src, targets)
+				if (gerr == nil) != (werr == nil) || (gerr != nil && gerr.Error() != werr.Error()) {
+					t.Fatalf("n=%d seed %d src %d targets %v: error %v, reference %v", c.n, seed, src, targets, gerr, werr)
+				}
+				if gerr != nil {
+					infeasible++
+					continue
+				}
+				fans++
+				if err := VerifyNodeToSetPaths(d, src, targets, got); err != nil {
+					t.Fatalf("n=%d seed %d src %d targets %v: %v", c.n, seed, src, targets, err)
+				}
+				if err := VerifyNodeToSetPaths(d, src, targets, want); err != nil {
+					t.Fatalf("n=%d seed %d src %d targets %v: reference: %v", c.n, seed, src, targets, err)
+				}
+			}
+		}
+	}
+	if fans == 0 || infeasible == 0 {
+		t.Fatalf("fixture too narrow: %d fans, %d infeasible sets", fans, infeasible)
+	}
 }

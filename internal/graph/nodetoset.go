@@ -9,16 +9,18 @@ import "fmt"
 // exist whenever len(targets) <= kappa(G) by Menger's theorem
 // (fan lemma); HB(m,n) therefore supports fans of size m+4.
 //
-// Implementation: unit-capacity max-flow on the node-split graph with a
-// super-sink attached to every target (targets keep capacity 1 so each
-// is the endpoint of exactly one path). Returns an error if some target
-// cannot be reached disjointly.
+// Implementation: the fan lemma's own reduction. A sink vertex n =
+// d.Order() joined to every target turns the fan into len(targets)
+// internally disjoint src-sink paths, which the Menger engine extracts
+// (targets keep split capacity 1, so each ends exactly one path); the
+// sink is then stripped from every path. Returns an error if some
+// target cannot be reached disjointly.
 func NodeToSetDisjointPaths(d *Dense, src int, targets []int) ([][]int, error) {
 	if len(targets) == 0 {
 		return nil, nil
 	}
 	n := d.Order()
-	isTarget := make(map[int]bool, len(targets))
+	isTarget := make([]bool, n)
 	for _, t := range targets {
 		if t < 0 || t >= n {
 			return nil, fmt.Errorf("graph: target %d out of range [0,%d)", t, n)
@@ -31,85 +33,37 @@ func NodeToSetDisjointPaths(d *Dense, src int, targets []int) ([][]int, error) {
 		}
 		isTarget[t] = true
 	}
-
-	// Node-split network plus a super-sink at index 2n.
-	f := newFlowNet(2*n + 1)
-	sink := 2 * n
-	for v := 0; v < n; v++ {
-		cap := int8(1)
-		if v == src {
-			cap = 127
-		}
-		f.addArc(splitIn(v), splitOut(v), cap)
-		prev := int32(-1)
-		for _, w := range d.Neighbors(v) {
-			if w == prev || int(w) == v {
-				prev = w
-				continue
-			}
-			prev = w
-			f.addArc(splitOut(v), splitIn(int(w)), 1)
-		}
+	paths, err := NewFlowScratch(d.withSink(isTarget, len(targets))).DisjointPaths(src, n, len(targets))
+	if err != nil {
+		return nil, err
 	}
-	for t := range isTarget {
-		f.addArc(splitOut(t), sink, 1)
+	if len(paths) != len(targets) {
+		return nil, fmt.Errorf("graph: only %d of %d disjoint paths exist from %d", len(paths), len(targets), src)
 	}
-	flow := f.maxFlow(splitOut(src), sink, len(targets))
-	if flow != len(targets) {
-		return nil, fmt.Errorf("graph: only %d of %d disjoint paths exist from %d", flow, len(targets), src)
-	}
-
-	// Decompose: walk flow-carrying arcs from src; each walk ends at a
-	// target whose sink arc is saturated.
-	used := make([][]bool, len(f.edges))
-	for v := range used {
-		used[v] = make([]bool, len(f.edges[v]))
-	}
-	next := func(v int) int {
-		for i, e := range f.edges[v] {
-			if used[v][i] || int(e.to) == sink {
-				continue
-			}
-			if f.edges[e.to][e.rev].cap > 0 && isForwardArc(f, v, i) {
-				used[v][i] = true
-				return int(e.to)
-			}
-		}
-		return -1
-	}
-	// A walk can never pass *through* a target: its split arc has
-	// capacity 1 and that unit leaves via the sink, so every walk from
-	// src terminates exactly at its own target (loops en route are cut
-	// out as in DisjointPaths).
-	paths := make([][]int, 0, len(targets))
-	for k := 0; k < len(targets); k++ {
-		path := []int{src}
-		at := map[int]int{src: 0}
-		v := splitOut(src)
-		for {
-			w := next(v)
-			if w == -1 {
-				break
-			}
-			orig := w / 2
-			if i, seen := at[orig]; seen {
-				for _, x := range path[i+1:] {
-					delete(at, x)
-				}
-				path = path[:i+1]
-			} else {
-				at[orig] = len(path)
-				path = append(path, orig)
-			}
-			v = splitOut(orig)
-		}
-		last := path[len(path)-1]
-		if !isTarget[last] {
-			return nil, fmt.Errorf("graph: flow decomposition ended at non-target %d", last)
-		}
-		paths = append(paths, path)
+	for i, p := range paths {
+		paths[i] = p[:len(p)-1]
 	}
 	return paths, nil
+}
+
+// withSink returns d plus one vertex, numbered d.Order(), adjacent to
+// each of the k vertices v with isTarget[v]. Rows stay sorted: the new
+// neighbour is larger than every existing one.
+func (d *Dense) withSink(isTarget []bool, k int) *Dense {
+	n := d.Order()
+	g := &Dense{offsets: make([]int32, n+2), adj: make([]int32, 0, len(d.adj)+2*k)}
+	sinkRow := make([]int32, 0, k)
+	for v := 0; v < n; v++ {
+		g.adj = append(g.adj, d.Neighbors(v)...)
+		if isTarget[v] {
+			g.adj = append(g.adj, int32(n))
+			sinkRow = append(sinkRow, int32(v))
+		}
+		g.offsets[v+1] = int32(len(g.adj))
+	}
+	g.adj = append(g.adj, sinkRow...)
+	g.offsets[n+1] = int32(len(g.adj))
+	return g
 }
 
 // VerifyNodeToSetPaths checks that paths is a valid fan: path i runs
@@ -145,17 +99,4 @@ func VerifyNodeToSetPaths(g Graph, src int, targets []int, paths [][]int) error 
 		}
 	}
 	return nil
-}
-
-// isForwardArc reports whether edge index i out of v was created by
-// addArc as a real (capacity-bearing) arc rather than a residual. Real
-// arcs from an out-node go to in-nodes; real arcs from an in-node go to
-// the matching out-node.
-func isForwardArc(f *flowNet, v, i int) bool {
-	e := f.edges[v][i]
-	if v%2 == 1 { // out-node: forward arcs lead to in-nodes of neighbors
-		return e.to%2 == 0
-	}
-	// in-node: the only forward arc is to its own out-node
-	return int(e.to) == v+1
 }

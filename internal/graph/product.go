@@ -2,61 +2,6 @@ package graph
 
 import "fmt"
 
-// Product is the Cartesian product G □ H (Definition 3 of the paper uses
-// exactly this product to define HB(m,n) = H_m □ B_n): vertex (u,x) is
-// adjacent to (v,y) iff u=v and {x,y} is an edge of H, or x=y and {u,v}
-// is an edge of G.
-//
-// Vertices are encoded as u*H.Order() + x, i.e. the G coordinate is the
-// high digit. Product implements Graph lazily; Build it for algorithms
-// needing random access.
-type Product struct {
-	G, H Graph
-}
-
-// NewProduct returns the Cartesian product of g and h.
-func NewProduct(g, h Graph) *Product { return &Product{G: g, H: h} }
-
-// Order returns |G|·|H|.
-func (p *Product) Order() int { return p.G.Order() * p.H.Order() }
-
-// Encode maps a coordinate pair to a product vertex id.
-func (p *Product) Encode(u, x int) int { return u*p.H.Order() + x }
-
-// Decode splits a product vertex id into its (G, H) coordinates.
-func (p *Product) Decode(v int) (u, x int) { return v / p.H.Order(), v % p.H.Order() }
-
-// AppendNeighbors implements Graph.
-func (p *Product) AppendNeighbors(v int, buf []int) []int {
-	u, x := p.Decode(v)
-	start := len(buf)
-	buf = p.G.AppendNeighbors(u, buf)
-	for i := start; i < len(buf); i++ {
-		buf[i] = p.Encode(buf[i], x)
-	}
-	start = len(buf)
-	buf = p.H.AppendNeighbors(x, buf)
-	for i := start; i < len(buf); i++ {
-		buf[i] = p.Encode(u, buf[i])
-	}
-	return buf
-}
-
-// VertexLabel renders a product vertex as "(gLabel; hLabel)", using the
-// factors' own labels when available.
-func (p *Product) VertexLabel(v int) string {
-	u, x := p.Decode(v)
-	gl := fmt.Sprintf("%d", u)
-	if n, ok := p.G.(Named); ok {
-		gl = n.VertexLabel(u)
-	}
-	hl := fmt.Sprintf("%d", x)
-	if n, ok := p.H.(Named); ok {
-		hl = n.VertexLabel(x)
-	}
-	return "(" + gl + "; " + hl + ")"
-}
-
 // Ring is the cycle graph C(n) for n >= 3. It is both a test fixture and
 // the building block of the wrap-around meshes of Section 4.
 type Ring struct{ N int }

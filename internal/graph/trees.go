@@ -1,7 +1,5 @@
 package graph
 
-import "fmt"
-
 // CompleteBinaryTree is the complete binary tree T(k) of the paper's
 // Section 4: k levels and 2^k - 1 vertices in heap order (root 0,
 // children of i at 2i+1 and 2i+2).
@@ -98,38 +96,4 @@ func (mt MeshOfTrees) AppendNeighbors(v int, buf []int) []int {
 		}
 	}
 	return buf
-}
-
-// CheckMeshOfTrees validates the structural invariants of mt itself:
-// every real vertex has the expected degree and the graph restricted to
-// real vertices is connected. It guards the fixture used by Theorem 4's
-// experiment.
-func CheckMeshOfTrees(mt MeshOfTrees) error {
-	if mt.P < 0 || mt.Q < 0 {
-		return fmt.Errorf("graph: invalid MT(2^%d, 2^%d)", mt.P, mt.Q)
-	}
-	var buf []int
-	real := 0
-	var sample int
-	for v := 0; v < mt.Order(); v++ {
-		if !mt.Contains(v) {
-			continue
-		}
-		real++
-		sample = v
-		if buf = mt.AppendNeighbors(v, buf[:0]); len(buf) == 0 {
-			return fmt.Errorf("graph: isolated mesh-of-trees vertex %d", v)
-		}
-	}
-	want := mt.rows()*(1<<uint(mt.Q)) + mt.cols()*(1<<uint(mt.P)) - 1<<uint(mt.P+mt.Q)
-	if real != want {
-		return fmt.Errorf("graph: MT(2^%d,2^%d) has %d real vertices, want %d", mt.P, mt.Q, real, want)
-	}
-	dist := BFS(mt, sample, nil)
-	for v := 0; v < mt.Order(); v++ {
-		if mt.Contains(v) && dist[v] == Unreachable {
-			return fmt.Errorf("graph: mesh-of-trees vertex %d unreachable", v)
-		}
-	}
-	return nil
 }

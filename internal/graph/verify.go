@@ -123,3 +123,43 @@ func VerifyGeneratorAction(g Graph, degree int) error {
 	}
 	return nil
 }
+
+// VerifyDisjointPaths checks that paths is a set of pairwise internally
+// vertex-disjoint s-t paths in g, each a valid walk on edges of g with
+// distinct internal vertices. It returns nil if all constraints hold.
+func VerifyDisjointPaths(g Graph, s, t int, paths [][]int) error {
+	seen := make(map[int]int) // internal vertex -> path index
+	var buf []int
+	for pi, p := range paths {
+		if len(p) == 0 || p[0] != s || p[len(p)-1] != t {
+			return fmt.Errorf("graph: path %d does not run %d..%d: %v", pi, s, t, p)
+		}
+		inPath := make(map[int]bool, len(p))
+		for i, v := range p {
+			if inPath[v] {
+				return fmt.Errorf("graph: path %d revisits vertex %d", pi, v)
+			}
+			inPath[v] = true
+			if i > 0 {
+				buf = g.AppendNeighbors(p[i-1], buf[:0])
+				ok := false
+				for _, w := range buf {
+					if w == v {
+						ok = true
+						break
+					}
+				}
+				if !ok {
+					return fmt.Errorf("graph: path %d uses non-edge %d-%d", pi, p[i-1], v)
+				}
+			}
+			if v != s && v != t {
+				if other, dup := seen[v]; dup {
+					return fmt.Errorf("graph: paths %d and %d share internal vertex %d", other, pi, v)
+				}
+				seen[v] = pi
+			}
+		}
+	}
+	return nil
+}

@@ -5,18 +5,18 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
-	"repro/internal/wormhole"
 )
 
-// The event-driven engine and the retained cycle-scan oracle implement
-// the same switching semantics but draw injections from different
-// random streams (per-shard geometric gaps vs one Bernoulli sweep), so
-// the differential check is statistical: averaged over seeds, offered
-// load, delivered throughput, and latency must agree within tolerance,
-// and the deadlock verdicts must match exactly. One systematic gap is
-// accounted for: the oracle silently discards self-addressed draws
-// (effective rate r(1-1/n)) while the engine redraws, so throughput is
-// compared after scaling the oracle up by n/(n-1).
+// The event-driven engine and the cycle-scan oracle of oracle_test.go
+// implement the same switching semantics but draw injections from
+// different random streams (per-shard geometric gaps vs one Bernoulli
+// sweep), so the differential check is statistical: averaged over
+// seeds, offered load, delivered throughput, and latency must agree
+// within tolerance, and the deadlock verdicts must match exactly. One
+// systematic gap is accounted for: the oracle silently discards
+// self-addressed draws (effective rate r(1-1/n)) while the engine
+// redraws, so throughput is compared after scaling the oracle up by
+// n/(n-1).
 
 type stats struct {
 	throughput float64 // delivered packets per cycle
@@ -24,12 +24,12 @@ type stats struct {
 	fraction   float64 // delivered / injected
 }
 
-func oracleStats(t *testing.T, g graph.Graph, cfg wormhole.Config, seeds []int64) stats {
+func oracleStats(t *testing.T, g graph.Graph, cfg oracleConfig, seeds []int64) stats {
 	t.Helper()
 	var s stats
 	for _, seed := range seeds {
 		cfg.Seed = seed
-		res, err := wormhole.Run(g, cfg)
+		res, err := runOracle(g, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,11 +106,11 @@ func TestDifferentialRing(t *testing.T) {
 	cycles := 6000
 	eng := engineStats(t, ring, Config{
 		Cycles: cycles, Rate: 0.03, PacketLen: 3, BufDepth: 2, VCs: 2,
-		MaxRoute: n - 1, Route: cwRingRoute(n), Policy: wormhole.RingDateline(n),
+		MaxRoute: n - 1, Route: cwRingRoute(n), Policy: ringDateline(n),
 	}, diffSeeds)
-	ora := oracleStats(t, ring, wormhole.Config{
+	ora := oracleStats(t, ring, oracleConfig{
 		Cycles: cycles, Rate: 0.03, PacketLen: 3, BufDepth: 2, VCs: 2,
-		Route: cwRingRoute(n), Policy: wormhole.RingDateline(n),
+		Route: cwRingRoute(n), Policy: ringDateline(n),
 	}, diffSeeds)
 	checkAgreement(t, eng, ora, n)
 }
@@ -122,11 +122,11 @@ func TestDifferentialHB(t *testing.T) {
 	cycles := 5000
 	eng := engineStats(t, hb, Config{
 		Cycles: cycles, Rate: 0.06, PacketLen: 3, BufDepth: 2, VCs: 4,
-		MaxRoute: hb.DiameterFormula(), Route: hb.Route, Policy: wormhole.HBDateline(hb),
+		MaxRoute: hb.DiameterFormula(), Route: hb.Route, Policy: HBDateline(hb),
 	}, diffSeeds)
-	ora := oracleStats(t, hb, wormhole.Config{
+	ora := oracleStats(t, hb, oracleConfig{
 		Cycles: cycles, Rate: 0.06, PacketLen: 3, BufDepth: 2, VCs: 4,
-		Route: hb.Route, Policy: wormhole.HBDateline(hb),
+		Route: hb.Route, Policy: HBDateline(hb),
 	}, diffSeeds)
 	checkAgreement(t, eng, ora, hb.Order())
 }
@@ -138,9 +138,9 @@ func TestDifferentialDeadlockParity(t *testing.T) {
 	const n = 8
 	ring := graph.Ring{N: n}
 	for _, seed := range []int64{3, 17} {
-		ores, err := wormhole.Run(ring, wormhole.Config{
+		ores, err := runOracle(ring, oracleConfig{
 			Cycles: 4000, Rate: 0.5, PacketLen: 4, BufDepth: 1, VCs: 1,
-			Route: cwRingRoute(n), Policy: wormhole.SingleVC, Seed: seed,
+			Route: cwRingRoute(n), Policy: SingleVC, Seed: seed,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -150,7 +150,7 @@ func TestDifferentialDeadlockParity(t *testing.T) {
 		}
 		e, err := New(ring, Config{
 			Cycles: 4000, Rate: 0.5, PacketLen: 4, BufDepth: 1, VCs: 1,
-			MaxRoute: n - 1, Route: cwRingRoute(n), Policy: wormhole.SingleVC, Seed: seed,
+			MaxRoute: n - 1, Route: cwRingRoute(n), Policy: SingleVC, Seed: seed,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -165,7 +165,7 @@ func TestDifferentialDeadlockParity(t *testing.T) {
 
 		e, err = New(ring, Config{
 			Cycles: 4000, Rate: 0.5, PacketLen: 4, BufDepth: 1, VCs: 2,
-			MaxRoute: n - 1, Route: cwRingRoute(n), Policy: wormhole.RingDateline(n), Seed: seed,
+			MaxRoute: n - 1, Route: cwRingRoute(n), Policy: ringDateline(n), Seed: seed,
 		})
 		if err != nil {
 			t.Fatal(err)

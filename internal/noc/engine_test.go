@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/graph"
-	"repro/internal/wormhole"
 )
 
 // hbAdaptive is the canonical adaptive configuration for HB(m,n):
@@ -56,7 +55,7 @@ func TestConfigValidation(t *testing.T) {
 		{"maxroute", func(c *Config) { c.MaxRoute = 0 }},
 		{"shards", func(c *Config) { c.Shards = 3 }},
 		{"workers", func(c *Config) { c.Workers = -1 }},
-		{"both-modes", func(c *Config) { c.Route = cwRingRoute(4); c.Policy = wormhole.SingleVC }},
+		{"both-modes", func(c *Config) { c.Route = cwRingRoute(4); c.Policy = SingleVC }},
 		{"no-mode", func(c *Config) { c.Adaptive = nil }},
 		{"route-only", func(c *Config) { c.Adaptive = nil; c.Route = cwRingRoute(4) }},
 		{"no-escape", func(c *Config) { c.Adaptive = &AdaptiveConfig{Distance: hb.Distance, AppendRoute: hb.AppendRoute} }},
@@ -79,7 +78,7 @@ func TestObliviousLightLoad(t *testing.T) {
 	ring := graph.Ring{N: 8}
 	e, err := New(ring, Config{
 		Cycles: 2000, Rate: 0.01, PacketLen: 3, BufDepth: 4, VCs: 2,
-		MaxRoute: 8, Route: cwRingRoute(8), Policy: wormhole.RingDateline(8), Seed: 2,
+		MaxRoute: 8, Route: cwRingRoute(8), Policy: ringDateline(8), Seed: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -438,7 +437,7 @@ func TestDeadlockFastForwardParity(t *testing.T) {
 	}
 	e, err := New(ring, Config{
 		Cycles: 4000, PacketLen: 4, BufDepth: 1, VCs: 1, DeadlockAt: 64,
-		MaxRoute: n - 1, Route: cwRingRoute(n), Policy: wormhole.SingleVC,
+		MaxRoute: n - 1, Route: cwRingRoute(n), Policy: SingleVC,
 		Messages: msgs, Links: far,
 	})
 	if err != nil {

@@ -18,8 +18,8 @@ import (
 // alone and strictly increases along every escape walk, the escape
 // channel-dependency graph is acyclic — the checkable deadlock-freedom
 // argument TestEscapeDependencyAcyclic and the conformance
-// escape-acyclic invariant assert, replacing the purely observational
-// detector of package wormhole.
+// escape-acyclic invariant assert, replacing a purely observational
+// deadlock detector.
 type Escape interface {
 	// Classes returns how many escape virtual channels each directed
 	// link needs (dateline-style wrap classes; 1 when no link is ever

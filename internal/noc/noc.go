@@ -1,9 +1,9 @@
 // Package noc is the repository's network simulator: a discrete-event
 // engine for flit-level wormhole switching behind every dynamic
 // experiment (traffic, chaos, wormhole deadlock, NoC saturation). It is
-// the production-scale successor to the O(nodes x cycles) scan loop of
-// internal/wormhole, which is kept as its differential oracle. Three
-// ideas carry the throughput:
+// the production-scale successor to an O(nodes x cycles) scan loop,
+// which the package's test code keeps as its differential oracle
+// (oracle_test.go). Three ideas carry the throughput:
 //
 //   - event-driven injection: each node's next injection cycle is drawn
 //     geometrically and kept in a per-shard min-heap, so a cycle costs
@@ -20,8 +20,8 @@
 //     (TestNoCSteadyStateAllocs).
 //
 // The engine runs in two routing modes. Oblivious mode replays a fixed
-// Route/VCPolicy pair (the same contract as package wormhole, which is
-// retained as the differential oracle). Adaptive mode implements
+// Route/VCPolicy pair (policy.go; the same contract as the scan-loop
+// oracle). Adaptive mode implements
 // congestion-aware routing with an explicit escape channel in the style
 // of Duato's protocol: each hop chooses among the minimal next hops —
 // the first vertices of the paper's disjoint candidate paths — by local
@@ -49,7 +49,6 @@ import (
 	"repro/internal/collectives"
 	"repro/internal/faults"
 	"repro/internal/graph"
-	"repro/internal/wormhole"
 )
 
 // AdaptiveConfig selects adaptive routing with escape-channel deadlock
@@ -88,7 +87,7 @@ type Config struct {
 	MaxRoute     int // upper bound on hops of any injected route
 
 	Route  func(u, v int) []int // oblivious: node path including endpoints
-	Policy wormhole.VCPolicy    // oblivious: VC choice per hop
+	Policy VCPolicy             // oblivious: VC choice per hop
 
 	Adaptive *AdaptiveConfig
 

@@ -12,7 +12,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/hypercube"
 	"repro/internal/hyperdebruijn"
-	"repro/internal/wormhole"
 )
 
 // Traffic tests: the E-S1/E-S2 configurations (single-flit worms, one
@@ -54,7 +53,7 @@ func trafficConfig(route func(u, v int) []int, maxRoute int, pat Pattern, rate f
 	return Config{
 		Cycles: cycles, Rate: rate, PacketLen: 1, BufDepth: 1, VCs: 1,
 		Pattern: pat, Seed: seed, MaxRoute: maxRoute,
-		Route: route, Policy: wormhole.SingleVC,
+		Route: route, Policy: SingleVC,
 	}
 }
 
@@ -217,7 +216,7 @@ func TestAdaptiveBeatsDeterministicUnderHotspot(t *testing.T) {
 	ada := mustRun(t, hb, adaptiveTraffic(hb, HotSpot, rate, cycles, seed))
 	single := mustRun(t, hb, hbTraffic(hb, HotSpot, rate, cycles, seed))
 	dateline := hbTraffic(hb, HotSpot, rate, cycles, seed)
-	dateline.VCs, dateline.Policy = 4, wormhole.HBDateline(hb)
+	dateline.VCs, dateline.Policy = 4, HBDateline(hb)
 	dl := mustRun(t, hb, dateline)
 	t.Logf("avg latency: adaptive %.2f, oblivious single VC %.2f, oblivious dateline %.2f",
 		ada.AvgLatency, single.AvgLatency, dl.AvgLatency)
@@ -502,7 +501,7 @@ func TestInjectionWindowSourceRouted(t *testing.T) {
 	hb := core.MustNew(1, 3)
 	cfg := hbTraffic(hb, Uniform, 0.4, 2000, 11)
 	cfg.InjectCycles = 25
-	cfg.VCs, cfg.Policy = 2, wormhole.HBDateline(hb)
+	cfg.VCs, cfg.Policy = 2, HBDateline(hb)
 	res := mustRun(t, hb, cfg)
 	if res.Injected == 0 || res.Delivered != res.Injected || res.InFlight != 0 {
 		t.Fatalf("injected %d, delivered %d, in flight %d — want complete delivery",

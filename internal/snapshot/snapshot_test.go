@@ -38,8 +38,8 @@ func TestRoundTrip(t *testing.T) {
 		if loaded.M != dims.m || loaded.N != dims.n || loaded.Order != hb.Order() {
 			t.Fatalf("HB(%d,%d): loaded identity %d/%d/%d", dims.m, dims.n, loaded.M, loaded.N, loaded.Order)
 		}
-		// Histogram against the independent sweep entry point.
-		liveHist := graph.DistanceHistogram(hb)
+		// Histogram against a live bit-parallel sweep.
+		liveHist := hb.Dense().AllSourcesBits(nil, 0).Hist
 		if !reflect.DeepEqual(loaded.Hist, liveHist) {
 			t.Errorf("HB(%d,%d): hist %v, live %v", dims.m, dims.n, loaded.Hist, liveHist)
 		}

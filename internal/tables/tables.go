@@ -72,7 +72,7 @@ func SummarizeHypercube(dim int, exact bool) Summary {
 	// H is vertex-transitive: one BFS gives the diameter.
 	s.Diameter, _ = d.EccentricityScratch(0, graph.NewScratch(d.Order()))
 	if exact || d.Order() <= exactLimit {
-		s.Connectivity = graph.ConnectivityVertexTransitiveParallel(d, 0)
+		s.Connectivity = graph.ConnectivityVertexTransitive(d, 0)
 		s.ConnectivityNote = "exact (max-flow)"
 	} else {
 		s.Connectivity, s.ConnectivityNote = sampledConnectivityVT(d, 0)
@@ -101,7 +101,7 @@ func SummarizeButterfly(n int, exact bool) Summary {
 	}
 	s.Diameter, _ = d.EccentricityScratch(b.Identity(), graph.NewScratch(d.Order()))
 	if exact || d.Order() <= exactLimit {
-		s.Connectivity = graph.ConnectivityVertexTransitiveParallel(d, 0)
+		s.Connectivity = graph.ConnectivityVertexTransitive(d, 0)
 		s.ConnectivityNote = "exact (max-flow)"
 	} else {
 		s.Connectivity, s.ConnectivityNote = sampledConnectivityVT(d, b.Identity())
@@ -132,10 +132,10 @@ func SummarizeHD(m, n int, exact bool) Summary {
 		MeshOfTrees:         fmt.Sprintf("MT(2^%d, 2^%d)", maxInt(m-2, 0), n),
 	}
 	if exact || d.Order() <= exactLimit {
-		s.Diameter = graph.DiameterParallel(d, 0)
+		s.Diameter = graph.Diameter(d, 0)
 	}
 	if d.Order() <= exactLimit {
-		s.Connectivity = graph.ConnectivityParallel(d, 0)
+		s.Connectivity = graph.Connectivity(d, 0)
 		s.ConnectivityNote = "exact (max-flow)"
 	} else {
 		// A de Bruijn loop vertex (word 00..0) has minimum degree m+2;
@@ -167,7 +167,7 @@ func SummarizeHB(m, n int, exact bool) Summary {
 	}
 	s.Diameter, _ = d.EccentricityScratch(hb.Identity(), graph.NewScratch(d.Order())) // vertex-transitive
 	if exact || d.Order() <= exactLimit {
-		s.Connectivity = graph.ConnectivityVertexTransitiveParallel(d, 0)
+		s.Connectivity = graph.ConnectivityVertexTransitive(d, 0)
 		s.ConnectivityNote = "exact (max-flow)"
 	} else {
 		s.Connectivity, s.ConnectivityNote = sampledConnectivityVT(d, hb.Identity())
