@@ -208,10 +208,10 @@ func BenchmarkTraffic(b *testing.B) {
 	cases := []struct {
 		name  string
 		g     graph.Graph
-		route func(u, v int) []int
+		route func(u, v int, buf []int) []int
 	}{
-		{"HB_2_4", hb, hb.Route},
-		{"HD_2_6", hd, hd.Route},
+		{"HB_2_4", hb, hb.AppendRoute},
+		{"HD_2_6", hd, noc.AppendPath(hd.Route)},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
@@ -403,7 +403,7 @@ func BenchmarkWormhole(b *testing.B) {
 	hb := core.MustNew(2, 3)
 	e, err := noc.New(hb, noc.Config{
 		Cycles: 500, Rate: 0.2, PacketLen: 4, BufDepth: 1, VCs: 2,
-		MaxRoute: hb.DiameterFormula(), Policy: noc.HBDateline(hb), Route: hb.Route, Seed: 11,
+		MaxRoute: hb.DiameterFormula(), Policy: noc.HBDateline(hb), Route: hb.AppendRoute, Seed: 11,
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -91,7 +91,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return runConnSweep(targets, *workers, stdout, stderr)
 	}
 	if *implicit {
-		return runImplicitSweep(mLo, mHi, nLo, nHi, *pairs, *jsonOut, stdout, stderr)
+		return runImplicitSweep(mLo, mHi, nLo, nHi, *pairs, *jsonOut, *canonical, stdout, stderr)
 	}
 	rep := conformance.Run(targets, conformance.DefaultInvariants(), conformance.Options{
 		Workers:              *workers,
@@ -162,7 +162,8 @@ func runConnSweep(targets []conformance.Target, workers int, stdout, stderr io.W
 // distances and routes are checked against the dense BFS oracle over
 // all pairs, and its Theorem 5 extractions against the dense Menger
 // engine on sampled pairs. Exit status 1 if any instance diverges.
-func runImplicitSweep(mLo, mHi, nLo, nHi, pairs int, jsonOut bool, stdout, stderr io.Writer) int {
+// canonical drops the per-instance timings.
+func runImplicitSweep(mLo, mHi, nLo, nHi, pairs int, jsonOut, canonical bool, stdout, stderr io.Writer) int {
 	rep, err := conformance.ImplicitSweep(mLo, mHi, nLo, nHi, pairs)
 	if err != nil {
 		fmt.Fprintf(stderr, "hbcheck: %v\n", err)
@@ -175,6 +176,8 @@ func runImplicitSweep(mLo, mHi, nLo, nHi, pairs int, jsonOut bool, stdout, stder
 			return 2
 		}
 		fmt.Fprintf(stdout, "%s\n", raw)
+	} else if canonical {
+		stdout.Write(rep.Canonical())
 	} else {
 		rep.WriteText(stdout)
 	}

@@ -72,6 +72,25 @@ func TestCanonicalStableAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestCanonicalImplicitStable: -canonical makes the implicit sweep
+// timing-free, so two runs give identical bytes.
+func TestCanonicalImplicitStable(t *testing.T) {
+	args := []string{"-m", "1..2", "-n", "3..4", "-canonical", "-implicit"}
+	var a, b, errOut bytes.Buffer
+	if code := run(args, &a, &errOut); code != 0 {
+		t.Fatalf("exit %d: %s", code, errOut.String())
+	}
+	if code := run(args, &b, &errOut); code != 0 {
+		t.Fatalf("exit %d: %s", code, errOut.String())
+	}
+	if a.String() != b.String() {
+		t.Fatalf("canonical implicit output differs between runs:\n--- first\n%s--- second\n%s", a.String(), b.String())
+	}
+	if strings.Contains(a.String(), "ms ") {
+		t.Fatalf("canonical implicit output carries timings:\n%s", a.String())
+	}
+}
+
 // TestConnSweep: -connsweep prints one timed kappa/lambda row per
 // target with values matching the claimed formulas, and exits 0.
 func TestConnSweep(t *testing.T) {

@@ -208,7 +208,7 @@ func worm(w io.Writer, m, n int, rate float64, cycles int, seed int64) error {
 	runOne := func(name string, vcs int, policy noc.VCPolicy) error {
 		res, err := simulate(hb, noc.Config{
 			Cycles: cycles, Rate: rate, PacketLen: 4, BufDepth: 1, VCs: vcs, Seed: seed,
-			MaxRoute: hb.DiameterFormula(), Route: hb.Route, Policy: policy,
+			MaxRoute: hb.DiameterFormula(), Route: hb.AppendRoute, Policy: policy,
 		})
 		if err != nil {
 			return err
@@ -286,7 +286,7 @@ func chaos(w io.Writer, m, n int, rate float64, cycles int, seed int64) error {
 		res, err := simulate(hb, noc.Config{
 			Cycles: cycles, InjectCycles: inject, Rate: rate, Seed: seed,
 			PacketLen: 1, BufDepth: 1, VCs: 2, MaxRoute: 4 * hb.DiameterFormula(),
-			Route: hb.Route, Policy: noc.HBDateline(hb), Schedule: sch, Rerouter: rr,
+			Route: hb.AppendRoute, Policy: noc.HBDateline(hb), Schedule: sch, Rerouter: rr,
 		})
 		if err != nil {
 			return err
@@ -337,12 +337,12 @@ func traffic(w io.Writer, m, n int, rate float64, cycles int, seed int64) error 
 	entries := []struct {
 		name  string
 		g     graph.Graph
-		route func(u, v int) []int
+		route func(u, v int, buf []int) []int
 	}{
-		{fmt.Sprintf("HB(%d,%d) [%d nodes]", m, n, hb.Order()), hb, hb.Route},
-		{fmt.Sprintf("HD(%d,%d) [%d nodes]", m, n, hd.Order()), hd, hd.Route},
-		{fmt.Sprintf("H(%d)    [%d nodes]", m+n, cube.Order()), cube, cube.Route},
-		{fmt.Sprintf("B(%d)    [%d nodes]", m+n, bf.Order()), bf, bf.Route},
+		{fmt.Sprintf("HB(%d,%d) [%d nodes]", m, n, hb.Order()), hb, hb.AppendRoute},
+		{fmt.Sprintf("HD(%d,%d) [%d nodes]", m, n, hd.Order()), hd, noc.AppendPath(hd.Route)},
+		{fmt.Sprintf("H(%d)    [%d nodes]", m+n, cube.Order()), cube, noc.AppendPath(cube.Route)},
+		{fmt.Sprintf("B(%d)    [%d nodes]", m+n, bf.Order()), bf, bf.AppendRoute},
 	}
 	tw := tabwriter.NewWriter(w, 2, 0, 2, ' ', 0)
 	fmt.Fprintln(tw, "pattern\tnetwork\tinjected\tdelivered\tavg latency\tmax latency\tthroughput\tdeadlocked")

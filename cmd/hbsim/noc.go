@@ -99,7 +99,7 @@ func nocMode(w io.Writer, p nocParams) error {
 	engine, err := noc.New(hb, noc.Config{
 		Cycles: p.cycles, Rate: p.rate, PacketLen: nocPacketLen,
 		BufDepth: p.bufDepth, VCs: p.vcs, Pattern: p.pattern, Seed: p.seed,
-		MaxRoute: hb.DiameterFormula(), Route: hb.Route, Policy: noc.HBDateline(hb),
+		MaxRoute: hb.DiameterFormula(), Route: hb.AppendRoute, Policy: noc.HBDateline(hb),
 	})
 	if err != nil {
 		return err

@@ -44,10 +44,10 @@ func main() {
 	for _, e := range []struct {
 		name  string
 		g     graph.Graph
-		route func(u, v int) []int
+		route func(u, v int, buf []int) []int
 	}{
-		{"HB(2,3)", hb, hb.Route},
-		{"HD(2,5)", hd, hd.Route},
+		{"HB(2,3)", hb, hb.AppendRoute},
+		{"HD(2,5)", hd, noc.AppendPath(hd.Route)},
 	} {
 		eng, err := noc.New(e.g, noc.Config{
 			Cycles: 2000, Rate: 0.05, PacketLen: 1, BufDepth: 1, VCs: 1,

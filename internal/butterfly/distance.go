@@ -3,8 +3,7 @@ package butterfly
 import (
 	"fmt"
 	"math/bits"
-
-	"repro/internal/bitvec"
+	"sync"
 )
 
 // Shortest-path routing in the wrapped butterfly (the scheme the paper
@@ -110,16 +109,72 @@ func planWalk(n int, req uint64, cw int) (int, Walk) {
 	}
 }
 
+// planTableMaxDim is the largest n whose plans PlanWalk reads from a
+// table. B_n is vertex-transitive, so a plan depends only on the
+// rotated mask difference req and the level difference cw: n·2^n
+// entries, 196 KB at n = 12 and under 0.4 MB for every n up to it
+// together. Above the cap planWalk runs per call.
+const planTableMaxDim = 12
+
+// planDistShift places the distance above the 25 bits of a Walk in a
+// plan table entry; the distance is at most ⌊3n/2⌋ = 18 below the cap.
+const planDistShift = 25
+
+// planTables holds one plan table per n, each built by planWalk on
+// first use and shared by every Butterfly of that dimension in the
+// process. Entry cw<<n | req is planWalk(n, req, cw) packed as
+// dist<<planDistShift | walk.
+var planTables [planTableMaxDim + 1]struct {
+	once sync.Once
+	tab  []uint32
+}
+
+// planTable returns the plan table of B_n, n <= planTableMaxDim,
+// building it on first use.
+func planTable(n int) []uint32 {
+	pt := &planTables[n]
+	pt.once.Do(func() { pt.tab = buildPlanTable(n) })
+	return pt.tab
+}
+
+// buildPlanTable fills B_n's plan table from planWalk.
+func buildPlanTable(n int) []uint32 {
+	tab := make([]uint32, n<<uint(n))
+	for cw := 0; cw < n; cw++ {
+		for req := 0; req < 1<<uint(n); req++ {
+			d, w := planWalk(n, uint64(req), cw)
+			tab[cw<<uint(n)|req] = uint32(d)<<planDistShift | uint32(w)
+		}
+	}
+	return tab
+}
+
 // PlanWalk returns the distance from u to v and the walk Route takes.
+// Up to planTableMaxDim it is one table read.
 func (b *Butterfly) PlanWalk(u, v Node) (int, Walk) {
+	n := b.n
+	req, cw := b.planKey(u, v)
+	if n <= planTableMaxDim {
+		e := planTable(n)[cw<<uint(n)|int(req)]
+		return int(e >> planDistShift), Walk(e & (1<<planDistShift - 1))
+	}
+	return planWalk(n, req, cw)
+}
+
+// planKey returns what a u-v plan depends on: the required ring edges
+// as offsets from u's level (the mask difference rotated right by that
+// level, as bitvec.RotR without its modular reductions) and the
+// clockwise level distance.
+func (b *Butterfly) planKey(u, v Node) (req uint64, cw int) {
+	n := b.n
 	piU, maskU := b.Split(u)
 	piV, maskV := b.Split(v)
-	req := bitvec.RotR(maskU^maskV, b.n, piU) // edge offsets relative to piU
-	cw := piV - piU
-	if cw < 0 {
-		cw += b.n
+	d := maskU ^ maskV
+	req = (d>>uint(piU) | d<<uint(n-piU)) & (1<<uint(n) - 1)
+	if cw = piV - piU; cw < 0 {
+		cw += n
 	}
-	return planWalk(b.n, req, cw)
+	return req, cw
 }
 
 // Distance returns the shortest-path distance between u and v in B_n.

@@ -3,7 +3,9 @@ package butterfly
 import (
 	"fmt"
 	"math/bits"
+	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/bitvec"
@@ -198,8 +200,75 @@ func FuzzPlanWalk(f *testing.F) {
 	})
 }
 
-// BenchmarkPlanWalk times both planners over every required-edge set
-// and destination level of B_8.
+// TestPlanTableMatchesPlanWalk: every plan table entry, for every n up
+// to the cap, unpacks to planWalk's distance and walk for its (req, cw).
+func TestPlanTableMatchesPlanWalk(t *testing.T) {
+	for n := 3; n <= planTableMaxDim; n++ {
+		tab := planTable(n)
+		if len(tab) != n<<uint(n) {
+			t.Fatalf("n=%d: table has %d entries, want %d", n, len(tab), n<<uint(n))
+		}
+		for cw := 0; cw < n; cw++ {
+			for req := uint64(0); req < 1<<uint(n); req++ {
+				e := tab[cw<<uint(n)|int(req)]
+				d, w := planWalk(n, req, cw)
+				if got, gotW := int(e>>planDistShift), Walk(e&(1<<planDistShift-1)); got != d || gotW != w {
+					t.Fatalf("n=%d req=%#x cw=%d: table (%d, %#x), planWalk (%d, %#x)", n, req, cw, got, uint32(gotW), d, uint32(w))
+				}
+			}
+		}
+	}
+}
+
+// TestPlanKeyMatchesRotR: planKey's rotation is bitvec.RotR's, for
+// every dimension up to MaxDim.
+func TestPlanKeyMatchesRotR(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for n := 3; n <= MaxDim; n++ {
+		bf := MustNew(n)
+		for k := 0; k < 1000; k++ {
+			u, v := rng.Intn(bf.Order()), rng.Intn(bf.Order())
+			piU, maskU := bf.Split(u)
+			piV, maskV := bf.Split(v)
+			req, cw := bf.planKey(u, v)
+			if want := bitvec.RotR(maskU^maskV, n, piU); req != want || cw != (piV-piU+n)%n {
+				t.Fatalf("n=%d planKey(%d, %d) = (%#x, %d), want (%#x, %d)", n, u, v, req, cw, want, (piV-piU+n)%n)
+			}
+		}
+	}
+}
+
+// TestPlanWalkConcurrentFirstUse: goroutines planning on one dimension
+// at once share its table, built once, and all read planWalk's plans.
+// Run it under -race.
+func TestPlanWalkConcurrentFirstUse(t *testing.T) {
+	const n = 11
+	bf := MustNew(n)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for k := 0; k < 2000; k++ {
+				u, v := rng.Intn(bf.Order()), rng.Intn(bf.Order())
+				d, w := bf.PlanWalk(u, v)
+				req, cw := bf.planKey(u, v)
+				if wantD, wantW := planWalk(n, req, cw); d != wantD || w != wantW {
+					t.Errorf("PlanWalk(%d, %d) = (%d, %#x), planWalk (%d, %#x)", u, v, d, uint32(w), wantD, uint32(wantW))
+					return
+				}
+			}
+		}(int64(g))
+	}
+	wg.Wait()
+}
+
+// BenchmarkPlanWalk times the planners on B_8. "scan" and "runs" walk
+// every required-edge set and destination level in order; the random
+// cases plan a fixed cycle of uniformly random vertex pairs, as a
+// served batch does, once through PlanWalk's table ("table") and once
+// through planWalk on the same keys ("runs-random").
 func BenchmarkPlanWalk(b *testing.B) {
 	const n = 8
 	for _, bc := range []struct {
@@ -217,6 +286,48 @@ func BenchmarkPlanWalk(b *testing.B) {
 			}
 			if sink < 0 {
 				b.Fatal(sink)
+			}
+		})
+	}
+
+	bf := MustNew(n)
+	rng := rand.New(rand.NewSource(1))
+	const pairs = 1 << 16
+	us, vs := make([]Node, pairs), make([]Node, pairs)
+	for i := range us {
+		us[i], vs[i] = rng.Intn(bf.Order()), rng.Intn(bf.Order())
+	}
+	b.Run("runs-random", func(b *testing.B) {
+		sink := 0
+		for i := 0; i < b.N; i++ {
+			req, cw := bf.planKey(us[i&(pairs-1)], vs[i&(pairs-1)])
+			d, _ := planWalk(n, req, cw)
+			sink += d
+		}
+		if sink < 0 {
+			b.Fatal(sink)
+		}
+	})
+	b.Run("table", func(b *testing.B) {
+		sink := 0
+		for i := 0; i < b.N; i++ {
+			d, _ := bf.PlanWalk(us[i&(pairs-1)], vs[i&(pairs-1)])
+			sink += d
+		}
+		if sink < 0 {
+			b.Fatal(sink)
+		}
+	})
+}
+
+// BenchmarkPlanTableBuild times building one dimension's plan table
+// from planWalk: the one-time cost the first PlanWalk on B_n pays.
+func BenchmarkPlanTableBuild(b *testing.B) {
+	for _, n := range []int{8, 10, 12} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				buildPlanTable(n)
 			}
 		})
 	}

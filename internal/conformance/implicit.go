@@ -1,6 +1,7 @@
 package conformance
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -43,15 +44,29 @@ func (r *ImplicitReport) OK() bool { return r.Fail == 0 }
 // JSON renders the report for the CI gate.
 func (r *ImplicitReport) JSON() ([]byte, error) { return json.MarshalIndent(r, "", "  ") }
 
-// WriteText renders a human-readable table.
-func (r *ImplicitReport) WriteText(w io.Writer) {
+// WriteText renders a human-readable table with per-instance timings.
+func (r *ImplicitReport) WriteText(w io.Writer) { r.write(w, true) }
+
+// Canonical renders the table without timings, so two runs of one
+// build give identical bytes.
+func (r *ImplicitReport) Canonical() []byte {
+	var buf bytes.Buffer
+	r.write(&buf, false)
+	return buf.Bytes()
+}
+
+func (r *ImplicitReport) write(w io.Writer, timed bool) {
 	for _, d := range r.Instances {
 		status := "ok"
 		if d.Error != "" {
 			status = "FAIL: " + d.Error
 		}
-		fmt.Fprintf(w, "%-10s order=%-6d neighbors=%-6d pairs=%-8d disjoint=%-4d %8.1fms  %s\n",
-			d.Name, d.Order, d.NeighborsChecked, d.PairsChecked, d.DisjointPairs, d.ElapsedMS, status)
+		fmt.Fprintf(w, "%-10s order=%-6d neighbors=%-6d pairs=%-8d disjoint=%-4d",
+			d.Name, d.Order, d.NeighborsChecked, d.PairsChecked, d.DisjointPairs)
+		if timed {
+			fmt.Fprintf(w, " %8.1fms", d.ElapsedMS)
+		}
+		fmt.Fprintf(w, "  %s\n", status)
 	}
 	fmt.Fprintf(w, "implicit differential: %d instance(s), %d failed\n", len(r.Instances), r.Fail)
 }

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -259,24 +260,34 @@ func TestRouteBatchParallelAllocsBounded(t *testing.T) {
 	}
 }
 
+// BenchmarkRouteBatch times 1024-pair route batches. The HB(3,3) cases
+// use an arithmetic pair pattern; the HB(3,8) case draws uniformly
+// random pairs, the traffic perfbench's batch-router workload serves.
 func BenchmarkRouteBatch(b *testing.B) {
 	for _, bc := range []struct {
 		name    string
 		top     core.Topology
 		workers int
+		random  bool
 	}{
-		{"dense/serial", core.MustNew(3, 3), 1},
-		{"implicit/serial", core.MustNewImplicit(3, 3), 1},
-		{"implicit/parallel", core.MustNewImplicit(3, 3), 0},
+		{"dense/serial", core.MustNew(3, 3), 1, false},
+		{"implicit/serial", core.MustNewImplicit(3, 3), 1, false},
+		{"implicit/parallel", core.MustNewImplicit(3, 3), 0, false},
+		{"implicit-hb38-random/serial", core.MustNewImplicit(3, 8), 1, true},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			order := bc.top.Order()
 			const pairs = 1024
 			src := make([]core.Node, pairs)
 			dst := make([]core.Node, pairs)
+			rng := rand.New(rand.NewSource(1))
 			for i := range src {
-				src[i] = (i * 2654435761) % order
-				dst[i] = (i*40503 + 13) % order
+				if bc.random {
+					src[i], dst[i] = rng.Intn(order), rng.Intn(order)
+				} else {
+					src[i] = (i * 2654435761) % order
+					dst[i] = (i*40503 + 13) % order
+				}
 			}
 			var bs core.BatchScratch
 			b.ReportAllocs()
@@ -287,6 +298,7 @@ func BenchmarkRouteBatch(b *testing.B) {
 				}
 			}
 			b.SetBytes(int64(pairs))
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*pairs), "ns/pair")
 		})
 	}
 }

@@ -142,8 +142,8 @@ func sameColumns(a, b *batchColumns) bool {
 }
 
 // FuzzBatchBinResponse: the binary response decoder inverts the
-// encoder, and merging the decoded sub-responses of any partition of a
-// batch gives the whole-batch bytes in both codecs.
+// encoder, and splicing the sub-responses of any partition of a batch
+// gives the whole-batch bytes in both codecs.
 func FuzzBatchBinResponse(f *testing.F) {
 	f.Add([]byte{0, 1, 3, 5, 6, 7})
 	f.Add([]byte{1, 3, 8, 0, 4, 2, 9, 1, 1, 0, 3, 250, 2, 2, 1})
@@ -199,24 +199,67 @@ func FuzzBatchBinResponse(f *testing.F) {
 			assign[i], localIdx[i] = int16(p), int32(len(byPart[p]))
 			byPart[p] = append(byPart[p], answers[i])
 		}
-		byRep := make([]batchColumns, parts)
+		byRep := make([]batchFrames, parts)
 		for p, part := range byPart {
 			if len(part) == 0 {
 				continue
 			}
-			byRep[p] = *dirtyColumns()
-			if err := decodeBatchBinResponse(appendBatchBin(nil, assembleColumns(op, faults, part)), op, len(part), &byRep[p]); err != nil {
-				t.Fatalf("decoding sub-response %d: %v", p, err)
+			var err error
+			if byRep[p], err = splitBatchBinResponse(appendBatchBin(nil, assembleColumns(op, faults, part)), op, len(part)); err != nil {
+				t.Fatalf("splitting sub-response %d: %v", p, err)
 			}
 		}
-		req := &batchRequest{op: op, m: whole.m, n: whole.n, faults: faults, src: make([]int, pairs)}
-		merged := dirtyColumns()
-		mergeSubBatches(req, byRep, assign, localIdx, merged)
-		if got := appendBatchBin(nil, merged); !bytes.Equal(got, wholeBin) {
-			t.Fatalf("merged binary response differs from the whole batch's")
+		for codec, want := range map[string][]byte{"bin": wholeBin, "json": appendBatchJSON(nil, whole)} {
+			req := &batchRequest{codec: codec, op: op, m: whole.m, n: whole.n, faults: faults, src: make([]int, pairs)}
+			gs := &scatterScratch{frames: byRep, assign: assign, localIdx: localIdx,
+				merged: *dirtyColumns(), bin: []byte{9, 9, 9}, out: []byte{9}}
+			got, err := gs.mergeAnswer(req)
+			if err != nil {
+				t.Fatalf("%s merge: %v", codec, err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("merged %s response %q differs from the whole batch's %q", codec, got, want)
+			}
 		}
-		if got, want := appendBatchJSON(nil, merged), appendBatchJSON(nil, whole); !bytes.Equal(got, want) {
-			t.Fatalf("merged JSON response %s, want %s", got, want)
+	})
+}
+
+// FuzzBatchBinResponseBytes: the router's answer splitter never panics
+// on arbitrary bytes, and an answer it accepts splices, on its own,
+// into a response that it accepts again and that decodes to the same
+// columns.
+func FuzzBatchBinResponseBytes(f *testing.F) {
+	for op := range batchOpNames {
+		answers := []pairAnswer{{segs: [][]int{{1, 2}, {3}}}, {status: 2, dist: 5, segs: [][]int{{4}}}}
+		body := appendBatchBin(nil, assembleColumns(op, nil, answers))
+		f.Add(op, uint16(2), body)
+		f.Add(op, uint16(2), body[:len(body)-5])
+		f.Add(op, uint16(1), body)
+	}
+	// A route answer whose offsets run past the nodes and back: off=[0,5,2].
+	f.Add(batchOpRoute, uint16(2), appendBatchBin(nil, &batchColumns{op: batchOpRoute,
+		status: []uint8{0, 0}, dist: []int32{1, 1}, off: []int32{0, 5, 2}, nodes: []int{7, 8}}))
+	f.Fuzz(func(t *testing.T, op uint8, pairs uint16, body []byte) {
+		op %= 4 // the op is the router's own, one of the four; the body is the network's
+		fr, err := splitBatchBinResponse(body, op, int(pairs))
+		if err != nil {
+			return
+		}
+		req := &batchRequest{codec: "bin", op: op, src: make([]int, pairs)}
+		localIdx := make([]int32, pairs)
+		for i := range localIdx {
+			localIdx[i] = int32(i)
+		}
+		spliced := appendSpliced(nil, req, []batchFrames{fr}, make([]int16, pairs), localIdx)
+		var want, got batchColumns
+		if err := decodeBatchBinResponse(body, op, int(pairs), &want); err != nil {
+			t.Fatalf("decoding an accepted answer: %v", err)
+		}
+		if err := decodeBatchBinResponse(spliced, op, int(pairs), &got); err != nil {
+			t.Fatalf("splicing an accepted answer gave a rejected one: %v", err)
+		}
+		if !sameColumns(&got, &want) {
+			t.Fatalf("spliced answer decodes to %+v, the original to %+v", got, want)
 		}
 	})
 }

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -157,10 +156,10 @@ func BenchmarkRouterForward(b *testing.B) {
 // BenchmarkScatterPartition times the router's per-batch bookkeeping
 // with no I/O: partitioning a 1024-pair HB(3,8) route batch over three
 // replicas (owner sets, least-loaded choice, sub-batch columns and
-// bodies) and merging the sub-answers back into the response columns.
-// It cycles through 256 distinct seeded batches, so the branch
-// predictor cannot learn one batch's keys the way it would replaying a
-// single batch.
+// bodies), validating each sub-answer the replicas sent, and splicing
+// their frames into the binary response. It cycles through 256 distinct seeded batches, so the
+// branch predictor cannot learn one batch's keys the way it would
+// replaying a single batch.
 func BenchmarkScatterPartition(b *testing.B) {
 	const m, n, pairs, batches = 3, 8, 1024, 256
 	rt, err := NewRouter(ClusterConfig{Replicas: []string{
@@ -172,7 +171,7 @@ func BenchmarkScatterPartition(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	var gs scatterScratch
 	reqs := make([]*batchRequest, batches)
-	answers := make([][]batchColumns, batches)
+	answers := make([][][]byte, batches)
 	for k := range reqs {
 		reqs[k] = randomRouteBatch(rng, m, n, top.Order(), pairs)
 		answers[k] = answerScatter(b, rt, top, reqs[k], &gs)
@@ -180,19 +179,23 @@ func BenchmarkScatterPartition(b *testing.B) {
 
 	b.ReportAllocs()
 	b.ResetTimer()
+	var out []byte
 	for i := 0; i < b.N; i++ {
 		req := reqs[i%batches]
 		if _, err := rt.partition(req, &gs); err != nil {
 			b.Fatal(err)
 		}
-		mergeSubBatches(req, answers[i%batches], gs.assign, gs.localIdx, &gs.merged)
+		if out, err = gs.spliceAnswers(req, answers[i%batches]); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*pairs), "ns/pair")
 	b.StopTimer()
-	checkMergedWhole(b, top, reqs[(b.N-1)%batches], &gs.merged)
+	checkMergedWhole(b, top, reqs[(b.N-1)%batches], out)
 }
 
-// randomRouteBatch draws a route batch of uniform pairs on HB(m,n).
+// randomRouteBatch draws a binary-codec route batch of uniform pairs on
+// HB(m,n).
 func randomRouteBatch(rng *rand.Rand, m, n, order, pairs int) *batchRequest {
 	req := &batchRequest{codec: "bin", op: batchOpRoute, m: m, n: n,
 		src: make([]int, pairs), dst: make([]int, pairs)}
@@ -203,41 +206,64 @@ func randomRouteBatch(rng *rand.Rand, m, n, order, pairs int) *batchRequest {
 }
 
 // answerScatter partitions req on gs, answers every sub-batch body in
-// process, and checks that merging the answers gives the whole batch's
-// routes. It returns the answers, indexed by replica, for replaying the
-// merge.
-func answerScatter(tb testing.TB, rt *Router, top core.Topology, req *batchRequest, gs *scatterScratch) []batchColumns {
+// process, and checks that splicing the answers gives the whole
+// batch's response. It returns the answers, indexed by replica, for
+// replaying the merge.
+func answerScatter(tb testing.TB, rt *Router, top core.Topology, req *batchRequest, gs *scatterScratch) [][]byte {
 	tb.Helper()
 	subs, err := rt.partition(req, gs)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	answers := make([]batchColumns, len(rt.replicas))
+	answers := make([][]byte, len(rt.replicas))
 	for _, sb := range subs {
 		sub, err := parseBatchBody(ctBatchBin, sb.body)
 		if err != nil {
 			tb.Fatal(err)
 		}
-		var bs core.BatchScratch
-		if err := core.RouteBatch(top, core.BatchRoute, sub.src, sub.dst, 1, &bs); err != nil {
-			tb.Fatal(err)
-		}
-		answers[sb.replica] = batchColumns{op: batchOpRoute, status: bs.Status, dist: bs.Dist, off: bs.Off, nodes: bs.Nodes}
+		answers[sb.replica] = routeAnswer(tb, top, sub)
 	}
-	mergeSubBatches(req, answers, gs.assign, gs.localIdx, &gs.merged)
-	checkMergedWhole(tb, top, req, &gs.merged)
+	out, err := gs.spliceAnswers(req, answers)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	checkMergedWhole(tb, top, req, out)
 	return answers
 }
 
-// checkMergedWhole fails unless merged holds the routes of req's whole
-// batch answered at once.
-func checkMergedWhole(tb testing.TB, top core.Topology, req *batchRequest, merged *batchColumns) {
+// spliceAnswers is the router's gather after partitioning req on gs:
+// it validates each replica's answer (nil for a replica without a
+// sub-batch) and merges them in req's codec.
+func (gs *scatterScratch) spliceAnswers(req *batchRequest, answers [][]byte) ([]byte, error) {
+	gs.frames = resized(gs.frames, len(answers))
+	clear(gs.frames)
+	for rep, raw := range answers {
+		if raw == nil {
+			continue
+		}
+		var err error
+		if gs.frames[rep], err = splitBatchBinResponse(raw, req.op, int(gs.count[rep])); err != nil {
+			return nil, err
+		}
+	}
+	return gs.mergeAnswer(req)
+}
+
+// routeAnswer is a replica's binary answer to the route batch req.
+func routeAnswer(tb testing.TB, top core.Topology, req *batchRequest) []byte {
 	tb.Helper()
-	var whole core.BatchScratch
-	if err := core.RouteBatch(top, core.BatchRoute, req.src, req.dst, 1, &whole); err != nil {
+	var bs core.BatchScratch
+	if err := core.RouteBatch(top, core.BatchRoute, req.src, req.dst, 1, &bs); err != nil {
 		tb.Fatal(err)
 	}
-	if !slices.Equal(merged.nodes, whole.Nodes) || !slices.Equal(merged.dist, whole.Dist) || !slices.Equal(merged.off, whole.Off) {
+	return appendBatchBin(nil, &batchColumns{op: batchOpRoute, status: bs.Status, dist: bs.Dist, off: bs.Off, nodes: bs.Nodes})
+}
+
+// checkMergedWhole fails unless merged is the binary response to req's
+// whole batch answered at once.
+func checkMergedWhole(tb testing.TB, top core.Topology, req *batchRequest, merged []byte) {
+	tb.Helper()
+	if !bytes.Equal(merged, routeAnswer(tb, top, req)) {
 		tb.Fatal("merged sub-answers differ from the whole batch's")
 	}
 }

@@ -17,10 +17,7 @@ import (
 // (m,n,u,v) ring owner sets, and one sub-batch per chosen replica is
 // fanned out concurrently over the router's pooled replica connections
 // (cluster_conn.go) — so a single client batch is answered by the whole
-// fleet instead of serializing on one replica. The sub-responses are re-merged into a single
-// response in the original pair order and re-encoded in the client's
-// codec, byte-exact with what one replica would have produced for the
-// whole body.
+// fleet instead of serializing on one replica.
 //
 // Pair placement uses the replicated owner set: each pair's key maps
 // to its first R distinct alive replicas clockwise (hashRing.owners,
@@ -29,8 +26,18 @@ import (
 // power-of-two-choices when R is the default 2. A sub-batch runs the
 // router's one attempt loop (Router.try), so a replica killed mid-batch
 // loses zero pairs. Sub-requests are always encoded in the binary
-// codec: it is the cheaper frame to build and parse, and the merge
-// re-encodes the client's codec at the end.
+// codec: it is the cheaper frame to build and parse.
+//
+// The merge splices frames. Each replica's answer stays as the bytes it
+// sent, in a buffer of the scatter's scratch; splitBatchBinResponse
+// validates it and returns views of its status, dist, offset and node
+// frames. The merged binary response has a size known from those
+// frames, so appendSpliced writes it in place in one pass over the
+// pairs in their original order: per pair a status byte, the 4 dist
+// bytes, a rebased offset and a copy of its node bytes. The result is
+// byte-identical to one replica answering the whole body. A JSON
+// client's answer is that merged binary decoded once and rendered by
+// appendBatchJSON, so both codecs share the one merge.
 
 // forwardBatch validates and routes one buffered /batch POST. A body
 // whose dims cannot even be peeked (truncated binary header, JSON with
@@ -57,15 +64,16 @@ type subBatch struct {
 	pairs   int
 	body    []byte
 
-	cols     *batchColumns // decoded answer, in the scatter's scratch
+	answer   *bytes.Buffer // the answering replica's bytes, in the scatter's scratch
+	frames   batchFrames   // views of answer once validated
 	answered int           // replica that actually answered
 	err      error
 }
 
 // scatterScratch is the pooled working set of one scattered batch: the
-// partition's per-pair and per-replica columns, the decoded
-// sub-responses, the merged columns and the encoded response. Reusing
-// it keeps the scatter path from allocating per pair.
+// partition's per-pair and per-replica columns, the replicas' answers
+// and their frames, and the merged response. Reusing it keeps the
+// scatter path from allocating per pair.
 type scatterScratch struct {
 	alive    []bool  // replica health, read once per batch
 	count    []int32 // pairs assigned to each replica so far
@@ -81,11 +89,13 @@ type scatterScratch struct {
 	tabAlive []bool
 	tabR     int
 
-	batches []subBatch     // this scatter's sub-batches
-	bodies  [][]byte       // replica -> its encoded sub-batch body
-	subs    []batchColumns // replica -> its decoded sub-response
-	merged  batchColumns
-	out     []byte
+	batches []subBatch      // this scatter's sub-batches
+	bodies  [][]byte        // replica -> its encoded sub-batch body
+	answers []*bytes.Buffer // replica -> the answer to its sub-batch
+	frames  []batchFrames   // replica -> views of that answer; zero when it has no pairs
+	bin     []byte          // the merged binary response
+	merged  batchColumns    // the merged response decoded, for a JSON client
+	out     []byte          // the merged JSON response
 }
 
 // errNoReplica reports a batch with no live replica to place it on.
@@ -107,11 +117,14 @@ func (rt *Router) scatterBatch(w http.ResponseWriter, r *http.Request, req *batc
 	}
 
 	// Fan out concurrently; gather everything before answering.
-	gs.subs = resized(gs.subs, len(rt.replicas))
+	gs.answers = resized(gs.answers, len(rt.replicas))
 	var wg sync.WaitGroup
 	for i := range subs {
 		sb := &subs[i]
-		sb.cols = &gs.subs[sb.replica]
+		if gs.answers[sb.replica] == nil {
+			gs.answers[sb.replica] = new(bytes.Buffer)
+		}
+		sb.answer = gs.answers[sb.replica]
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -121,6 +134,10 @@ func (rt *Router) scatterBatch(w http.ResponseWriter, r *http.Request, req *batc
 	wg.Wait()
 	rt.subPairs.Add(uint64(len(req.src)))
 
+	// The merge reads every replica's frames, so a replica with no
+	// sub-batch in this scatter must not keep views of an older one.
+	gs.frames = resized(gs.frames, len(rt.replicas))
+	clear(gs.frames)
 	var answered []string
 	for _, sb := range subs {
 		if sb.err != nil {
@@ -133,15 +150,35 @@ func (rt *Router) scatterBatch(w http.ResponseWriter, r *http.Request, req *batc
 			writeErr(w, sb.err)
 			return
 		}
+		gs.frames[sb.replica] = sb.frames
 		answered = append(answered, rt.replicas[sb.answered])
 	}
 
-	mergeSubBatches(req, gs.subs, gs.assign, gs.localIdx, &gs.merged)
-	gs.out = req.appendAnswer(gs.out[:0], &gs.merged)
+	out, err := gs.mergeAnswer(req)
+	if err != nil {
+		writeErr(w, err)
+		return
+	}
 	h := w.Header()
 	h.Set("X-Scatter", strconv.Itoa(len(subs)))
 	h.Set("X-Replica", strings.Join(answered, ","))
-	writeBody(w, req.contentType(), "", gs.out)
+	writeBody(w, req.contentType(), "", out)
+}
+
+// mergeAnswer renders req's response in its codec from the sub-batch
+// frames in gs.frames, placed by gs.assign and gs.localIdx. The result
+// aliases gs.
+func (gs *scatterScratch) mergeAnswer(req *batchRequest) ([]byte, error) {
+	gs.bin = appendSpliced(gs.bin[:0], req, gs.frames, gs.assign, gs.localIdx)
+	if req.codec == "bin" {
+		return gs.bin, nil
+	}
+	if err := decodeBatchBinResponse(gs.bin, req.op, len(req.src), &gs.merged); err != nil {
+		return nil, &httpError{code: http.StatusInternalServerError, msg: fmt.Sprintf("merged batch response: %v", err)}
+	}
+	gs.merged.m, gs.merged.n, gs.merged.faults = req.m, req.n, req.faults
+	gs.out = appendBatchJSON(gs.out[:0], &gs.merged)
+	return gs.out, nil
 }
 
 // partition places every pair of req on a replica and encodes one
@@ -225,7 +262,7 @@ func (rt *Router) partition(req *batchRequest, gs *scatterScratch) ([]subBatch, 
 
 // sendSubBatch posts one sub-batch through the router's attempt loop:
 // first to its chosen owner, then to the least-loaded alive replica not
-// yet tried. On success the decoded columns land in sb.cols; a 4xx
+// yet tried. On success the answer's frames land in sb.frames; a 4xx
 // lands in sb.err.
 func (rt *Router) sendSubBatch(r *http.Request, op uint8, sb *subBatch) {
 	next := func(tried []bool) int {
@@ -275,185 +312,241 @@ func (rt *Router) nextAliveOwner(tried []bool) int {
 }
 
 // postSubBatch performs one binary-codec sub-request against replica i
-// and decodes the answer into sb.cols. retry reports whether a failure
-// is the replica's fault (transport error, 5xx, an undecodable 2xx)
-// rather than the request's (4xx).
+// into sb.answer and validates the answer into sb.frames. retry reports
+// whether a failure is the replica's fault (transport error, 5xx, a
+// 2xx that is not a valid answer to the sub-batch) rather than the
+// request's (4xx).
 func (rt *Router) postSubBatch(r *http.Request, i int, op uint8, sb *subBatch) (retry bool, err error) {
-	buf := rt.bodyPool.Get().(*bytes.Buffer)
-	defer rt.bodyPool.Put(buf)
-	resp, err := rt.health.replicas[i].conns.roundTrip(r.Context(), http.MethodPost, "/batch", ctBatchBin, sb.body, rt.timeout, buf)
+	resp, err := rt.health.replicas[i].conns.roundTrip(r.Context(), http.MethodPost, "/batch", ctBatchBin, sb.body, rt.timeout, sb.answer)
 	if err != nil {
 		return true, err
 	}
 	if resp.StatusCode/100 != 2 {
-		return resp.StatusCode >= 500, &httpError{code: resp.StatusCode, msg: fmt.Sprintf("replica %s: %s", rt.replicas[i], bytes.TrimSpace(buf.Bytes()))}
+		return resp.StatusCode >= 500, &httpError{code: resp.StatusCode, msg: fmt.Sprintf("replica %s: %s", rt.replicas[i], bytes.TrimSpace(sb.answer.Bytes()))}
 	}
-	if err := decodeBatchBinResponse(buf.Bytes(), op, sb.pairs, sb.cols); err != nil {
-		// A 2xx the router cannot decode is a corrupt replica; retrying
-		// elsewhere is safe and the failure feeds ejection.
+	if sb.frames, err = splitBatchBinResponse(sb.answer.Bytes(), op, sb.pairs); err != nil {
+		// A 2xx that is not a valid answer is a corrupt replica;
+		// retrying elsewhere is safe and the failure feeds ejection.
 		return true, fmt.Errorf("replica %s: %v", rt.replicas[i], err)
 	}
 	return false, nil
 }
 
-// decodeBatchBinResponse parses a binary /batch response back into
-// cols, reusing their storage. The input buffer is pooled, so every
-// column is copied out.
-func decodeBatchBinResponse(body []byte, op uint8, pairs int, cols *batchColumns) error {
+// batchFrames is a validated binary /batch response split into its
+// frames. The views alias the response bytes.
+type batchFrames struct {
+	paths  int    // paths: the total path count
+	status []byte // one byte per pair
+	dist   []byte // dist, route: one LE int32 per pair
+	off    []byte // LE int32 offsets, pairs+1: route, faultroute into nodes; paths into poff
+	poff   []byte // paths: LE int32 offsets into nodes, paths+1
+	nodes  []byte // one LE int32 per node
+}
+
+// splitBatchBinResponse validates a binary /batch response to a batch
+// of pairs pairs for op and returns views of its frames. Every offset
+// column must start at 0, never decrease, and end at exactly the
+// number of entries it indexes, so appendSpliced can slice by any of
+// its entries.
+func splitBatchBinResponse(body []byte, op uint8, pairs int) (batchFrames, error) {
+	var f batchFrames
 	le := binary.LittleEndian
 	hdr, rest, err := nextFrame(body)
 	if err != nil {
-		return fmt.Errorf("bad batch response: %v", err)
+		return f, fmt.Errorf("bad batch response: %v", err)
 	}
 	if len(hdr) != 16 {
-		return fmt.Errorf("bad batch response: header frame is %d bytes, want 16", len(hdr))
+		return f, fmt.Errorf("bad batch response: header frame is %d bytes, want 16", len(hdr))
 	}
 	if m := le.Uint32(hdr); m != batchBinMagic {
-		return fmt.Errorf("bad batch response: magic %#x", m)
+		return f, fmt.Errorf("bad batch response: magic %#x", m)
 	}
 	if v := le.Uint16(hdr[4:]); v != batchBinVersion {
-		return fmt.Errorf("bad batch response: version %d", v)
+		return f, fmt.Errorf("bad batch response: version %d", v)
 	}
 	if hdr[6] != op {
-		return fmt.Errorf("bad batch response: op %d, want %d", hdr[6], op)
+		return f, fmt.Errorf("bad batch response: op %d, want %d", hdr[6], op)
 	}
 	if got := int(le.Uint32(hdr[8:])); got != pairs {
-		return fmt.Errorf("bad batch response: %d pairs answered, sent %d", got, pairs)
+		return f, fmt.Errorf("bad batch response: %d pairs answered, sent %d", got, pairs)
 	}
-	totalPaths := int(le.Uint32(hdr[12:]))
-
-	cols.op = op
-	cols.dist, cols.off, cols.poff, cols.nodes = cols.dist[:0], cols.off[:0], cols.poff[:0], cols.nodes[:0]
-	st, rest, err := nextFrame(rest)
-	if err != nil || len(st) != pairs {
-		return fmt.Errorf("bad batch response: status frame (%d bytes, err %v)", len(st), err)
+	if f.status, rest, err = sizedFrame(rest, pairs, "status"); err != nil {
+		return f, err
 	}
-	cols.status = append(cols.status[:0], st...)
 	if op == batchOpDist || op == batchOpRoute {
-		if cols.dist, rest, err = readInt32Frame(rest, pairs, "dist", cols.dist); err != nil {
-			return err
+		if f.dist, rest, err = sizedFrame(rest, 4*pairs, "dist"); err != nil {
+			return f, err
 		}
 	}
-	switch op {
-	case batchOpRoute, batchOpFaultRoute:
-		if cols.off, rest, err = readInt32Frame(rest, pairs+1, "off", cols.off); err != nil {
-			return err
+	if op != batchOpDist {
+		if f.off, rest, err = sizedFrame(rest, 4*(pairs+1), "off"); err != nil {
+			return f, err
 		}
-		if cols.nodes, rest, err = readIntFrame(rest, int(cols.off[pairs]), "nodes", cols.nodes); err != nil {
-			return err
+	}
+	if op == batchOpPaths {
+		f.paths = int(le.Uint32(hdr[12:]))
+		if f.poff, rest, err = sizedFrame(rest, 4*(f.paths+1), "path_off"); err != nil {
+			return f, err
 		}
-	case batchOpPaths:
-		if cols.off, rest, err = readInt32Frame(rest, pairs+1, "pair_off", cols.off); err != nil {
-			return err
-		}
-		if cols.poff, rest, err = readInt32Frame(rest, totalPaths+1, "path_off", cols.poff); err != nil {
-			return err
-		}
-		if cols.nodes, rest, err = readIntFrame(rest, int(cols.poff[totalPaths]), "nodes", cols.nodes); err != nil {
-			return err
+	}
+	if op != batchOpDist {
+		if f.nodes, rest, err = nextFrame(rest); err != nil || len(f.nodes)%4 != 0 {
+			return f, fmt.Errorf("bad batch response: nodes frame (%d bytes, err %v)", len(f.nodes), err)
 		}
 	}
 	if len(rest) != 0 {
-		return fmt.Errorf("bad batch response: %d trailing bytes", len(rest))
+		return f, fmt.Errorf("bad batch response: %d trailing bytes", len(rest))
+	}
+	switch op {
+	case batchOpRoute, batchOpFaultRoute:
+		err = checkOffsets(f.off, len(f.nodes)/4, "off")
+	case batchOpPaths:
+		if err = checkOffsets(f.off, f.paths, "off"); err == nil {
+			err = checkOffsets(f.poff, len(f.nodes)/4, "path_off")
+		}
+	}
+	return f, err
+}
+
+// sizedFrame pops one frame of exactly size bytes.
+func sizedFrame(data []byte, size int, name string) (payload, rest []byte, err error) {
+	payload, rest, err = nextFrame(data)
+	if err != nil {
+		return nil, nil, fmt.Errorf("bad batch response: %s frame: %v", name, err)
+	}
+	if len(payload) != size {
+		return nil, nil, fmt.Errorf("bad batch response: %s frame is %d bytes, want %d", name, len(payload), size)
+	}
+	return payload, rest, nil
+}
+
+// checkOffsets checks that an offset column starts at 0, never
+// decreases and ends at end.
+func checkOffsets(col []byte, end int, name string) error {
+	le := binary.LittleEndian
+	prev := uint32(0)
+	for k := 0; k < len(col); k += 4 {
+		o := le.Uint32(col[k:])
+		if o < prev || k == 0 && o != 0 {
+			return fmt.Errorf("bad batch response: %s column is not a prefix sum from 0 (entry %d is %d)", name, k/4, o)
+		}
+		prev = o
+	}
+	if uint64(prev) != uint64(end) {
+		return fmt.Errorf("bad batch response: %s column ends at %d, want %d", name, prev, end)
 	}
 	return nil
+}
+
+// decodeBatchBinResponse parses a binary /batch response into cols,
+// reusing their storage and copying every value out of body.
+func decodeBatchBinResponse(body []byte, op uint8, pairs int, cols *batchColumns) error {
+	f, err := splitBatchBinResponse(body, op, pairs)
+	if err != nil {
+		return err
+	}
+	cols.op = op
+	cols.status = append(cols.status[:0], f.status...)
+	cols.dist = appendInt32s(cols.dist[:0], f.dist)
+	cols.off = appendInt32s(cols.off[:0], f.off)
+	cols.poff = appendInt32s(cols.poff[:0], f.poff)
+	cols.nodes = resized(cols.nodes, len(f.nodes)/4)
+	for i := range cols.nodes {
+		cols.nodes[i] = int(int32(binary.LittleEndian.Uint32(f.nodes[4*i:])))
+	}
+	return nil
+}
+
+// appendInt32s appends the LE int32 values of frame to vals.
+func appendInt32s(vals []int32, frame []byte) []int32 {
+	for k := 0; k < len(frame); k += 4 {
+		vals = append(vals, int32(binary.LittleEndian.Uint32(frame[k:])))
+	}
+	return vals
 }
 
 // resized returns s with length n, reusing its storage when it can.
 func resized[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
 
-// readInt32Frame reads a frame of want values into vals' storage.
-func readInt32Frame(data []byte, want int, name string, vals []int32) ([]int32, []byte, error) {
-	payload, rest, err := nextFrame(data)
-	if err != nil {
-		return nil, nil, fmt.Errorf("bad batch response: %s frame: %v", name, err)
+// appendSpliced appends the binary response to req whose pair i is
+// entry localIdx[i] of the answer byRep[assign[i]], in one pass over
+// the pairs. Offsets are rebased (each answer's are prefix sums into
+// its own node arena), so the result is byte-identical to one replica
+// answering the whole batch. Every entry of byRep is either a
+// splitBatchBinResponse result or zero.
+func appendSpliced(out []byte, req *batchRequest, byRep []batchFrames, assign []int16, localIdx []int32) []byte {
+	le := binary.LittleEndian
+	op, pairs := req.op, len(req.src)
+	paths, nodeBytes := 0, 0
+	for i := range byRep {
+		paths += byRep[i].paths
+		nodeBytes += len(byRep[i].nodes)
 	}
-	if len(payload) != 4*want {
-		return nil, nil, fmt.Errorf("bad batch response: %s frame is %d bytes, want %d values", name, len(payload), want)
+	hasDist := op == batchOpDist || op == batchOpRoute
+	size := 4 + 16 + 4 + pairs
+	if hasDist {
+		size += 4 + 4*pairs
 	}
-	vals = resized(vals, want)
-	for i := range vals {
-		vals[i] = int32(binary.LittleEndian.Uint32(payload[4*i:]))
+	if op != batchOpDist {
+		size += 4 + 4*(pairs+1) + 4 + nodeBytes
 	}
-	return vals, rest, nil
-}
+	if op == batchOpPaths {
+		size += 4 + 4*(paths+1)
+	}
+	at := len(out)
+	out = slices.Grow(out, size)[:at+size]
 
-// readIntFrame reads a frame of want values into vals' storage.
-func readIntFrame(data []byte, want int, name string, vals []int) ([]int, []byte, error) {
-	payload, rest, err := nextFrame(data)
-	if err != nil {
-		return nil, nil, fmt.Errorf("bad batch response: %s frame: %v", name, err)
+	// frame writes a frame's length prefix and returns its payload.
+	frame := func(n int) []byte {
+		le.PutUint32(out[at:], uint32(n))
+		at += 4 + n
+		return out[at-n : at]
 	}
-	if want < 0 || len(payload) != 4*want {
-		return nil, nil, fmt.Errorf("bad batch response: %s frame is %d bytes, want %d values", name, len(payload), want)
+	hdr := frame(16)
+	le.PutUint32(hdr, batchBinMagic)
+	le.PutUint16(hdr[4:], batchBinVersion)
+	hdr[6], hdr[7] = op, 0
+	le.PutUint32(hdr[8:], uint32(pairs))
+	le.PutUint32(hdr[12:], uint32(paths))
+	status := frame(pairs)
+	var dist, off, poff, nodes []byte
+	if hasDist {
+		dist = frame(4 * pairs)
 	}
-	vals = resized(vals, want)
-	for i := range vals {
-		vals[i] = int(int32(binary.LittleEndian.Uint32(payload[4*i:])))
+	if op != batchOpDist {
+		off = frame(4 * (pairs + 1))
+		le.PutUint32(off, 0)
 	}
-	return vals, rest, nil
-}
+	if op == batchOpPaths {
+		poff = frame(4 * (paths + 1))
+		le.PutUint32(poff, 0)
+	}
+	if op != batchOpDist {
+		nodes = frame(nodeBytes)
+	}
 
-// mergeSubBatches reassembles the sub-responses, indexed by replica,
-// into merged, in the original pair order and reusing merged's storage:
-// pair i's answer is entry localIdx[i] of byRep[assign[i]]. Offsets are rebased
-// (they are prefix sums into each sub-response's private arena), so the
-// merged response is byte-identical to a single replica answering the
-// whole batch.
-func mergeSubBatches(req *batchRequest, byRep []batchColumns, assign []int16, localIdx []int32, merged *batchColumns) {
-	pairs := len(req.src)
-
-	merged.op, merged.m, merged.n, merged.faults = req.op, req.m, req.n, req.faults
-	merged.dist, merged.off, merged.poff, merged.nodes = merged.dist[:0], merged.off[:0], merged.poff[:0], merged.nodes[:0]
-	merged.status = resized(merged.status, pairs)
+	np, nn := 0, 0 // paths and node bytes written so far
 	for i := 0; i < pairs; i++ {
-		c, j := &byRep[assign[i]], localIdx[i]
-		merged.status[i] = c.status[j]
-	}
-	if req.op == batchOpDist || req.op == batchOpRoute {
-		merged.dist = resized(merged.dist, pairs)
-		for i := 0; i < pairs; i++ {
-			c, j := &byRep[assign[i]], localIdx[i]
-			merged.dist[i] = c.dist[j]
+		c, j := &byRep[assign[i]], int(localIdx[i])
+		status[i] = c.status[j]
+		if hasDist {
+			le.PutUint32(dist[4*i:], le.Uint32(c.dist[4*j:]))
 		}
-	}
-
-	switch req.op {
-	case batchOpRoute, batchOpFaultRoute:
-		merged.off = resized(merged.off, pairs+1)
-		merged.off[0] = 0
-		total := int32(0)
-		for i := 0; i < pairs; i++ {
-			c, j := &byRep[assign[i]], localIdx[i]
-			total += c.off[j+1] - c.off[j]
-			merged.off[i+1] = total
-		}
-		merged.nodes = resized(merged.nodes, int(total))
-		for i := 0; i < pairs; i++ {
-			c, j := &byRep[assign[i]], localIdx[i]
-			copy(merged.nodes[merged.off[i]:merged.off[i+1]], c.nodes[c.off[j]:c.off[j+1]])
-		}
-
-	case batchOpPaths:
-		merged.off = resized(merged.off, pairs+1)
-		merged.off[0] = 0
-		npaths, nnodes := int32(0), int32(0)
-		for i := 0; i < pairs; i++ {
-			c, j := &byRep[assign[i]], localIdx[i]
-			npaths += c.off[j+1] - c.off[j]
-			merged.off[i+1] = npaths
-			for q := c.off[j]; q < c.off[j+1]; q++ {
-				nnodes += c.poff[q+1] - c.poff[q]
+		switch op {
+		case batchOpRoute, batchOpFaultRoute:
+			lo, hi := le.Uint32(c.off[4*j:]), le.Uint32(c.off[4*j+4:])
+			nn += copy(nodes[nn:], c.nodes[4*lo:4*hi])
+			le.PutUint32(off[4*i+4:], uint32(nn/4))
+		case batchOpPaths:
+			plo, phi := int(le.Uint32(c.off[4*j:])), int(le.Uint32(c.off[4*j+4:]))
+			base := int(le.Uint32(c.poff[4*plo:]))
+			for q := plo + 1; q <= phi; q++ {
+				np++
+				le.PutUint32(poff[4*np:], uint32(nn/4+int(le.Uint32(c.poff[4*q:]))-base))
 			}
-		}
-		merged.poff = append(slices.Grow(merged.poff, int(npaths)+1), 0)
-		merged.nodes = slices.Grow(merged.nodes, int(nnodes))
-		for i := 0; i < pairs; i++ {
-			c, j := &byRep[assign[i]], localIdx[i]
-			for q := c.off[j]; q < c.off[j+1]; q++ {
-				merged.nodes = append(merged.nodes, c.nodes[c.poff[q]:c.poff[q+1]]...)
-				merged.poff = append(merged.poff, int32(len(merged.nodes)))
-			}
+			nn += copy(nodes[nn:], c.nodes[4*base:4*int(le.Uint32(c.poff[4*phi:]))])
+			le.PutUint32(off[4*i+4:], uint32(np))
 		}
 	}
+	return out
 }

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"slices"
 	"strings"
 	"testing"
@@ -138,9 +139,9 @@ func TestPartitionSubBatchColumns(t *testing.T) {
 }
 
 // TestPartitionMergeAllocsFlat: with a warm scratch, partitioning a
-// batch and merging its sub-answers allocates no more for 4,096 pairs
-// than for 64: the owner table, sub-batch list, columns and bodies all
-// live in the scratch.
+// batch and splicing its sub-answers allocates no more for 4,096 pairs
+// than for 64: the owner table, sub-batch list, columns, bodies and the
+// merged response all live in the scratch.
 func TestPartitionMergeAllocsFlat(t *testing.T) {
 	rt, err := NewRouter(ClusterConfig{Replicas: []string{"http://a:1", "http://b:2", "http://c:3"}})
 	if err != nil {
@@ -156,7 +157,9 @@ func TestPartitionMergeAllocsFlat(t *testing.T) {
 			if _, err := rt.partition(req, &gs); err != nil {
 				t.Fatal(err)
 			}
-			mergeSubBatches(req, answers, gs.assign, gs.localIdx, &gs.merged)
+			if _, err := gs.spliceAnswers(req, answers); err != nil {
+				t.Fatal(err)
+			}
 		})
 	}
 	if small, large := allocs(64), allocs(4096); small != large {
@@ -307,6 +310,68 @@ func TestRouterScatterSurvivesKilledReplica(t *testing.T) {
 	st := rt.Status()
 	if st.SubbatchRetries == 0 && rt.Healthy(2) {
 		t.Error("dead replica neither triggered sub-batch retries nor got ejected")
+	}
+}
+
+// TestRouterScatterRetriesCorruptOffsets: a replica answering a
+// sub-batch with a 200 whose offset column runs past its nodes and
+// back (off=[0,5,2,...]) is a corrupt replica, not a crash. The
+// sub-batch is retried on another owner and the client still gets the
+// whole batch's bytes, in both codecs.
+func TestRouterScatterRetriesCorruptOffsets(t *testing.T) {
+	corrupt := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/healthz" {
+			fmt.Fprintln(w, "ok")
+			return
+		}
+		body, _ := io.ReadAll(r.Body)
+		req, err := parseBatchBody(ctBatchBin, body)
+		if err != nil {
+			t.Errorf("corrupt replica: %v", err)
+			return
+		}
+		k := len(req.src)
+		c := &batchColumns{op: req.op, status: make([]uint8, k), dist: make([]int32, k), off: make([]int32, k+1), nodes: []int{7, 8}}
+		for i := 1; i <= k; i++ {
+			c.off[i] = 2
+		}
+		if k > 0 {
+			c.off[1] = 5
+		}
+		w.Header().Set("Content-Type", ctBatchBin)
+		w.Write(appendBatchBin(nil, c))
+	}))
+	defer corrupt.Close()
+	fleet := newTestFleet(t, 2)
+	urls := append([]string{corrupt.URL}, fleet.URLs()...)
+	rt, ts := newTestRouter(t, ClusterConfig{Replicas: urls, EjectAfter: 1000})
+
+	const m, n = 2, 3
+	var src, dst []int
+	for i := 0; i < 64; i++ {
+		src = append(src, (i*5)%96)
+		dst = append(dst, (i*11+7)%96)
+	}
+	for _, codec := range []string{"bin", "json"} {
+		ct, body := scatterBody(t, "route", codec, m, n, nil, src, dst)
+		var answers [2][]byte
+		for k, base := range []string{fleet.URLs()[0], ts.URL} {
+			resp, err := http.Post(base+"/batch", ct, bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			answers[k], _ = io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != 200 {
+				t.Fatalf("%s via %s: status %d: %s", codec, base, resp.StatusCode, answers[k])
+			}
+		}
+		if !bytes.Equal(answers[1], answers[0]) {
+			t.Fatalf("%s: answer through a corrupt replica differs from the whole batch's", codec)
+		}
+	}
+	if st := rt.Status(); st.SubbatchRetries == 0 {
+		t.Error("the corrupt replica's sub-batches were never retried")
 	}
 }
 

@@ -23,12 +23,36 @@ func TestNoCSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := e.Run()
+	warm := checkSteadyStateAllocs(t, e)
+	if warm.Delivered == 0 || warm.Escapes == 0 {
+		t.Fatalf("warm run too quiet to be a meaningful gate: %+v", warm)
+	}
+}
+
+// TestNoCObliviousSteadyStateAllocs: the oblivious mode meets the same
+// gate, since Config.Route appends into a per-shard buffer.
+func TestNoCObliviousSteadyStateAllocs(t *testing.T) {
+	hb := core.MustNew(2, 3)
+	e, err := New(hb, Config{
+		Cycles: 400, Rate: 0.4, PacketLen: 4, BufDepth: 2, VCs: 2,
+		MaxRoute: hb.DiameterFormula(), Route: hb.AppendRoute, Policy: HBDateline(hb),
+		Seed: 9, Workers: 1,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if warm.Delivered == 0 || warm.Escapes == 0 {
-		t.Fatalf("warm run too quiet to be a meaningful gate: %+v", warm)
+	if warm := checkSteadyStateAllocs(t, e); warm.Delivered == 0 {
+		t.Fatalf("warm run delivered nothing: %+v", warm)
+	}
+}
+
+// checkSteadyStateAllocs runs e once to warm it, fails unless further
+// runs allocate nothing, and returns the warm run's result.
+func checkSteadyStateAllocs(t *testing.T, e *Engine) Result {
+	t.Helper()
+	warm, err := e.Run()
+	if err != nil {
+		t.Fatal(err)
 	}
 	if avg := testing.AllocsPerRun(5, func() {
 		if _, err := e.Run(); err != nil {
@@ -37,4 +61,5 @@ func TestNoCSteadyStateAllocs(t *testing.T) {
 	}); avg != 0 {
 		t.Fatalf("steady-state Run allocates %v per run, want 0", avg)
 	}
+	return warm
 }

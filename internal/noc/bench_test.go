@@ -23,7 +23,7 @@ func benchEngineCfg(hb *core.HyperButterfly) Config {
 	return Config{
 		Cycles: benchCycles, Rate: 0.5, PacketLen: 4, BufDepth: 2, VCs: 4,
 		MaxRoute: hb.DiameterFormula(), Seed: 42,
-		Route: hb.Route, Policy: HBDateline(hb),
+		Route: hb.AppendRoute, Policy: HBDateline(hb),
 	}
 }
 

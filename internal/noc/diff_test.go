@@ -106,7 +106,7 @@ func TestDifferentialRing(t *testing.T) {
 	cycles := 6000
 	eng := engineStats(t, ring, Config{
 		Cycles: cycles, Rate: 0.03, PacketLen: 3, BufDepth: 2, VCs: 2,
-		MaxRoute: n - 1, Route: cwRingRoute(n), Policy: ringDateline(n),
+		MaxRoute: n - 1, Route: AppendPath(cwRingRoute(n)), Policy: ringDateline(n),
 	}, diffSeeds)
 	ora := oracleStats(t, ring, oracleConfig{
 		Cycles: cycles, Rate: 0.03, PacketLen: 3, BufDepth: 2, VCs: 2,
@@ -122,7 +122,7 @@ func TestDifferentialHB(t *testing.T) {
 	cycles := 5000
 	eng := engineStats(t, hb, Config{
 		Cycles: cycles, Rate: 0.06, PacketLen: 3, BufDepth: 2, VCs: 4,
-		MaxRoute: hb.DiameterFormula(), Route: hb.Route, Policy: HBDateline(hb),
+		MaxRoute: hb.DiameterFormula(), Route: hb.AppendRoute, Policy: HBDateline(hb),
 	}, diffSeeds)
 	ora := oracleStats(t, hb, oracleConfig{
 		Cycles: cycles, Rate: 0.06, PacketLen: 3, BufDepth: 2, VCs: 4,
@@ -150,7 +150,7 @@ func TestDifferentialDeadlockParity(t *testing.T) {
 		}
 		e, err := New(ring, Config{
 			Cycles: 4000, Rate: 0.5, PacketLen: 4, BufDepth: 1, VCs: 1,
-			MaxRoute: n - 1, Route: cwRingRoute(n), Policy: SingleVC, Seed: seed,
+			MaxRoute: n - 1, Route: AppendPath(cwRingRoute(n)), Policy: SingleVC, Seed: seed,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -165,7 +165,7 @@ func TestDifferentialDeadlockParity(t *testing.T) {
 
 		e, err = New(ring, Config{
 			Cycles: 4000, Rate: 0.5, PacketLen: 4, BufDepth: 1, VCs: 2,
-			MaxRoute: n - 1, Route: cwRingRoute(n), Policy: ringDateline(n), Seed: seed,
+			MaxRoute: n - 1, Route: AppendPath(cwRingRoute(n)), Policy: ringDateline(n), Seed: seed,
 		})
 		if err != nil {
 			t.Fatal(err)

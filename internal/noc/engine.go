@@ -426,7 +426,8 @@ func (e *Engine) startWorm(s *shard, c, src, dst int, msg int32) {
 			return
 		}
 	} else {
-		path := e.cfg.Route(src, dst)
+		s.routeBuf = e.cfg.Route(src, dst, s.routeBuf[:0])
+		path := s.routeBuf
 		if e.cfg.Rerouter != nil && e.crossesFault(path) {
 			var err error
 			if path, err = e.cfg.Rerouter.Reroute(src, dst); err != nil {

@@ -55,9 +55,9 @@ func TestConfigValidation(t *testing.T) {
 		{"maxroute", func(c *Config) { c.MaxRoute = 0 }},
 		{"shards", func(c *Config) { c.Shards = 3 }},
 		{"workers", func(c *Config) { c.Workers = -1 }},
-		{"both-modes", func(c *Config) { c.Route = cwRingRoute(4); c.Policy = SingleVC }},
+		{"both-modes", func(c *Config) { c.Route = AppendPath(cwRingRoute(4)); c.Policy = SingleVC }},
 		{"no-mode", func(c *Config) { c.Adaptive = nil }},
-		{"route-only", func(c *Config) { c.Adaptive = nil; c.Route = cwRingRoute(4) }},
+		{"route-only", func(c *Config) { c.Adaptive = nil; c.Route = AppendPath(cwRingRoute(4)) }},
 		{"no-escape", func(c *Config) { c.Adaptive = &AdaptiveConfig{Distance: hb.Distance, AppendRoute: hb.AppendRoute} }},
 		{"bad-schedule", func(c *Config) { c.Schedule = faults.Schedule{{Cycle: 1, Node: -1, Fail: true}} }},
 		{"bad-links", func(c *Config) { c.Links = faults.LinkSchedule{{Cycle: 1, U: 0, V: 0, Fail: true}} }},
@@ -78,7 +78,7 @@ func TestObliviousLightLoad(t *testing.T) {
 	ring := graph.Ring{N: 8}
 	e, err := New(ring, Config{
 		Cycles: 2000, Rate: 0.01, PacketLen: 3, BufDepth: 4, VCs: 2,
-		MaxRoute: 8, Route: cwRingRoute(8), Policy: ringDateline(8), Seed: 2,
+		MaxRoute: 8, Route: AppendPath(cwRingRoute(8)), Policy: ringDateline(8), Seed: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -437,7 +437,7 @@ func TestDeadlockFastForwardParity(t *testing.T) {
 	}
 	e, err := New(ring, Config{
 		Cycles: 4000, PacketLen: 4, BufDepth: 1, VCs: 1, DeadlockAt: 64,
-		MaxRoute: n - 1, Route: cwRingRoute(n), Policy: SingleVC,
+		MaxRoute: n - 1, Route: AppendPath(cwRingRoute(n)), Policy: SingleVC,
 		Messages: msgs, Links: far,
 	})
 	if err != nil {

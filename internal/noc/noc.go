@@ -86,8 +86,12 @@ type Config struct {
 	DeadlockAt   int // motionless cycles declared a deadlock (0 = 64)
 	MaxRoute     int // upper bound on hops of any injected route
 
-	Route  func(u, v int) []int // oblivious: node path including endpoints
-	Policy VCPolicy             // oblivious: VC choice per hop
+	// Route appends the oblivious route from u to v, both endpoints
+	// included, to buf and returns the extended slice. The engine hands
+	// it a per-shard buffer, so an allocation-free route function (such
+	// as core.HyperButterfly.AppendRoute) keeps injection allocation-free.
+	Route  func(u, v int, buf []int) []int
+	Policy VCPolicy // oblivious: VC choice per hop
 
 	Adaptive *AdaptiveConfig
 
@@ -95,6 +99,13 @@ type Config struct {
 	Rerouter Rerouter            // oblivious: re-paths worms around node churn
 	Links    faults.LinkSchedule // link churn applied mid-run
 	Messages []collectives.Msg   // collective replay plan injected on top
+}
+
+// AppendPath adapts a route function that returns a fresh path to the
+// append style of Config.Route, for a topology without an
+// allocation-free router; it still allocates once per packet.
+func AppendPath(route func(u, v int) []int) func(u, v int, buf []int) []int {
+	return func(u, v int, buf []int) []int { return append(buf, route(u, v)...) }
 }
 
 // Result reports a run; the JSON shape is covered by a golden test.

@@ -29,7 +29,7 @@ func chaosConfig(hb *core.HyperButterfly, sch faults.Schedule, rr Rerouter, cycl
 	return Config{
 		Cycles: cycles, InjectCycles: inject, Rate: 0.05, Seed: seed,
 		PacketLen: 1, BufDepth: 1, VCs: 2, MaxRoute: 4 * hb.DiameterFormula(),
-		Route: hb.Route, Policy: HBDateline(hb), Schedule: sch, Rerouter: rr,
+		Route: hb.AppendRoute, Policy: HBDateline(hb), Schedule: sch, Rerouter: rr,
 	}
 }
 
@@ -244,7 +244,7 @@ func TestRerouteInFlight(t *testing.T) {
 		rr := &ringRerouter{n: n, faulty: map[int]bool{}}
 		e, err := New(graph.Ring{N: n}, Config{
 			Cycles: 100, PacketLen: packetLen, BufDepth: 1, VCs: 1, MaxRoute: maxRoute,
-			Route: cwRingRoute(n), Policy: countHops, Rerouter: rr,
+			Route: AppendPath(cwRingRoute(n)), Policy: countHops, Rerouter: rr,
 			Messages: []collectives.Msg{{Src: 0, Dst: 4}},
 			Schedule: faults.Schedule{{Cycle: 2, Node: failed, Fail: true}},
 		})
@@ -312,7 +312,7 @@ func TestRerouteParkedWorm(t *testing.T) {
 	const n, flits = 8, 50
 	res := mustRun(t, graph.Ring{N: n}, Config{
 		Cycles: 400, PacketLen: flits, BufDepth: 1, VCs: 1, MaxRoute: n,
-		Route: cwRingRoute(n), Policy: SingleVC,
+		Route: AppendPath(cwRingRoute(n)), Policy: SingleVC,
 		Rerouter: &ringRerouter{n: n, faulty: map[int]bool{}},
 		Messages: []collectives.Msg{{Src: 1, Dst: 3}, {Src: 0, Dst: 5}},
 		Schedule: faults.Schedule{{Cycle: 3, Node: 4, Fail: true}},

@@ -53,7 +53,7 @@ func trafficConfig(route func(u, v int) []int, maxRoute int, pat Pattern, rate f
 	return Config{
 		Cycles: cycles, Rate: rate, PacketLen: 1, BufDepth: 1, VCs: 1,
 		Pattern: pat, Seed: seed, MaxRoute: maxRoute,
-		Route: route, Policy: SingleVC,
+		Route: AppendPath(route), Policy: SingleVC,
 	}
 }
 
