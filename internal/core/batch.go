@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 
 	"repro/internal/butterfly"
@@ -97,9 +98,12 @@ func RouteBatch(t Topology, op BatchOp, src, dst []Node, workers int, bs *BatchS
 	}
 	r := batchRouterOf(t)
 	pairs := len(src)
-	bs.Status = grow(bs.Status, pairs)
-	bs.Dist = grow(bs.Dist, pairs)
-	bs.walks = grow(bs.walks, pairs)
+	// The columns grow with append's headroom: batch sizes and node
+	// totals vary from call to call, and an exact-size column would be
+	// re-made whenever a batch beats the last one.
+	bs.Status = slices.Grow(bs.Status[:0], pairs)[:pairs]
+	bs.Dist = slices.Grow(bs.Dist[:0], pairs)[:pairs]
+	bs.walks = slices.Grow(bs.walks[:0], pairs)[:pairs]
 	workers = batchWorkers(workers, pairs)
 
 	if workers == 1 {
@@ -117,7 +121,7 @@ func RouteBatch(t Topology, op BatchOp, src, dst []Node, workers int, bs *BatchS
 
 	// Prefix-sum the route lengths (Distance+1 nodes per answered pair)
 	// into disjoint arena segments.
-	bs.Off = grow(bs.Off, pairs+1)
+	bs.Off = slices.Grow(bs.Off[:0], pairs+1)[:pairs+1]
 	total := int32(0)
 	bs.Off[0] = 0
 	for i := 0; i < pairs; i++ {
@@ -126,7 +130,7 @@ func RouteBatch(t Topology, op BatchOp, src, dst []Node, workers int, bs *BatchS
 		}
 		bs.Off[i+1] = total
 	}
-	bs.Nodes = grow(bs.Nodes, int(total))
+	bs.Nodes = slices.Grow(bs.Nodes[:0], int(total))[:total]
 
 	if workers == 1 {
 		batchRouteRange(r, src, dst, bs, 0, pairs)
@@ -223,13 +227,4 @@ func shardRange(workers, n int, f func(lo, hi int)) {
 		}(lo, hi)
 	}
 	wg.Wait()
-}
-
-// grow returns s with length n, reallocating only when it lacks the
-// capacity; the contents are overwritten by the caller.
-func grow[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
 }

@@ -231,6 +231,65 @@ func TestRouteBatchSteadyStateAllocs(t *testing.T) {
 			}
 		})
 	}
+
+	// Batch sizes, and with them the arena's node total, vary from call
+	// to call: alternating HB(3,8) batches of 300, 341 and 380 fresh
+	// random pairs allocate nothing after warm-up, because the columns
+	// grow with headroom rather than to the largest batch so far.
+	t.Run("varying", func(t *testing.T) {
+		top := core.MustNewImplicit(3, 8)
+		rng := rand.New(rand.NewSource(1))
+		sizes := []int{300, 341, 380}
+		batches := make([][2][]core.Node, 3*len(sizes)+60)
+		for k := range batches {
+			pairs := sizes[k%len(sizes)]
+			src, dst := make([]core.Node, pairs), make([]core.Node, pairs)
+			for i := range src {
+				src[i], dst[i] = rng.Intn(top.Order()), rng.Intn(top.Order())
+			}
+			batches[k] = [2][]core.Node{src, dst}
+		}
+		var bs core.BatchScratch
+		k := 0
+		run := func() {
+			if err := core.RouteBatch(top, core.BatchRoute, batches[k][0], batches[k][1], 1, &bs); err != nil {
+				t.Fatal(err)
+			}
+			k++
+		}
+		for k < 3*len(sizes) {
+			run() // warm-up
+		}
+		if got := testing.AllocsPerRun(len(batches)-k-1, run); got != 0 {
+			t.Errorf("%v allocs per batch after warm-up, want 0", got)
+		}
+	})
+}
+
+// TestBatchScratchGrowsWithHeadroom: when batches grow a little on
+// each of many calls, as sub-batch sizes drift upward, the scratch's
+// columns are re-made O(log) times, not once per new largest batch.
+func TestBatchScratchGrowsWithHeadroom(t *testing.T) {
+	top := core.MustNewImplicit(3, 8)
+	rng := rand.New(rand.NewSource(3))
+	src, dst := make([]core.Node, 8192), make([]core.Node, 8192)
+	for i := range src {
+		src[i], dst[i] = rng.Intn(top.Order()), rng.Intn(top.Order())
+	}
+	var bs core.BatchScratch
+	remade := 0
+	for n := 4096; n <= 8192; n += 41 {
+		before := cap(bs.Status)
+		if err := core.RouteBatch(top, core.BatchDist, src[:n], dst[:n], 1, &bs); err != nil {
+			t.Fatal(err)
+		}
+		if cap(bs.Status) != before {
+			remade++
+		}
+	}
+	if remade > 5 {
+		t.Fatalf("status column re-made %d times growing 4096 -> 8192 pairs in steps of 41, want <= 5", remade)
+	}
 }
 
 // TestRouteBatchParallelAllocsBounded keeps the sharded path honest:

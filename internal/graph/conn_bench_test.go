@@ -1,8 +1,6 @@
 package graph_test
 
 import (
-	"encoding/json"
-	"fmt"
 	"os"
 	"testing"
 
@@ -169,9 +167,10 @@ func TestConnectivitySteadyStateAllocs(t *testing.T) {
 // TestEmitBenchConn writes the connectivity-engine perf baseline to the
 // file named by BENCH_CONN_OUT (skipped otherwise), pairing each engine
 // path with its retained pre-PR reference on HB(3,3) so the
-// before/after ratio is recomputed — not hand-copied — on every run:
+// before/after ratio is recomputed — not hand-copied — on every run.
+// From the repository root:
 //
-//	BENCH_CONN_OUT=BENCH_conn.json go test ./internal/graph -run TestEmitBenchConn
+//	BENCH_CONN_OUT="$PWD/BENCH_conn.json" go test ./internal/graph -run 'TestEmitBenchConn$' -v
 func TestEmitBenchConn(t *testing.T) {
 	out := os.Getenv("BENCH_CONN_OUT")
 	if out == "" {
@@ -249,12 +248,5 @@ func TestEmitBenchConn(t *testing.T) {
 		report[p.name+"_reference"] = record(rr)
 		t.Logf("%s: engine %v, reference %v (%.2fx)", p.name, er, rr, rec.Speedup)
 	}
-	raw, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(raw, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	fmt.Printf("wrote %s\n", out)
+	writeBenchArtifact(t, out, "BENCH_CONN_OUT=\"$PWD/BENCH_conn.json\" go test ./internal/graph -run 'TestEmitBenchConn$' -v", report)
 }

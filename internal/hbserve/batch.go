@@ -1,10 +1,10 @@
 package hbserve
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"slices"
 	"strconv"
@@ -32,6 +32,17 @@ import (
 // columnar too: a per-pair status column plus offset columns into one
 // flat node arena, which is exactly the kernel's in-memory layout — the
 // encoders serialise it without reshaping.
+//
+// The request side reuses storage too. handleBatch takes a pooled
+// batchScratch before it reads anything, reads the body into the
+// scratch's buffer and decodes it into the scratch's batchRequest, so a
+// warm replica allocates no per-pair garbage for a binary request (a
+// JSON body decodes into fresh columns). Ownership rule: a decoded
+// request aliases its pooled scratch, and nothing keeps it once the
+// handler returns — faultroute.New, the faults echo of appendBatchJSON
+// and every encoder finish before the scratch goes back to its pool. A
+// body buffer grown past maxPooledBody is dropped rather than pooled,
+// so one near-maxBatchBody request does not pin tens of MB.
 
 const (
 	// batchBinMagic opens every binary frame stream ("HBB1" on the wire).
@@ -43,6 +54,9 @@ const (
 	maxBatchPairs = 1 << 16
 	// maxBatchBody bounds the request body read.
 	maxBatchBody = 16 << 20
+	// maxPooledBody bounds the body buffer a pooled batchScratch keeps:
+	// 128 times the ~8 KB binary body of a 1024-pair route batch.
+	maxPooledBody = 1 << 20
 
 	ctJSON     = "application/json"
 	ctBatchBin = "application/x-hbbatch"
@@ -80,10 +94,14 @@ type batchRequest struct {
 	dst    []int
 }
 
-// batchScratch is the pooled per-request working set: the kernel's
-// column scratch plus the extra columns the composed ops (paths,
-// faultroute) fill, and the encoded response.
+// batchScratch is the pooled per-request working set: the request body
+// and its decoded columns, the kernel's column scratch plus the extra
+// columns the composed ops (paths, faultroute) fill, and the encoded
+// response.
 type batchScratch struct {
+	body bytes.Buffer // the request body as read
+	req  batchRequest // body decoded; its columns alias this scratch
+
 	bs    core.BatchScratch
 	off   []int32 // faultroute: node offsets; paths: pair -> path offsets
 	poff  []int32 // paths: path -> node offsets
@@ -101,14 +119,30 @@ type batchScratch struct {
 
 var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
 
+// putBatchScratch returns sc to its pool, first dropping a body buffer
+// grown past maxPooledBody.
+func putBatchScratch(sc *batchScratch) {
+	if sc.body.Cap() > maxPooledBody {
+		sc.body = bytes.Buffer{}
+	}
+	batchScratchPool.Put(sc)
+}
+
 // handleBatch is the /batch endpoint.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeErr(w, &httpError{code: http.StatusMethodNotAllowed, msg: "/batch takes POST"})
 		return
 	}
-	req, err := parseBatchRequest(r)
-	if err != nil {
+	sc := batchScratchPool.Get().(*batchScratch)
+	defer putBatchScratch(sc)
+	sc.body.Reset()
+	if _, err := sc.body.ReadFrom(http.MaxBytesReader(nil, r.Body, maxBatchBody)); err != nil {
+		writeErr(w, badRequest("reading body: %v", err))
+		return
+	}
+	req := &sc.req
+	if err := parseBatchBody(r.Header.Get("Content-Type"), sc.body.Bytes(), req); err != nil {
 		writeErr(w, err)
 		return
 	}
@@ -134,8 +168,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	start := time.Now()
-	sc := batchScratchPool.Get().(*batchScratch)
-	defer batchScratchPool.Put(sc)
 	cols, err := s.runBatch(top, req, sc)
 	if err != nil {
 		writeErr(w, err)
@@ -214,43 +246,39 @@ func appendBatchBinRequest(out []byte, code uint8, m, n int, faults, src, dst []
 
 // request decoding ---------------------------------------------------
 
-func parseBatchRequest(r *http.Request) (*batchRequest, error) {
-	body, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, maxBatchBody))
-	if err != nil {
-		return nil, badRequest("reading body: %v", err)
-	}
-	return parseBatchBody(r.Header.Get("Content-Type"), body)
-}
-
-// parseBatchBody decodes an already-buffered /batch body in whichever
-// codec the Content-Type selects; the replica handler and the router's
-// scatter path share it, so a body is valid (or rejected) identically
-// on both tiers.
-func parseBatchBody(ct string, body []byte) (*batchRequest, error) {
-	var req *batchRequest
+// parseBatchBody decodes an already-buffered /batch body, in whichever
+// codec the Content-Type selects, into req; the binary codec reuses the
+// storage of req's columns. The replica handler and the router's scatter path share it,
+// so a body is valid (or rejected) identically on both tiers. Every
+// field of req is overwritten on success; on failure what req holds
+// is not a request.
+func parseBatchBody(ct string, body []byte, req *batchRequest) error {
 	var err error
 	switch {
 	case ct == ctBatchBin:
-		req, err = parseBatchBin(body)
+		err = parseBatchBin(body, req)
 	case ct == "" || ct == ctJSON || len(ct) > len(ctJSON) && ct[:len(ctJSON)] == ctJSON:
-		req, err = parseBatchJSON(body)
+		err = parseBatchJSON(body, req)
 	default:
-		return nil, &httpError{code: http.StatusUnsupportedMediaType,
+		return &httpError{code: http.StatusUnsupportedMediaType,
 			msg: fmt.Sprintf("unsupported Content-Type %q (want %s or %s)", ct, ctJSON, ctBatchBin)}
 	}
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if len(req.src) != len(req.dst) {
-		return nil, badRequest("src has %d entries, dst has %d", len(req.src), len(req.dst))
+		return badRequest("src has %d entries, dst has %d", len(req.src), len(req.dst))
 	}
 	if len(req.src) > maxBatchPairs {
-		return nil, badRequest("%d pairs over the per-request cap %d", len(req.src), maxBatchPairs)
+		return badRequest("%d pairs over the per-request cap %d", len(req.src), maxBatchPairs)
 	}
-	return req, nil
+	return nil
 }
 
-func parseBatchJSON(body []byte) (*batchRequest, error) {
+// parseBatchJSON decodes the JSON codec into fresh columns and
+// overwrites every field of req. Only the binary codec, the one the
+// router sends its replicas, reuses req's storage.
+func parseBatchJSON(body []byte, req *batchRequest) error {
 	var jr struct {
 		M      *int   `json:"m"`
 		N      *int   `json:"n"`
@@ -260,9 +288,9 @@ func parseBatchJSON(body []byte) (*batchRequest, error) {
 		Dst    []int  `json:"dst"`
 	}
 	if err := json.Unmarshal(body, &jr); err != nil {
-		return nil, badRequest("bad JSON body: %v", err)
+		return badRequest("bad JSON body: %v", err)
 	}
-	req := &batchRequest{codec: "json", m: 2, n: 3, faults: jr.Faults, src: jr.Src, dst: jr.Dst}
+	*req = batchRequest{codec: "json", m: 2, n: 3, faults: jr.Faults, src: jr.Src, dst: jr.Dst}
 	if jr.M != nil {
 		req.m = *jr.M
 	}
@@ -275,10 +303,10 @@ func parseBatchJSON(body []byte) (*batchRequest, error) {
 	}
 	op, ok := batchOpCodes[opName]
 	if !ok {
-		return nil, badRequest("unknown op %q (want dist, route, paths or faultroute)", opName)
+		return badRequest("unknown op %q (want dist, route, paths or faultroute)", opName)
 	}
 	req.op = op
-	return req, nil
+	return nil
 }
 
 // nextFrame pops one length-prefixed frame.
@@ -293,61 +321,60 @@ func nextFrame(data []byte) (payload, rest []byte, err error) {
 	return data[4 : 4+n], data[4+n:], nil
 }
 
-// parseBatchBin decodes the binary framing: header, faults, src, dst.
-func parseBatchBin(body []byte) (*batchRequest, error) {
+// parseBatchBin decodes the binary framing (header, faults, src, dst)
+// into req, reusing its column storage.
+func parseBatchBin(body []byte, req *batchRequest) error {
 	le := binary.LittleEndian
 	hdr, rest, err := nextFrame(body)
 	if err != nil {
-		return nil, badRequest("bad binary batch: %v", err)
+		return badRequest("bad binary batch: %v", err)
 	}
 	if len(hdr) != 24 {
-		return nil, badRequest("bad binary batch: header frame is %d bytes, want 24", len(hdr))
+		return badRequest("bad binary batch: header frame is %d bytes, want 24", len(hdr))
 	}
 	if m := le.Uint32(hdr); m != batchBinMagic {
-		return nil, badRequest("bad binary batch: magic %#x, want %#x", m, batchBinMagic)
+		return badRequest("bad binary batch: magic %#x, want %#x", m, batchBinMagic)
 	}
 	if v := le.Uint16(hdr[4:]); v != batchBinVersion {
-		return nil, badRequest("bad binary batch: version %d, want %d", v, batchBinVersion)
+		return badRequest("bad binary batch: version %d, want %d", v, batchBinVersion)
 	}
 	op := hdr[6]
 	if _, ok := batchOpNames[op]; !ok {
-		return nil, badRequest("bad binary batch: unknown op code %d", op)
+		return badRequest("bad binary batch: unknown op code %d", op)
 	}
-	req := &batchRequest{
-		codec: "bin",
-		op:    op,
-		m:     int(le.Uint32(hdr[8:])),
-		n:     int(le.Uint32(hdr[12:])),
-	}
+	req.codec, req.op = "bin", op
+	req.m, req.n = int(le.Uint32(hdr[8:])), int(le.Uint32(hdr[12:]))
 	npairs := int(le.Uint32(hdr[16:]))
 	nfaults := int(le.Uint32(hdr[20:]))
 	if npairs > maxBatchPairs {
-		return nil, badRequest("%d pairs over the per-request cap %d", npairs, maxBatchPairs)
+		return badRequest("%d pairs over the per-request cap %d", npairs, maxBatchPairs)
 	}
-	if req.faults, rest, err = readU32Column(rest, nfaults, "faults"); err != nil {
-		return nil, err
+	if req.faults, rest, err = readU32Column(rest, nfaults, "faults", req.faults); err != nil {
+		return err
 	}
-	if req.src, rest, err = readU32Column(rest, npairs, "src"); err != nil {
-		return nil, err
+	if req.src, rest, err = readU32Column(rest, npairs, "src", req.src); err != nil {
+		return err
 	}
-	if req.dst, rest, err = readU32Column(rest, npairs, "dst"); err != nil {
-		return nil, err
+	if req.dst, rest, err = readU32Column(rest, npairs, "dst", req.dst); err != nil {
+		return err
 	}
 	if len(rest) != 0 {
-		return nil, badRequest("bad binary batch: %d trailing bytes after dst frame", len(rest))
+		return badRequest("bad binary batch: %d trailing bytes after dst frame", len(rest))
 	}
-	return req, nil
+	return nil
 }
 
-func readU32Column(data []byte, want int, name string) (vals []int, rest []byte, err error) {
+// readU32Column pops one column frame of want values into vals's
+// storage. vals comes back unchanged when the frame is rejected.
+func readU32Column(data []byte, want int, name string, vals []int) ([]int, []byte, error) {
 	payload, rest, err := nextFrame(data)
 	if err != nil {
-		return nil, nil, badRequest("bad binary batch: %s frame: %v", name, err)
+		return vals, nil, badRequest("bad binary batch: %s frame: %v", name, err)
 	}
 	if len(payload) != 4*want {
-		return nil, nil, badRequest("bad binary batch: %s frame is %d bytes, header promised %d values", name, len(payload), want)
+		return vals, nil, badRequest("bad binary batch: %s frame is %d bytes, header promised %d values", name, len(payload), want)
 	}
-	vals = make([]int, want)
+	vals = resized(vals, want)
 	for i := range vals {
 		vals[i] = int(binary.LittleEndian.Uint32(payload[4*i:]))
 	}

@@ -32,26 +32,80 @@ func FuzzParseBatchBody(f *testing.F) {
 		if bin {
 			ct = ctBatchBin
 		}
-		req, err := parseBatchBody(ct, body)
-		if err != nil {
+		req := new(batchRequest)
+		if err := parseBatchBody(ct, body, req); err != nil {
 			return
 		}
 		op := batchOpNames[req.op]
 		var again []byte
 		if bin {
+			var err error
 			if again, err = EncodeBatchBinRequest(op, req.m, req.n, req.faults, req.src, req.dst); err != nil {
 				t.Fatal(err)
 			}
 		} else {
 			again = EncodeBatchJSONRequest(op, req.m, req.n, req.faults, req.src, req.dst)
 		}
-		req2, err := parseBatchBody(ct, again)
-		if err != nil {
+		req2 := new(batchRequest)
+		if err := parseBatchBody(ct, again, req2); err != nil {
 			t.Fatalf("re-encoded body %q rejected: %v", again, err)
 		}
 		if req2.codec != req.codec || req2.op != req.op || req2.m != req.m || req2.n != req.n ||
 			!slices.Equal(req2.faults, req.faults) || !slices.Equal(req2.src, req.src) || !slices.Equal(req2.dst, req.dst) {
 			t.Fatalf("round trip changed the request:\n%+v\n%+v", req, req2)
+		}
+	})
+}
+
+// FuzzParseBatchBodyReuse: decoding body b into a request that last
+// held body a gives exactly what decoding b into a zero request gives —
+// the same fields, or the same rejection — in either codec, so no
+// column, fault set or default leaks from one pooled request into the
+// next.
+func FuzzParseBatchBodyReuse(f *testing.F) {
+	seeds := [][2]string{
+		{`{"op":"faultroute","faults":[3,17],"src":[1],"dst":[2]}`, `{"m":2,"n":3,"op":"route","src":[0,5],"dst":[9,95]}`},
+		{`{"m":4,"n":5,"op":"paths","src":[1,2,3],"dst":[4,5,6]}`, `{"src":[7],"dst":[8]}`},
+		{`{"m":2,"n":3,"src":[0,5],"dst":[9,95]}`, `{"m":2,"n":3,"src":null,"dst":[]}`},
+		{`{"src":[1,2],"dst":[3,4]}`, `{"src": [1,`},
+		{`{"src":[5],"dst":[1]}`, `{"m":3,"n":8,"op":"route","src":[null],"dst":[0]}`},
+		{`{"op":"faultroute","faults":[3,17],"src":[1],"dst":[2]}`, `{"op":"faultroute","faults":[null],"src":[1],"dst":[2]}`},
+	}
+	for _, s := range seeds {
+		f.Add(false, false, []byte(s[0]), []byte(s[1]))
+	}
+	a, err := EncodeBatchBinRequest("faultroute", 2, 3, []int{4, 6}, []int{0, 1, 2}, []int{5, 9, 11})
+	if err != nil {
+		f.Fatal(err)
+	}
+	b, err := EncodeBatchBinRequest("route", 3, 8, nil, []int{7}, []int{8})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(true, true, a, b)
+	f.Add(true, true, a, b[:len(b)-2])
+	f.Add(true, false, a, []byte(seeds[1][1]))
+	f.Add(false, true, []byte(seeds[0][0]), b)
+	f.Fuzz(func(t *testing.T, binA, binB bool, a, b []byte) {
+		ct := func(bin bool) string {
+			if bin {
+				return ctBatchBin
+			}
+			return ctJSON
+		}
+		var reused, fresh batchRequest
+		parseBatchBody(ct(binA), a, &reused)
+		errReused := parseBatchBody(ct(binB), b, &reused)
+		errFresh := parseBatchBody(ct(binB), b, &fresh)
+		if (errReused == nil) != (errFresh == nil) || errReused != nil && errReused.Error() != errFresh.Error() {
+			t.Fatalf("after %q, body %q: error %v, fresh %v", a, b, errReused, errFresh)
+		}
+		if errFresh != nil {
+			return
+		}
+		if reused.codec != fresh.codec || reused.op != fresh.op || reused.m != fresh.m || reused.n != fresh.n ||
+			!slices.Equal(reused.faults, fresh.faults) || !slices.Equal(reused.src, fresh.src) || !slices.Equal(reused.dst, fresh.dst) {
+			t.Fatalf("after %q, body %q decoded to\n%+v\nfresh\n%+v", a, b, reused, fresh)
 		}
 	})
 }
@@ -79,7 +133,8 @@ func FuzzPeekBatchDims(f *testing.F) {
 	f.Fuzz(func(t *testing.T, ctPick uint8, body []byte) {
 		ct := cts[int(ctPick)%len(cts)]
 		m, n, ok := peekBatchDims(ct, body)
-		req, err := parseBatchBody(ct, body)
+		req := new(batchRequest)
+		err := parseBatchBody(ct, body, req)
 		if !ok || err != nil {
 			return
 		}

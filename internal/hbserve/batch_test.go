@@ -6,7 +6,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"strings"
 	"testing"
@@ -355,6 +357,41 @@ func TestBatchMalformed(t *testing.T) {
 	}
 }
 
+// TestParseBatchBodyReuseMatchesFresh: a body decoded into a request
+// that last held another body equals the body decoded into a zero
+// request. encoding/json leaves an absent field, and a null inside an
+// array, as it finds them, so a JSON decode that reused the previous
+// columns would echo the previous request's node ids.
+func TestParseBatchBodyReuseMatchesFresh(t *testing.T) {
+	bin := binBatchBody(batchOpFaultRoute, 2, 3, []int{4, 6}, []int{0, 1, 2}, []int{5, 9, 11})
+	cases := []struct {
+		prevCT string
+		prev   string
+		next   string
+	}{
+		{ctJSON, `{"src":[5],"dst":[1]}`, `{"m":3,"n":8,"op":"route","src":[null],"dst":[0]}`},
+		{ctJSON, `{"src":[5],"dst":[1]}`, `{"m":3,"n":8,"op":"route","src":[0],"dst":[null]}`},
+		{ctJSON, `{"op":"faultroute","faults":[3,17],"src":[1],"dst":[2]}`, `{"op":"faultroute","faults":[null],"src":[1],"dst":[2]}`},
+		{ctJSON, `{"op":"faultroute","faults":[3,17],"src":[1],"dst":[2]}`, `{"op":"route","src":[1],"dst":[2]}`},
+		{ctBatchBin, string(bin), `{"src":[null,null,null],"dst":[null,0,null]}`},
+		{ctBatchBin, string(bin), `{"op":"faultroute","src":[1],"dst":[2]}`},
+	}
+	for _, tc := range cases {
+		var reused, fresh batchRequest
+		if err := parseBatchBody(tc.prevCT, []byte(tc.prev), &reused); err != nil {
+			t.Fatalf("previous body %q: %v", tc.prev, err)
+		}
+		errReused := parseBatchBody(ctJSON, []byte(tc.next), &reused)
+		errFresh := parseBatchBody(ctJSON, []byte(tc.next), &fresh)
+		if errReused != nil || errFresh != nil {
+			t.Fatalf("body %q: reused %v, fresh %v", tc.next, errReused, errFresh)
+		}
+		if !reflect.DeepEqual(reused, fresh) {
+			t.Errorf("after %q, body %q decoded to %+v, fresh %+v", tc.prev, tc.next, reused, fresh)
+		}
+	}
+}
+
 // TestBatchCacheByteIdentity repeats a small batch and requires the
 // repeat to return byte-identical bodies with the same Content-Type, on
 // both codecs.
@@ -463,4 +500,104 @@ func TestBatchImplicitTier(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkBatchColumns(t, core.MustNew(2, 3), "route", nil, src, dst, &r)
+}
+
+// discardWriter is a reusable http.ResponseWriter that keeps only the
+// status, so a handler's allocations can be counted without a
+// recorder's buffer growing with the response.
+type discardWriter struct {
+	header http.Header
+	code   int
+}
+
+func (d *discardWriter) Header() http.Header { return d.header }
+
+func (d *discardWriter) WriteHeader(code int) {
+	if d.code == 0 {
+		d.code = code
+	}
+}
+
+func (d *discardWriter) Write(p []byte) (int, error) {
+	d.WriteHeader(http.StatusOK)
+	return len(p), nil
+}
+
+// batchReplay posts one /batch body through a handler again and again
+// with a reused request, body reader and response writer.
+type batchReplay struct {
+	h    http.Handler
+	req  *http.Request
+	body *bytes.Reader
+	raw  []byte
+	w    discardWriter
+}
+
+func newBatchReplay(h http.Handler, ct string, raw []byte) *batchReplay {
+	br := &batchReplay{h: h, body: bytes.NewReader(raw), raw: raw, w: discardWriter{header: http.Header{}}}
+	br.req = httptest.NewRequest(http.MethodPost, "/batch", nil)
+	br.req.Header.Set("Content-Type", ct)
+	br.req.Body = io.NopCloser(br.body)
+	return br
+}
+
+// post sends the body once and returns the status.
+func (br *batchReplay) post() int {
+	br.body.Reset(br.raw)
+	clear(br.w.header)
+	br.w.code = 0
+	br.h.ServeHTTP(&br.w, br.req)
+	return br.w.code
+}
+
+// TestHandleBatchAllocsFlat: once warm, the replica's /batch handler
+// allocates as often for a 4,096-pair binary route batch as for a
+// 64-pair one. The body, the decoded columns, the kernel's columns and
+// the response all live in the pooled scratch; what remains is
+// per-request HTTP plumbing.
+func TestHandleBatchAllocsFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	h := NewServer(Config{BatchWorkers: 1}).Handler()
+	top := core.MustNewImplicit(3, 8)
+	rng := rand.New(rand.NewSource(9))
+	replays := map[int]*batchReplay{}
+	for _, pairs := range []int{4096, 64} {
+		req := randomRouteBatch(rng, 3, 8, top.Order(), pairs)
+		replays[pairs] = newBatchReplay(h, ctBatchBin, appendBatchBinRequest(nil, req.op, req.m, req.n, nil, req.src, req.dst))
+		if code := replays[pairs].post(); code != http.StatusOK {
+			t.Fatalf("%d pairs: status %d", pairs, code) // warm the pools
+		}
+	}
+	allocs := map[int]float64{}
+	for _, pairs := range []int{64, 4096} {
+		br := replays[pairs]
+		allocs[pairs] = testing.AllocsPerRun(50, func() {
+			if code := br.post(); code != http.StatusOK {
+				t.Fatalf("%d pairs: status %d", pairs, code)
+			}
+		})
+	}
+	if allocs[64] != allocs[4096] {
+		t.Fatalf("/batch handler: %v allocs for 64 pairs, %v for 4096", allocs[64], allocs[4096])
+	}
+}
+
+// TestPutBatchScratchDropsLargeBody: a scratch whose body buffer grew
+// past maxPooledBody goes back to the pool without that buffer, and one
+// within the bound keeps it.
+func TestPutBatchScratchDropsLargeBody(t *testing.T) {
+	for _, size := range []int{maxPooledBody / 2, 2 * maxPooledBody} {
+		sc := new(batchScratch)
+		sc.body.Grow(size)
+		want := sc.body.Cap()
+		if size > maxPooledBody {
+			want = 0
+		}
+		putBatchScratch(sc)
+		if got := sc.body.Cap(); got != want {
+			t.Errorf("%d-byte body: pooled with capacity %d, want %d", size, got, want)
+		}
+	}
 }

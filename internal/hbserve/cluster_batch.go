@@ -38,6 +38,14 @@ import (
 // byte-identical to one replica answering the whole body. A JSON
 // client's answer is that merged binary decoded once and rendered by
 // appendBatchJSON, so both codecs share the one merge.
+//
+// forwardBatch takes the scatter's pooled scratch before it decodes and
+// decodes the client body into the scratch's batchRequest, so a warm
+// router decodes a binary batch without allocating. Ownership rule: a
+// decoded request aliases its pooled scratch, and nothing keeps it once
+// the handler returns — partition copies its columns into the sub-batch
+// bodies and the merge's faults echo is rendered before the scratch
+// goes back to its pool.
 
 // forwardBatch validates and routes one buffered /batch POST. A body
 // whose dims cannot even be peeked (truncated binary header, JSON with
@@ -45,17 +53,22 @@ import (
 // answers 400 at the router — garbage is rejected at the edge, not
 // forwarded into the fleet.
 func (rt *Router) forwardBatch(w http.ResponseWriter, r *http.Request, body []byte) {
-	ct := r.Header.Get("Content-Type")
-	if _, _, ok := peekBatchDims(ct, body); !ok {
-		writeErr(w, badRequest("unreadable batch dims (want explicit non-negative m and n)"))
-		return
-	}
-	req, err := parseBatchBody(ct, body)
-	if err != nil {
+	gs := rt.scatterPool.Get().(*scatterScratch)
+	defer rt.scatterPool.Put(gs)
+	if err := gs.decode(r.Header.Get("Content-Type"), body); err != nil {
 		writeErr(w, err)
 		return
 	}
-	rt.scatterBatch(w, r, req)
+	rt.scatterBatch(w, r, gs)
+}
+
+// decode checks that a client body's dims can be peeked and decodes
+// the body into gs.req.
+func (gs *scatterScratch) decode(ct string, body []byte) error {
+	if _, _, ok := peekBatchDims(ct, body); !ok {
+		return badRequest("unreadable batch dims (want explicit non-negative m and n)")
+	}
+	return parseBatchBody(ct, body, &gs.req)
 }
 
 // subBatch is one replica's slice of a scattered request.
@@ -71,10 +84,12 @@ type subBatch struct {
 }
 
 // scatterScratch is the pooled working set of one scattered batch: the
-// partition's per-pair and per-replica columns, the replicas' answers
-// and their frames, and the merged response. Reusing it keeps the
-// scatter path from allocating per pair.
+// decoded client request, the partition's per-pair and per-replica
+// columns, the replicas' answers and their frames, and the merged
+// response. Reusing it keeps the scatter path from allocating per pair.
 type scatterScratch struct {
+	req batchRequest // the client's batch, decoded into this scratch
+
 	alive    []bool  // replica health, read once per batch
 	count    []int32 // pairs assigned to each replica so far
 	assign   []int16 // pair -> chosen replica
@@ -101,10 +116,10 @@ type scatterScratch struct {
 // errNoReplica reports a batch with no live replica to place it on.
 var errNoReplica = errors.New("no live replica")
 
-// scatterBatch partitions, fans out, gathers, merges, and answers.
-func (rt *Router) scatterBatch(w http.ResponseWriter, r *http.Request, req *batchRequest) {
-	gs := rt.scatterPool.Get().(*scatterScratch)
-	defer rt.scatterPool.Put(gs)
+// scatterBatch partitions gs.req, fans out, gathers, merges, and
+// answers.
+func (rt *Router) scatterBatch(w http.ResponseWriter, r *http.Request, gs *scatterScratch) {
+	req := &gs.req
 	subs, err := rt.partition(req, gs)
 	if errors.Is(err, errNoReplica) {
 		rt.noReplica.Add(1)

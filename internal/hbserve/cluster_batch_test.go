@@ -117,8 +117,8 @@ func TestPartitionSubBatchColumns(t *testing.T) {
 				wantSrc, wantDst = append(wantSrc, req.src[i]), append(wantDst, req.dst[i])
 			}
 		}
-		sub, err := parseBatchBody(ctBatchBin, sb.body)
-		if err != nil {
+		sub := new(batchRequest)
+		if err := parseBatchBody(ctBatchBin, sb.body, sub); err != nil {
 			t.Fatal(err)
 		}
 		if sb.pairs != len(wantSrc) || !slices.Equal(sub.src, wantSrc) || !slices.Equal(sub.dst, wantDst) {
@@ -133,7 +133,8 @@ func TestPartitionSubBatchColumns(t *testing.T) {
 	if len(subs) != 1 || subs[0].pairs != 0 || subs[0].replica != rt.ring.Lookup(shardKey(Dims{M: 2, N: 4}, 0, 0), nil) {
 		t.Fatalf("empty batch partitioned into %+v, want one empty sub-batch for the dims' owner", subs)
 	}
-	if sub, err := parseBatchBody(ctBatchBin, subs[0].body); err != nil || len(sub.src) != 0 {
+	var sub batchRequest
+	if err := parseBatchBody(ctBatchBin, subs[0].body, &sub); err != nil || len(sub.src) != 0 {
 		t.Fatalf("empty sub-batch body: %+v, %v", sub, err)
 	}
 }
@@ -164,6 +165,36 @@ func TestPartitionMergeAllocsFlat(t *testing.T) {
 	}
 	if small, large := allocs(64), allocs(4096); small != large {
 		t.Fatalf("partition+merge: %v allocs for 64 pairs, %v for 4096", small, large)
+	}
+}
+
+// TestForwardBatchDecodeAllocsFlat: the router decodes a binary client
+// body into a warm scatterScratch without allocating, at 64 pairs and
+// at 4,096 — the columns reuse the scratch's storage.
+func TestForwardBatchDecodeAllocsFlat(t *testing.T) {
+	top := core.MustNewImplicit(3, 8)
+	rng := rand.New(rand.NewSource(5))
+	var gs scatterScratch
+	bodies := map[int][]byte{}
+	for _, pairs := range []int{4096, 64} {
+		req := randomRouteBatch(rng, 3, 8, top.Order(), pairs)
+		bodies[pairs] = appendBatchBinRequest(nil, req.op, req.m, req.n, nil, req.src, req.dst)
+		if err := gs.decode(ctBatchBin, bodies[pairs]); err != nil {
+			t.Fatal(err) // warm the scratch
+		}
+	}
+	for _, pairs := range []int{64, 4096} {
+		body := bodies[pairs]
+		if got := testing.AllocsPerRun(50, func() {
+			if err := gs.decode(ctBatchBin, body); err != nil {
+				t.Fatal(err)
+			}
+		}); got != 0 {
+			t.Errorf("%d pairs: %v allocs per decode, want 0", pairs, got)
+		}
+		if len(gs.req.src) != pairs {
+			t.Fatalf("%d pairs: decoded %d", pairs, len(gs.req.src))
+		}
 	}
 }
 
@@ -325,8 +356,8 @@ func TestRouterScatterRetriesCorruptOffsets(t *testing.T) {
 			return
 		}
 		body, _ := io.ReadAll(r.Body)
-		req, err := parseBatchBody(ctBatchBin, body)
-		if err != nil {
+		req := new(batchRequest)
+		if err := parseBatchBody(ctBatchBin, body, req); err != nil {
 			t.Errorf("corrupt replica: %v", err)
 			return
 		}
