@@ -111,7 +111,6 @@ func BenchmarkDistance(b *testing.B) {
 // disjoint paths on HB(2,4), cycling through all three proof cases.
 func BenchmarkTheorem5DisjointPaths(b *testing.B) {
 	hb := core.MustNew(2, 4)
-	hb.Dense() // warm the cache outside the timed region
 	rng := rand.New(rand.NewSource(3))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

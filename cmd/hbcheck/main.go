@@ -158,10 +158,10 @@ func runConnSweep(targets []conformance.Target, workers int, stdout, stderr io.W
 }
 
 // runImplicitSweep is the implicit-vs-dense differential gate: on every
-// HB(m,n) in the range, the label-arithmetic backend's neighbors,
-// distances and routes are checked against the dense BFS oracle over
-// all pairs, and its Theorem 5 extractions against the dense Menger
-// engine on sampled pairs. Exit status 1 if any instance diverges.
+// HB(m,n) in the range, the label-arithmetic neighbors, distances and
+// routes are checked against a BFS over the built adjacency for all
+// pairs, and sampled Theorem 5 constructions are verified on that
+// adjacency and matched against a max-flow on it. Exit status 1 if any instance diverges.
 // canonical drops the per-instance timings.
 func runImplicitSweep(mLo, mHi, nLo, nHi, pairs int, jsonOut, canonical bool, stdout, stderr io.Writer) int {
 	rep, err := conformance.ImplicitSweep(mLo, mHi, nLo, nHi, pairs)

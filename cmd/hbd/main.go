@@ -30,9 +30,9 @@
 // batch-router), which runs replicas behind the router and checks
 // every answer.
 //
-// Every instance up to -maxorder nodes is served by the label-arithmetic
-// implicit engine, so a query against HB(10,10) (~10.5M nodes) answers
-// from a cold daemon without building a graph.
+// Every instance up to -maxorder nodes is served by label arithmetic,
+// so a query against HB(10,10) (~10.5M nodes) answers from a cold
+// daemon without building a graph.
 package main
 
 import (

@@ -223,7 +223,7 @@ func (b *Butterfly) AppendWalk(u, v Node, walk Walk, base int, buf []int) []int 
 // AppendRoute appends a shortest u-v path (both endpoints included) to
 // buf and returns the extended slice. It is the allocation-free
 // counterpart of Route: given a buf with sufficient capacity it performs
-// no heap allocation, which is what lets the implicit engine route on
+// no heap allocation, which is what lets label arithmetic route on
 // multi-million-node instances at dense-graph speeds.
 func (b *Butterfly) AppendRoute(u, v Node, buf []Node) []Node {
 	_, walk := b.PlanWalk(u, v)

@@ -65,6 +65,10 @@ type Target struct {
 	Route        func(u, v int) []int
 	RouteOptimal bool
 	RouteBound   int
+	// AppendRoute, if non-nil, is the target's allocation-free router,
+	// a code path separate from Route; route-optimal holds it to the
+	// same contract.
+	AppendRoute func(u, v int, buf []int) []int
 
 	// DisjointPaths, if non-nil, must return exactly PathCount pairwise
 	// internally vertex-disjoint u-v paths (Theorem 5).
@@ -76,15 +80,6 @@ type Target struct {
 	// (Remark 10).
 	FaultRoute func(faults []int, u, v int) ([]int, error)
 	MaxFaults  int
-
-	// Implicit, if non-nil, is the label-arithmetic backend of the same
-	// instance (core.Implicit for HB). The implicit-* invariants hold
-	// its neighbors, routes, distances and disjoint paths to exact
-	// agreement with the dense oracles built from Graph.
-	Implicit              graph.Graph
-	ImplicitDistance      func(u, v int) int
-	ImplicitRoute         func(u, v int) []int
-	ImplicitDisjointPaths func(u, v int) ([][]int, error)
 
 	// Escape, if non-nil, is the deadlock-free escape discipline the NoC
 	// engine uses on this topology (noc.NewHBEscape for HB). Nil targets
@@ -207,7 +202,6 @@ func HyperButterfly(m, n int) Target {
 // other query paths instead of reconstructing per request.
 func HyperButterflyInstance(hb *core.HyperButterfly) Target {
 	m, n := hb.M(), hb.N()
-	imp := core.ImplicitOf(hb)
 	// One incremental router serves every fault-tolerance trial on this
 	// instance: consecutive trials differ by a handful of faults, so each
 	// call pays a set diff instead of a router rebuild. The harness runs
@@ -230,6 +224,7 @@ func HyperButterflyInstance(hb *core.HyperButterfly) Target {
 		Distance:         hb.Distance,
 		Route:            hb.Route,
 		RouteOptimal:     true,
+		AppendRoute:      hb.AppendRoute,
 		DisjointPaths:    hb.DisjointPaths,
 		PathCount:        hb.Degree(),
 		FaultRoute: func(faults []int, u, v int) ([]int, error) {
@@ -243,15 +238,9 @@ func HyperButterflyInstance(hb *core.HyperButterfly) Target {
 			}
 			return fr.Route(u, v)
 		},
-		MaxFaults:        hb.M() + 3,
-		Implicit:         imp,
-		ImplicitDistance: imp.Distance,
-		ImplicitRoute: func(u, v int) []int {
-			return imp.AppendRoute(u, v, make([]core.Node, 0, imp.Distance(u, v)+1))
-		},
-		ImplicitDisjointPaths: imp.DisjointPaths,
-		Escape:                noc.NewHBEscape(hb),
-		Seed:                  int64(503*m + 17*n),
+		MaxFaults: hb.M() + 3,
+		Escape:    noc.NewHBEscape(hb),
+		Seed:      int64(503*m + 17*n),
 	}
 }
 

@@ -14,12 +14,12 @@ import (
 )
 
 // The implicit-vs-dense differential sweep behind `hbcheck -implicit`:
-// a heavier, exhaustive cousin of the implicit-* invariants. For every
-// HB(m,n) in the range it compares the label-arithmetic backend against
-// the materialised adjacency and its BFS oracle over ALL vertices
+// a heavier, exhaustive cousin of the conformance invariants. For every
+// HB(m,n) in the range it compares the label arithmetic against the
+// materialised adjacency and its BFS oracle over ALL vertices
 // (neighbors) and ALL ordered pairs (distance + route), plus sampled
-// Theorem 5 disjoint-path extractions cross-checked against the dense
-// Menger engine. CI runs it as the implicit-gate step.
+// Theorem 5 constructions verified on that adjacency and cross-checked
+// against a max-flow on it. CI runs it as the implicit-gate step.
 
 // ImplicitDiff is the differential result for one instance.
 type ImplicitDiff struct {
@@ -73,7 +73,8 @@ func (r *ImplicitReport) write(w io.Writer, timed bool) {
 
 // ImplicitSweep runs the differential over every valid HB(m,n) in the
 // inclusive ranges, checking disjointPairs sampled pairs per instance
-// (<= 0 means 48) through both the implicit and the dense engines.
+// (<= 0 means 48): each constructed path set must verify on the built
+// adjacency, and a max-flow on that adjacency must find no more paths.
 func ImplicitSweep(mLo, mHi, nLo, nHi, disjointPairs int) (*ImplicitReport, error) {
 	if mLo > mHi || nLo > nHi {
 		return nil, fmt.Errorf("conformance: empty implicit sweep m=[%d,%d] n=[%d,%d]", mLo, mHi, nLo, nHi)
@@ -105,7 +106,6 @@ func ImplicitSweep(mLo, mHi, nLo, nHi, disjointPairs int) (*ImplicitReport, erro
 }
 
 func implicitDiffInstance(hb *core.HyperButterfly, disjointPairs int) (out ImplicitDiff) {
-	imp := core.ImplicitOf(hb)
 	order := hb.Order()
 	out = ImplicitDiff{Name: fmt.Sprintf("HB(%d,%d)", hb.M(), hb.N()), Order: order}
 	start := time.Now()
@@ -114,7 +114,7 @@ func implicitDiffInstance(hb *core.HyperButterfly, disjointPairs int) (out Impli
 
 	var buf []int
 	for v := 0; v < order; v++ {
-		buf = imp.AppendNeighbors(v, buf[:0])
+		buf = hb.AppendNeighbors(v, buf[:0])
 		sort.Ints(buf)
 		row := d.Neighbors(v)
 		if len(buf) != len(row) {
@@ -136,11 +136,11 @@ func implicitDiffInstance(hb *core.HyperButterfly, disjointPairs int) (out Impli
 		dist := d.BFSScratch(u, nil, s)
 		for v := 0; v < order; v++ {
 			want := int(dist[v])
-			if got := imp.Distance(u, v); got != want {
+			if got := hb.Distance(u, v); got != want {
 				out.Error = fmt.Sprintf("Distance(%d,%d) = %d, BFS %d", u, v, got, want)
 				return out
 			}
-			route = imp.AppendRoute(u, v, route[:0])
+			route = hb.AppendRoute(u, v, route[:0])
 			if len(route) != want+1 || route[0] != u || route[len(route)-1] != v {
 				out.Error = fmt.Sprintf("route %d->%d has %d vertices (%d..%d), BFS distance %d",
 					u, v, len(route), route[0], route[len(route)-1], want)
@@ -157,25 +157,26 @@ func implicitDiffInstance(hb *core.HyperButterfly, disjointPairs int) (out Impli
 	}
 
 	want := hb.ConnectivityFormula()
+	fs := graph.NewFlowScratch(d)
 	rng := rand.New(rand.NewSource(int64(977*hb.M() + 31*hb.N())))
 	for trial := 0; trial < disjointPairs; trial++ {
 		u, v := distinctPair(rng, order)
-		paths, err := imp.DisjointPaths(u, v)
+		paths, err := hb.DisjointPaths(u, v)
 		if err != nil {
-			out.Error = fmt.Sprintf("implicit DisjointPaths(%d,%d): %v", u, v, err)
+			out.Error = fmt.Sprintf("DisjointPaths(%d,%d): %v", u, v, err)
 			return out
 		}
 		if len(paths) != want {
-			out.Error = fmt.Sprintf("implicit DisjointPaths(%d,%d): %d paths, want %d", u, v, len(paths), want)
+			out.Error = fmt.Sprintf("DisjointPaths(%d,%d): %d paths, want %d", u, v, len(paths), want)
 			return out
 		}
-		if err := graph.VerifyDisjointPaths(hb, u, v, paths); err != nil {
-			out.Error = fmt.Sprintf("implicit DisjointPaths(%d,%d): %v", u, v, err)
+		if err := graph.VerifyDisjointPaths(d, u, v, paths); err != nil {
+			out.Error = fmt.Sprintf("DisjointPaths(%d,%d): %v", u, v, err)
 			return out
 		}
-		dense, err := hb.DisjointPaths(u, v)
-		if err != nil || len(dense) != len(paths) {
-			out.Error = fmt.Sprintf("dense oracle for (%d,%d): %d paths, err=%v", u, v, len(dense), err)
+		flow, err := fs.DisjointPaths(u, v, -1)
+		if err != nil || len(flow) != want {
+			out.Error = fmt.Sprintf("max-flow oracle for (%d,%d): %d paths, err=%v", u, v, len(flow), err)
 			return out
 		}
 		out.DisjointPairs++

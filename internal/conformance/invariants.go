@@ -3,7 +3,6 @@ package conformance
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 
 	"repro/internal/graph"
@@ -219,6 +218,7 @@ func DefaultInvariants() []Invariant {
 		{
 			// R6: the constructive route is a valid simple path of exactly
 			// the BFS length, from sampled sources to every destination.
+			// AppendRoute, where the target has one, is held to the same.
 			Name: "route-optimal",
 			Applies: func(t *Target, _ Options) string {
 				if t.Route == nil || !t.RouteOptimal {
@@ -229,19 +229,17 @@ func DefaultInvariants() []Invariant {
 			Check: func(t *Target, env *Env) error {
 				d := env.Dense()
 				s := graph.NewScratch(t.Order)
+				var buf []int
 				for _, src := range sampleVertices(t, env.rng(2), 4) {
 					dist := d.BFSScratch(src, nil, s)
 					for v := 0; v < t.Order; v++ {
-						p := t.Route(src, v)
-						if len(p) == 0 || p[0] != src || p[len(p)-1] != v {
-							return fmt.Errorf("route %d->%d has endpoints %v", src, v, p)
+						if err := checkShortest("route", t, src, v, int(dist[v]), t.Route(src, v)); err != nil {
+							return err
 						}
-						if len(p)-1 != int(dist[v]) {
-							return fmt.Errorf("route %d->%d length %d, BFS %d", src, v, len(p)-1, dist[v])
-						}
-						if src != v {
-							if err := graph.VerifyPath(t.Graph, p); err != nil {
-								return fmt.Errorf("route %d->%d: %w", src, v, err)
+						if t.AppendRoute != nil {
+							buf = t.AppendRoute(src, v, buf[:0])
+							if err := checkShortest("AppendRoute", t, src, v, int(dist[v]), buf); err != nil {
+								return err
 							}
 						}
 					}
@@ -354,99 +352,6 @@ func DefaultInvariants() []Invariant {
 					}
 					if err := graph.VerifyPath(t.Graph, p); err != nil {
 						return fmt.Errorf("FaultRoute %d->%d: %w", u, v, err)
-					}
-				}
-				return nil
-			},
-		},
-		{
-			// Implicit-vs-dense gate, part 1: the label-arithmetic
-			// neighbor rows equal the materialised CSR rows as sorted
-			// multisets, for every vertex.
-			Name: "implicit-neighbors",
-			Applies: func(t *Target, _ Options) string {
-				if t.Implicit == nil {
-					return "no implicit backend claimed"
-				}
-				return ""
-			},
-			Check: func(t *Target, env *Env) error {
-				d := env.Dense()
-				var buf []int
-				for v := 0; v < t.Order; v++ {
-					buf = t.Implicit.AppendNeighbors(v, buf[:0])
-					sort.Ints(buf)
-					row := d.Neighbors(v)
-					if len(buf) != len(row) {
-						return fmt.Errorf("vertex %d: %d implicit neighbors, dense %d", v, len(buf), len(row))
-					}
-					for i, w := range row {
-						if buf[i] != int(w) {
-							return fmt.Errorf("vertex %d: implicit row %v != dense %v", v, buf, row)
-						}
-					}
-				}
-				return nil
-			},
-		},
-		{
-			// Implicit-vs-dense gate, part 2: the implicit distance equals
-			// BFS and the implicit route is a valid walk of exactly that
-			// length, from sampled sources to every destination.
-			Name: "implicit-route",
-			Applies: func(t *Target, _ Options) string {
-				if t.Implicit == nil || t.ImplicitDistance == nil || t.ImplicitRoute == nil {
-					return "no implicit backend claimed"
-				}
-				return ""
-			},
-			Check: func(t *Target, env *Env) error {
-				d := env.Dense()
-				s := graph.NewScratch(t.Order)
-				for _, src := range sampleVertices(t, env.rng(6), 4) {
-					dist := d.BFSScratch(src, nil, s)
-					for v := 0; v < t.Order; v++ {
-						if got := t.ImplicitDistance(src, v); got != int(dist[v]) {
-							return fmt.Errorf("implicit Distance(%d,%d) = %d, BFS %d", src, v, got, dist[v])
-						}
-						p := t.ImplicitRoute(src, v)
-						if len(p)-1 != int(dist[v]) || p[0] != src || p[len(p)-1] != v {
-							return fmt.Errorf("implicit route %d->%d = %v, BFS distance %d", src, v, p, dist[v])
-						}
-						for i := 1; i < len(p); i++ {
-							if !d.HasEdge(p[i-1], p[i]) {
-								return fmt.Errorf("implicit route %d->%d uses non-edge %d-%d", src, v, p[i-1], p[i])
-							}
-						}
-					}
-				}
-				return nil
-			},
-		},
-		{
-			// Implicit-vs-dense gate, part 3: the graph-free disjoint-path
-			// engine produces the same Theorem 5 cardinality as the dense
-			// Menger oracle and its certificates verify on the dense graph.
-			Name: "implicit-disjoint-paths",
-			Applies: func(t *Target, _ Options) string {
-				if t.Implicit == nil || t.ImplicitDisjointPaths == nil {
-					return "no implicit disjoint-path engine claimed"
-				}
-				return ""
-			},
-			Check: func(t *Target, env *Env) error {
-				rng := env.rng(7)
-				for trial := 0; trial < env.opts.MaxPairs; trial++ {
-					u, v := distinctPair(rng, t.Order)
-					paths, err := t.ImplicitDisjointPaths(u, v)
-					if err != nil {
-						return fmt.Errorf("implicit DisjointPaths(%d,%d): %w", u, v, err)
-					}
-					if len(paths) != t.PathCount {
-						return fmt.Errorf("implicit DisjointPaths(%d,%d): %d paths, want %d", u, v, len(paths), t.PathCount)
-					}
-					if err := graph.VerifyDisjointPaths(t.Graph, u, v, paths); err != nil {
-						return fmt.Errorf("implicit DisjointPaths(%d,%d): %w", u, v, err)
 					}
 				}
 				return nil
@@ -568,6 +473,23 @@ func DefaultInvariants() []Invariant {
 			},
 		},
 	}
+}
+
+// checkShortest reports whether p is a valid src-v path of exactly dist
+// edges on t, naming the router that emitted it.
+func checkShortest(router string, t *Target, src, v, dist int, p []int) error {
+	if len(p) == 0 || p[0] != src || p[len(p)-1] != v {
+		return fmt.Errorf("%s %d->%d has endpoints %v", router, src, v, p)
+	}
+	if len(p)-1 != dist {
+		return fmt.Errorf("%s %d->%d length %d, BFS %d", router, src, v, len(p)-1, dist)
+	}
+	if src != v {
+		if err := graph.VerifyPath(t.Graph, p); err != nil {
+			return fmt.Errorf("%s %d->%d: %w", router, src, v, err)
+		}
+	}
+	return nil
 }
 
 // sampleVertices returns up to k distinct vertices of t, always

@@ -17,8 +17,7 @@ import (
 // kernel: it answers every pair of a request into caller-provided
 // reusable column storage — a status column, a distance column, and for
 // routes a single contiguous node arena addressed by a prefix-summed
-// offset column — with zero steady-state allocations per pair on both
-// the dense and implicit backends.
+// offset column — with zero steady-state allocations per pair.
 //
 // The route pass exploits a Theorem 3 invariant: the route emitted by
 // AppendRoute is optimal, so its node count is exactly Distance(u,v)+1.

@@ -8,17 +8,6 @@ import (
 	"repro/internal/core"
 )
 
-// batchBackends returns both backends over the same instance, so every
-// batch property is asserted on the dense and the implicit tier.
-func batchBackends(t *testing.T, m, n int) map[string]core.Topology {
-	t.Helper()
-	hb := core.MustNew(m, n)
-	return map[string]core.Topology{
-		"dense":    hb,
-		"implicit": core.ImplicitOf(hb),
-	}
-}
-
 // testPairs builds a deterministic pair mix covering self pairs, long
 // pairs and out-of-range endpoints.
 func testPairs(order, count int) (src, dst []core.Node) {
@@ -39,44 +28,46 @@ func testPairs(order, count int) (src, dst []core.Node) {
 	return src, dst
 }
 
+// TestRouteBatchMatchesSingle: every column of a batch answer equals
+// the one-pair Distance and Route of the *HyperButterfly (the dense
+// tier), with bad endpoints answered as BatchBadNode.
 func TestRouteBatchMatchesSingle(t *testing.T) {
-	for name, top := range batchBackends(t, 2, 3) {
-		t.Run(name, func(t *testing.T) {
-			src, dst := testPairs(top.Order(), 500)
-			var bs core.BatchScratch
-			if err := core.RouteBatch(top, core.BatchRoute, src, dst, 0, &bs); err != nil {
-				t.Fatal(err)
+	t.Run("dense", func(t *testing.T) {
+		top := core.MustNew(2, 3)
+		src, dst := testPairs(top.Order(), 500)
+		var bs core.BatchScratch
+		if err := core.RouteBatch(top, core.BatchRoute, src, dst, 0, &bs); err != nil {
+			t.Fatal(err)
+		}
+		if len(bs.Status) != len(src) || len(bs.Off) != len(src)+1 {
+			t.Fatalf("column lengths: status %d off %d, want %d/%d", len(bs.Status), len(bs.Off), len(src), len(src)+1)
+		}
+		for i := range src {
+			u, v := src[i], dst[i]
+			if !top.ValidNode(u) || !top.ValidNode(v) {
+				if bs.Status[i] != core.BatchBadNode || bs.Dist[i] != -1 || bs.Off[i] != bs.Off[i+1] {
+					t.Fatalf("pair %d (%d,%d): bad endpoints got status %d dist %d seg %d", i, u, v, bs.Status[i], bs.Dist[i], bs.Off[i+1]-bs.Off[i])
+				}
+				continue
 			}
-			if len(bs.Status) != len(src) || len(bs.Off) != len(src)+1 {
-				t.Fatalf("column lengths: status %d off %d, want %d/%d", len(bs.Status), len(bs.Off), len(src), len(src)+1)
+			if bs.Status[i] != core.BatchOK {
+				t.Fatalf("pair %d (%d,%d): status %d", i, u, v, bs.Status[i])
 			}
-			for i := range src {
-				u, v := src[i], dst[i]
-				if !top.ValidNode(u) || !top.ValidNode(v) {
-					if bs.Status[i] != core.BatchBadNode || bs.Dist[i] != -1 || bs.Off[i] != bs.Off[i+1] {
-						t.Fatalf("pair %d (%d,%d): bad endpoints got status %d dist %d seg %d", i, u, v, bs.Status[i], bs.Dist[i], bs.Off[i+1]-bs.Off[i])
-					}
-					continue
-				}
-				if bs.Status[i] != core.BatchOK {
-					t.Fatalf("pair %d (%d,%d): status %d", i, u, v, bs.Status[i])
-				}
-				if want := top.Distance(u, v); int(bs.Dist[i]) != want {
-					t.Fatalf("pair %d: dist %d, want %d", i, bs.Dist[i], want)
-				}
-				seg := bs.Nodes[bs.Off[i]:bs.Off[i+1]]
-				want := top.Route(u, v)
-				if len(seg) != len(want) {
+			if want := top.Distance(u, v); int(bs.Dist[i]) != want {
+				t.Fatalf("pair %d: dist %d, want %d", i, bs.Dist[i], want)
+			}
+			seg := bs.Nodes[bs.Off[i]:bs.Off[i+1]]
+			want := top.Route(u, v)
+			if len(seg) != len(want) {
+				t.Fatalf("pair %d: route %v, want %v", i, seg, want)
+			}
+			for j := range want {
+				if seg[j] != want[j] {
 					t.Fatalf("pair %d: route %v, want %v", i, seg, want)
 				}
-				for j := range want {
-					if seg[j] != want[j] {
-						t.Fatalf("pair %d: route %v, want %v", i, seg, want)
-					}
-				}
 			}
-		})
-	}
+		}
+	})
 }
 
 // oracleRoute builds the u-v route move by move: hypercube dimensions
@@ -108,7 +99,7 @@ type wrappedTopology struct{ core.Topology }
 
 // TestRouteBatchMatchesOracle: on every pair of HB(2,3), HB(2,4) and
 // HB(3,4), the batch kernel's routes (planned once, then expanded) equal
-// the oracle's, on both backends and on a wrapped backend.
+// the oracle's, on the instance and on a wrapper that hides it.
 func TestRouteBatchMatchesOracle(t *testing.T) {
 	for _, dims := range [][2]int{{2, 3}, {2, 4}, {3, 4}} {
 		hb := core.MustNew(dims[0], dims[1])
@@ -120,9 +111,7 @@ func TestRouteBatchMatchesOracle(t *testing.T) {
 				src, dst = append(src, u), append(dst, v)
 			}
 		}
-		tops := batchBackends(t, dims[0], dims[1])
-		tops["wrapped"] = wrappedTopology{core.ImplicitOf(hb)}
-		for name, top := range tops {
+		for name, top := range map[string]core.Topology{"hb": hb, "wrapped": wrappedTopology{hb}} {
 			var bs core.BatchScratch
 			if err := core.RouteBatch(top, core.BatchRoute, src, dst, 0, &bs); err != nil {
 				t.Fatal(err)
@@ -164,7 +153,7 @@ func TestRouteBatchDistOnly(t *testing.T) {
 // serial answer: identical columns, byte for byte, at worker counts
 // that split the batch unevenly.
 func TestRouteBatchParallelMatchesSerial(t *testing.T) {
-	top := core.MustNewImplicit(3, 3)
+	top := core.MustNew(3, 3)
 	src, dst := testPairs(top.Order(), 2048)
 	var serial core.BatchScratch
 	if err := core.RouteBatch(top, core.BatchRoute, src, dst, 1, &serial); err != nil {
@@ -199,45 +188,44 @@ func TestRouteBatchColumnMismatch(t *testing.T) {
 
 // TestRouteBatchSteadyStateAllocs is the acceptance gate for the batch
 // kernel: with a warmed scratch, a whole serial batch — status, dist,
-// prefix sum and every route — allocates nothing on either backend, so
-// the per-pair allocation count is exactly zero.
+// prefix sum and every route — allocates nothing, so the per-pair
+// allocation count is exactly zero.
 func TestRouteBatchSteadyStateAllocs(t *testing.T) {
-	for name, top := range batchBackends(t, 3, 3) {
-		t.Run(name, func(t *testing.T) {
-			order := top.Order()
-			const pairs = 1024
-			src := make([]core.Node, pairs)
-			dst := make([]core.Node, pairs)
-			var bs core.BatchScratch
-			round := 0
-			fill := func() {
-				for i := range src {
-					src[i] = (i*2654435761 + round) % order
-					dst[i] = (i*40503 + 7*round + 13) % order
-				}
-				round++
+	t.Run("fixed", func(t *testing.T) {
+		top := core.MustNew(3, 3)
+		order := top.Order()
+		const pairs = 1024
+		src := make([]core.Node, pairs)
+		dst := make([]core.Node, pairs)
+		var bs core.BatchScratch
+		round := 0
+		fill := func() {
+			for i := range src {
+				src[i] = (i*2654435761 + round) % order
+				dst[i] = (i*40503 + 7*round + 13) % order
 			}
+			round++
+		}
+		fill()
+		if err := core.RouteBatch(top, core.BatchRoute, src, dst, 1, &bs); err != nil {
+			t.Fatal(err) // warm the scratch
+		}
+		if got := testing.AllocsPerRun(50, func() {
 			fill()
 			if err := core.RouteBatch(top, core.BatchRoute, src, dst, 1, &bs); err != nil {
-				t.Fatal(err) // warm the scratch
+				t.Fatal(err)
 			}
-			if got := testing.AllocsPerRun(50, func() {
-				fill()
-				if err := core.RouteBatch(top, core.BatchRoute, src, dst, 1, &bs); err != nil {
-					t.Fatal(err)
-				}
-			}); got != 0 {
-				t.Errorf("%s: %v allocs per %d-pair batch, want 0", name, got, pairs)
-			}
-		})
-	}
+		}); got != 0 {
+			t.Errorf("%v allocs per %d-pair batch, want 0", got, pairs)
+		}
+	})
 
 	// Batch sizes, and with them the arena's node total, vary from call
 	// to call: alternating HB(3,8) batches of 300, 341 and 380 fresh
 	// random pairs allocate nothing after warm-up, because the columns
 	// grow with headroom rather than to the largest batch so far.
 	t.Run("varying", func(t *testing.T) {
-		top := core.MustNewImplicit(3, 8)
+		top := core.MustNew(3, 8)
 		rng := rand.New(rand.NewSource(1))
 		sizes := []int{300, 341, 380}
 		batches := make([][2][]core.Node, 3*len(sizes)+60)
@@ -270,7 +258,7 @@ func TestRouteBatchSteadyStateAllocs(t *testing.T) {
 // each of many calls, as sub-batch sizes drift upward, the scratch's
 // columns are re-made O(log) times, not once per new largest batch.
 func TestBatchScratchGrowsWithHeadroom(t *testing.T) {
-	top := core.MustNewImplicit(3, 8)
+	top := core.MustNew(3, 8)
 	rng := rand.New(rand.NewSource(3))
 	src, dst := make([]core.Node, 8192), make([]core.Node, 8192)
 	for i := range src {
@@ -296,7 +284,7 @@ func TestBatchScratchGrowsWithHeadroom(t *testing.T) {
 // its allocations are per-batch goroutine bookkeeping, not per-pair, so
 // they must stay a small constant regardless of batch size.
 func TestRouteBatchParallelAllocsBounded(t *testing.T) {
-	top := core.MustNewImplicit(3, 3)
+	top := core.MustNew(3, 3)
 	order := top.Order()
 	const pairs = 4096
 	src := make([]core.Node, pairs)
@@ -329,10 +317,9 @@ func BenchmarkRouteBatch(b *testing.B) {
 		workers int
 		random  bool
 	}{
-		{"dense/serial", core.MustNew(3, 3), 1, false},
-		{"implicit/serial", core.MustNewImplicit(3, 3), 1, false},
-		{"implicit/parallel", core.MustNewImplicit(3, 3), 0, false},
-		{"implicit-hb38-random/serial", core.MustNewImplicit(3, 8), 1, true},
+		{"serial", core.MustNew(3, 3), 1, false},
+		{"parallel", core.MustNew(3, 3), 0, false},
+		{"hb38-random/serial", core.MustNew(3, 8), 1, true},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			order := bc.top.Order()

@@ -10,17 +10,17 @@ import (
 )
 
 // TestImplicitRouteSteadyStateAllocs is the zero-allocation acceptance
-// gate for the implicit router (style of TestConnectivitySteadyStateAllocs):
+// gate for the label-arithmetic router (style of TestConnectivitySteadyStateAllocs):
 // with a warmed buffer, AppendRoute over a rolling set of pairs must
 // allocate nothing, on a small instance and on HB(10,10).
 func TestImplicitRouteSteadyStateAllocs(t *testing.T) {
 	for _, inst := range []struct{ m, n int }{{3, 3}, {10, 10}} {
-		imp := core.MustNewImplicit(inst.m, inst.n)
-		order := imp.Order()
-		buf := make([]core.Node, 0, imp.DiameterFormula()+1)
+		hb := core.MustNew(inst.m, inst.n)
+		order := hb.Order()
+		buf := make([]core.Node, 0, hb.DiameterFormula()+1)
 		i := 0
 		if got := testing.AllocsPerRun(200, func() {
-			buf = imp.AppendRoute(i%order, (i*2654435761+7)%order, buf[:0])
+			buf = hb.AppendRoute(i%order, (i*2654435761+7)%order, buf[:0])
 			i++
 		}); got != 0 {
 			t.Errorf("HB(%d,%d): %v allocs per route, want 0", inst.m, inst.n, got)
@@ -28,16 +28,16 @@ func TestImplicitRouteSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkImplicitRoute measures the zero-alloc implicit router on
-// HB(3,3); BenchmarkDenseRoute is the pre-existing allocating Route on
-// the same instance, for the before/after ratio in EXPERIMENTS.md.
+// BenchmarkImplicitRoute measures the zero-alloc AppendRoute on HB(3,3);
+// BenchmarkDenseRoute is the allocating Route on the same instance, for
+// the ratio in EXPERIMENTS.md.
 func BenchmarkImplicitRoute(b *testing.B) {
-	imp := core.MustNewImplicit(3, 3)
-	order := imp.Order()
-	buf := make([]core.Node, 0, imp.DiameterFormula()+1)
+	hb := core.MustNew(3, 3)
+	order := hb.Order()
+	buf := make([]core.Node, 0, hb.DiameterFormula()+1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		buf = imp.AppendRoute(i%order, (i*2654435761+7)%order, buf[:0])
+		buf = hb.AppendRoute(i%order, (i*2654435761+7)%order, buf[:0])
 	}
 }
 
@@ -53,12 +53,12 @@ func BenchmarkDenseRoute(b *testing.B) {
 // BenchmarkImplicitRouteGiant routes on HB(10,10) (~10.5M vertices) —
 // impossible for any dense engine in this container — from labels alone.
 func BenchmarkImplicitRouteGiant(b *testing.B) {
-	imp := core.MustNewImplicit(10, 10)
-	order := imp.Order()
-	buf := make([]core.Node, 0, imp.DiameterFormula()+1)
+	hb := core.MustNew(10, 10)
+	order := hb.Order()
+	buf := make([]core.Node, 0, hb.DiameterFormula()+1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		buf = imp.AppendRoute(i%order, (i*2654435761+7)%order, buf[:0])
+		buf = hb.AppendRoute(i%order, (i*2654435761+7)%order, buf[:0])
 	}
 }
 
@@ -67,22 +67,22 @@ func BenchmarkImplicitRouteGiant(b *testing.B) {
 // verify every route by label arithmetic — all in well under the 100ms
 // budget, with no graph construction anywhere on the path.
 func TestGiantInstanceRouteSmoke(t *testing.T) {
-	imp := core.MustNewImplicit(10, 10)
-	if got := imp.Order(); got != 10*1<<20 {
+	hb := core.MustNew(10, 10)
+	if got := hb.Order(); got != 10*1<<20 {
 		t.Fatalf("HB(10,10) order %d, want %d", got, 10*1<<20)
 	}
 	rng := rand.New(rand.NewSource(1))
-	buf := make([]core.Node, 0, imp.DiameterFormula()+1)
+	buf := make([]core.Node, 0, hb.DiameterFormula()+1)
 	var nbuf []int
 	start := time.Now()
 	for i := 0; i < 1000; i++ {
-		u, v := rng.Intn(imp.Order()), rng.Intn(imp.Order())
-		buf = imp.AppendRoute(u, v, buf[:0])
-		if len(buf) != imp.Distance(u, v)+1 {
-			t.Fatalf("route %d..%d has %d vertices, want %d", u, v, len(buf), imp.Distance(u, v)+1)
+		u, v := rng.Intn(hb.Order()), rng.Intn(hb.Order())
+		buf = hb.AppendRoute(u, v, buf[:0])
+		if len(buf) != hb.Distance(u, v)+1 {
+			t.Fatalf("route %d..%d has %d vertices, want %d", u, v, len(buf), hb.Distance(u, v)+1)
 		}
 		for j := 1; j < len(buf); j++ {
-			nbuf = imp.AppendNeighbors(buf[j-1], nbuf[:0])
+			nbuf = hb.AppendNeighbors(buf[j-1], nbuf[:0])
 			ok := false
 			for _, w := range nbuf {
 				if w == buf[j] {
@@ -100,25 +100,25 @@ func TestGiantInstanceRouteSmoke(t *testing.T) {
 	}
 }
 
-// TestGiantInstanceDisjointPathsSmoke exercises the case-3 window
-// engine at HB(10,10) scale: all 14 Theorem 5 paths between two fully
-// differing labels, verified against implicit adjacency.
+// TestGiantInstanceDisjointPathsSmoke exercises the Theorem 5
+// construction at HB(10,10) scale: all 14 paths between random labels,
+// verified against label-arithmetic adjacency.
 func TestGiantInstanceDisjointPathsSmoke(t *testing.T) {
-	imp := core.MustNewImplicit(10, 10)
+	hb := core.MustNew(10, 10)
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 3; i++ {
-		u, v := rng.Intn(imp.Order()), rng.Intn(imp.Order())
+		u, v := rng.Intn(hb.Order()), rng.Intn(hb.Order())
 		if u == v {
 			continue
 		}
-		paths, err := imp.DisjointPaths(u, v)
+		paths, err := hb.DisjointPaths(u, v)
 		if err != nil {
 			t.Fatalf("DisjointPaths(%d,%d): %v", u, v, err)
 		}
-		if len(paths) != imp.ConnectivityFormula() {
-			t.Fatalf("DisjointPaths(%d,%d): %d paths, want %d", u, v, len(paths), imp.ConnectivityFormula())
+		if len(paths) != hb.ConnectivityFormula() {
+			t.Fatalf("DisjointPaths(%d,%d): %d paths, want %d", u, v, len(paths), hb.ConnectivityFormula())
 		}
-		if err := graph.VerifyDisjointPaths(imp, u, v, paths); err != nil {
+		if err := graph.VerifyDisjointPaths(hb, u, v, paths); err != nil {
 			t.Fatalf("pair (%d,%d): %v", u, v, err)
 		}
 	}

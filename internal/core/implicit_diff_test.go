@@ -10,11 +10,11 @@ import (
 )
 
 // The implicit-vs-dense differential suite: on every conformance (m,n)
-// the label-arithmetic backend must agree exactly with the materialised
-// adjacency and its BFS oracle — neighbors as sorted multisets, Distance
+// the label arithmetic must agree exactly with the materialised
+// adjacency and its oracles — neighbors as sorted multisets, Distance
 // against BFS over all (sampled under -short) pairs, AppendRoute as a
-// valid shortest walk, and DisjointPaths as a verified Theorem 5
-// certificate of the same cardinality the dense Menger engine produces.
+// valid shortest walk, and DisjointPaths as a Theorem 5 certificate
+// that verifies on the adjacency and is as large as a max-flow on it.
 
 var diffInstances = []struct{ m, n int }{
 	{0, 3}, {1, 3}, {1, 4}, {2, 3}, {2, 4}, {3, 3}, {1, 5}, {3, 4},
@@ -22,20 +22,20 @@ var diffInstances = []struct{ m, n int }{
 
 func TestImplicitNeighborsMatchDense(t *testing.T) {
 	for _, inst := range diffInstances {
-		imp := core.MustNewImplicit(inst.m, inst.n)
-		d := graph.Build(imp.HyperButterfly)
+		hb := core.MustNew(inst.m, inst.n)
+		d := graph.Build(hb)
 		var buf []int
-		for v := 0; v < imp.Order(); v++ {
-			buf = imp.AppendNeighbors(v, buf[:0])
+		for v := 0; v < hb.Order(); v++ {
+			buf = hb.AppendNeighbors(v, buf[:0])
 			sort.Ints(buf)
 			row := d.Neighbors(v)
 			if len(buf) != len(row) {
-				t.Fatalf("HB(%d,%d) vertex %d: %d implicit neighbors, dense has %d",
+				t.Fatalf("HB(%d,%d) vertex %d: %d label neighbors, dense has %d",
 					inst.m, inst.n, v, len(buf), len(row))
 			}
 			for i, w := range row {
 				if buf[i] != int(w) {
-					t.Fatalf("HB(%d,%d) vertex %d: implicit row %v != dense %v",
+					t.Fatalf("HB(%d,%d) vertex %d: label row %v != dense %v",
 						inst.m, inst.n, v, buf, row)
 				}
 			}
@@ -45,9 +45,9 @@ func TestImplicitNeighborsMatchDense(t *testing.T) {
 
 func TestImplicitDistanceRouteMatchBFS(t *testing.T) {
 	for _, inst := range diffInstances {
-		imp := core.MustNewImplicit(inst.m, inst.n)
-		d := graph.Build(imp.HyperButterfly)
-		order := imp.Order()
+		hb := core.MustNew(inst.m, inst.n)
+		d := graph.Build(hb)
+		order := hb.Order()
 		s := graph.NewScratch(order)
 		sources := order
 		if testing.Short() {
@@ -63,11 +63,11 @@ func TestImplicitDistanceRouteMatchBFS(t *testing.T) {
 			dist := d.BFSScratch(u, nil, s)
 			for v := 0; v < order; v++ {
 				want := int(dist[v])
-				if got := imp.Distance(u, v); got != want {
+				if got := hb.Distance(u, v); got != want {
 					t.Fatalf("HB(%d,%d) Distance(%d,%d) = %d, BFS says %d",
 						inst.m, inst.n, u, v, got, want)
 				}
-				route = imp.AppendRoute(u, v, route[:0])
+				route = hb.AppendRoute(u, v, route[:0])
 				if len(route) != want+1 {
 					t.Fatalf("HB(%d,%d) AppendRoute(%d,%d) has %d vertices, want %d",
 						inst.m, inst.n, u, v, len(route), want+1)
@@ -92,8 +92,8 @@ func TestImplicitDistanceRouteMatchBFS(t *testing.T) {
 // silently change served responses.
 func TestImplicitRouteMatchesDenseRoute(t *testing.T) {
 	for _, inst := range diffInstances {
-		imp := core.MustNewImplicit(inst.m, inst.n)
-		order := imp.Order()
+		hb := core.MustNew(inst.m, inst.n)
+		order := hb.Order()
 		rng := rand.New(rand.NewSource(42))
 		pairs := 2000
 		if testing.Short() {
@@ -102,8 +102,8 @@ func TestImplicitRouteMatchesDenseRoute(t *testing.T) {
 		var route []core.Node
 		for i := 0; i < pairs; i++ {
 			u, v := rng.Intn(order), rng.Intn(order)
-			want := imp.HyperButterfly.Route(u, v)
-			route = imp.AppendRoute(u, v, route[:0])
+			want := hb.Route(u, v)
+			route = hb.AppendRoute(u, v, route[:0])
 			if len(route) != len(want) {
 				t.Fatalf("HB(%d,%d) AppendRoute(%d,%d) len %d, Route len %d",
 					inst.m, inst.n, u, v, len(route), len(want))
@@ -120,9 +120,11 @@ func TestImplicitRouteMatchesDenseRoute(t *testing.T) {
 
 func TestImplicitDisjointPathsMatchDense(t *testing.T) {
 	for _, inst := range diffInstances {
-		imp := core.MustNewImplicit(inst.m, inst.n)
-		order := imp.Order()
-		want := imp.ConnectivityFormula()
+		hb := core.MustNew(inst.m, inst.n)
+		d := graph.Build(hb)
+		fs := graph.NewFlowScratch(d)
+		order := hb.Order()
+		want := hb.ConnectivityFormula()
 		rng := rand.New(rand.NewSource(int64(inst.m)*31 + int64(inst.n)))
 		pairs := 120
 		if testing.Short() {
@@ -134,24 +136,24 @@ func TestImplicitDisjointPathsMatchDense(t *testing.T) {
 			if u == v {
 				continue
 			}
-			paths, err := imp.DisjointPaths(u, v)
+			paths, err := hb.DisjointPaths(u, v)
 			if err != nil {
-				t.Fatalf("HB(%d,%d) implicit DisjointPaths(%d,%d): %v", inst.m, inst.n, u, v, err)
+				t.Fatalf("HB(%d,%d) DisjointPaths(%d,%d): %v", inst.m, inst.n, u, v, err)
 			}
 			if len(paths) != want {
-				t.Fatalf("HB(%d,%d) implicit DisjointPaths(%d,%d): %d paths, want %d",
+				t.Fatalf("HB(%d,%d) DisjointPaths(%d,%d): %d paths, want %d",
 					inst.m, inst.n, u, v, len(paths), want)
 			}
-			if err := graph.VerifyDisjointPaths(imp, u, v, paths); err != nil {
+			if err := graph.VerifyDisjointPaths(d, u, v, paths); err != nil {
 				t.Fatalf("HB(%d,%d) pair (%d,%d): %v", inst.m, inst.n, u, v, err)
 			}
-			dense, err := imp.HyperButterfly.DisjointPaths(u, v)
+			flow, err := fs.DisjointPaths(u, v, -1)
 			if err != nil {
-				t.Fatalf("HB(%d,%d) dense DisjointPaths(%d,%d): %v", inst.m, inst.n, u, v, err)
+				t.Fatalf("HB(%d,%d) max-flow (%d,%d): %v", inst.m, inst.n, u, v, err)
 			}
-			if len(dense) != len(paths) {
-				t.Fatalf("HB(%d,%d) pair (%d,%d): implicit %d paths, dense %d",
-					inst.m, inst.n, u, v, len(paths), len(dense))
+			if len(flow) != len(paths) {
+				t.Fatalf("HB(%d,%d) pair (%d,%d): constructed %d paths, max-flow %d",
+					inst.m, inst.n, u, v, len(paths), len(flow))
 			}
 		}
 	}

@@ -10,18 +10,16 @@ import (
 // internally vertex-disjoint paths, hence vertex connectivity m+4
 // (Corollary 1) and maximal fault tolerance.
 //
-// Cases 1 and 2 of the paper's constructive proof are implemented
-// verbatim — their disjointness argument is airtight because the two
-// path families live in different sub-hypercubes/sub-butterflies. In
-// case 3 (both label parts differ) the paper asserts disjointness of the
-// naive two-phase paths, but with shared phase routes the m-family and
-// 4-family necessarily collide where the first hypercube step of one
-// family meets the first butterfly step of the other (every cube route
-// out of h passes a neighbor (h^(i), ·) and every butterfly route out of
-// b passes a neighbor (·, b^(j)), so the corner (h^(i), b^(j)) is hit
-// twice). We therefore realise case 3 by exact Menger extraction from a
-// unit-capacity max-flow, which yields the same m+4 count with a
-// correctness guarantee; the substitution is recorded in DESIGN.md.
+// All three cases of the proof are constructed from the factor path
+// families alone: the m Saad–Schultz paths of H_m and the 4 paths of
+// B_n. Cases 1 and 2 follow the paper verbatim. In case 3 (both label
+// parts differ) the paper's two staircase families collide where the
+// first cube step of one family meets the first butterfly step of the
+// other, so case 3 is built differently (disjointCase3): two two-phase
+// routes over the shortest factor paths P_1 and Q_1, and every other
+// path crosses one factor along P_1 or Q_1 in its own column or layer.
+// The product adjacency is never consulted; DESIGN.md §4 gives the
+// disjointness argument.
 
 // Dense returns the materialised adjacency of hb, building it on first
 // use and keeping it with hb, so it is freed with the instance. Safe
@@ -38,7 +36,7 @@ func (hb *HyperButterfly) DisjointPaths(u, v Node) ([][]Node, error) {
 	if u == v {
 		return nil, fmt.Errorf("core: DisjointPaths endpoints equal (%d)", u)
 	}
-	if u < 0 || u >= hb.Order() || v < 0 || v >= hb.Order() {
+	if !hb.ValidNode(u) || !hb.ValidNode(v) {
 		return nil, fmt.Errorf("core: endpoints %d,%d out of range [0,%d)", u, v, hb.Order())
 	}
 	hu, bu := hb.Decode(u)
@@ -49,7 +47,7 @@ func (hb *HyperButterfly) DisjointPaths(u, v Node) ([][]Node, error) {
 	case hu == hv:
 		return hb.disjointCase2(hu, bu, bv)
 	default:
-		return hb.disjointCase3(u, v)
+		return hb.disjointCase3(hu, bu, hv, bv)
 	}
 }
 
@@ -70,17 +68,14 @@ func (hb *HyperButterfly) disjointCase1(hu, hv, b int) ([][]Node, error) {
 		return nil, fmt.Errorf("core: case 1: %w", err)
 	}
 	for _, cp := range cubePaths {
-		paths = append(paths, hb.liftCubePath(cp, b))
+		paths = append(paths, hb.appendCubeRun(make([]Node, 0, len(cp)), cp, b))
 	}
-	var nbuf []int
-	nbuf = hb.bf.AppendNeighbors(b, nbuf)
-	for _, bj := range nbuf {
-		path := []Node{hb.Encode(hu, b)}
-		for _, x := range hb.cube.Route(hu, hv) {
-			path = append(path, hb.Encode(x, bj))
-		}
-		path = append(path, hb.Encode(hv, b))
-		paths = append(paths, path)
+	route := hb.cube.Route(hu, hv)
+	for _, bj := range hb.bf.AppendNeighbors(b, nil) {
+		path := make([]Node, 0, len(route)+2)
+		path = append(path, hb.Encode(hu, b))
+		path = hb.appendCubeRun(path, route, bj)
+		paths = append(paths, append(path, hb.Encode(hv, b)))
 	}
 	return paths, nil
 }
@@ -96,53 +91,104 @@ func (hb *HyperButterfly) disjointCase2(h, bu, bv int) ([][]Node, error) {
 		return nil, fmt.Errorf("core: case 2: %w", err)
 	}
 	for _, bp := range bfPaths {
-		paths = append(paths, hb.liftButterflyPath(h, bp))
+		paths = append(paths, hb.appendBfRun(make([]Node, 0, len(bp)), h, bp))
 	}
+	route := hb.bf.Route(bu, bv)
 	for i := 0; i < hb.m; i++ {
-		hi := h ^ (1 << uint(i))
-		path := []Node{hb.Encode(h, bu)}
-		for _, y := range hb.bf.Route(bu, bv) {
-			path = append(path, hb.Encode(hi, y))
+		path := make([]Node, 0, len(route)+2)
+		path = append(path, hb.Encode(h, bu))
+		path = hb.appendBfRun(path, h^(1<<uint(i)), route)
+		paths = append(paths, append(path, hb.Encode(h, bv)))
+	}
+	return paths, nil
+}
+
+// disjointCase3 handles h != h', b != b' (Case 3 of Theorem 5). Let
+// P_1..P_m be the cube paths h->h' and Q_1..Q_4 the butterfly paths
+// b->b', P_1 and Q_1 the shortest of each, a_i = P_i[1], c_j = Q_j[1]:
+//   - A_1 runs P_1 in layer b, then Q_1 in column h';
+//   - B_1 runs Q_1 in column h, then P_1 in layer b';
+//   - A_i (i >= 2) steps to (a_i, b), runs Q_1 in column a_i, then
+//     finishes P_i in layer b';
+//   - B_j (j >= 2) steps to (h, c_j), runs P_1 in layer c_j, then
+//     finishes Q_j in column h'.
+//
+// Each A_i (i >= 2) owns column a_i, which is off P_1, and P_i's
+// interior in layer b'; each B_j (j >= 2) owns layer c_j, off Q_1, and
+// Q_j's interior in column h'. A shortest factor path is the direct
+// edge whenever the endpoints are adjacent, so no a_i (i >= 2) is h'
+// and no c_j (j >= 2) is b'. The paths come out in factor order: the
+// cube family, then the butterfly family.
+func (hb *HyperButterfly) disjointCase3(hu, bu, hv, bv int) ([][]Node, error) {
+	cubePaths, err := hb.cube.DisjointPaths(hu, hv)
+	if err != nil {
+		return nil, fmt.Errorf("core: case 3: %w", err)
+	}
+	bfPaths, err := hb.bf.DisjointPaths(bu, bv)
+	if err != nil {
+		return nil, fmt.Errorf("core: case 3: %w", err)
+	}
+	p1, q1 := shortest(cubePaths), shortest(bfPaths)
+	P, Q := cubePaths[p1], bfPaths[q1]
+	u := hb.Encode(hu, bu)
+	paths := make([][]Node, 0, hb.m+4)
+	for i, pi := range cubePaths {
+		var path []Node
+		if i == p1 {
+			path = make([]Node, 0, len(P)+len(Q)-1)
+			path = hb.appendCubeRun(path, P, bu)
+			path = hb.appendBfRun(path, hv, Q[1:])
+		} else {
+			path = make([]Node, 0, len(Q)+len(pi)-1)
+			path = append(path, u)
+			path = hb.appendBfRun(path, pi[1], Q)
+			path = hb.appendCubeRun(path, pi[2:], bv)
 		}
-		path = append(path, hb.Encode(h, bv))
+		paths = append(paths, path)
+	}
+	for j, qj := range bfPaths {
+		var path []Node
+		if j == q1 {
+			path = make([]Node, 0, len(Q)+len(P)-1)
+			path = hb.appendBfRun(path, hu, Q)
+			path = hb.appendCubeRun(path, P[1:], bv)
+		} else {
+			path = make([]Node, 0, len(P)+len(qj)-1)
+			path = append(path, u)
+			path = hb.appendCubeRun(path, P, qj[1])
+			path = hb.appendBfRun(path, hv, qj[2:])
+		}
 		paths = append(paths, path)
 	}
 	return paths, nil
 }
 
-// disjointCase3 handles the general case via exact Menger extraction
-// (see the file comment for why the paper's sketch is not implemented
-// literally).
-func (hb *HyperButterfly) disjointCase3(u, v Node) ([][]Node, error) {
-	want := hb.m + 4
-	paths, err := graph.DisjointPaths(hb.Dense(), u, v, want)
-	if err != nil {
-		return nil, fmt.Errorf("core: case 3: %w", err)
+// shortest returns the index of the first shortest path in paths.
+func shortest(paths [][]int) int {
+	best := 0
+	for i, p := range paths {
+		if len(p) < len(paths[best]) {
+			best = i
+		}
 	}
-	if len(paths) != want {
-		return nil, fmt.Errorf("core: case 3: found %d disjoint paths between %d and %d, want %d",
-			len(paths), u, v, want)
-	}
-	return paths, nil
+	return best
 }
 
-// liftCubePath maps a hypercube path into HB at a fixed butterfly label.
-func (hb *HyperButterfly) liftCubePath(cp []int, b int) []Node {
-	out := make([]Node, len(cp))
-	for i, h := range cp {
-		out[i] = hb.Encode(h, b)
+// appendCubeRun appends the hypercube labels xs at butterfly label b.
+func (hb *HyperButterfly) appendCubeRun(dst []Node, xs []int, b int) []Node {
+	for _, x := range xs {
+		dst = append(dst, x*hb.bSize+b)
 	}
-	return out
+	return dst
 }
 
-// liftButterflyPath maps a butterfly path into HB at a fixed hypercube
-// label.
-func (hb *HyperButterfly) liftButterflyPath(h int, bp []int) []Node {
-	out := make([]Node, len(bp))
-	for i, b := range bp {
-		out[i] = hb.Encode(h, b)
+// appendBfRun appends the butterfly labels ys at hypercube label h.
+func (hb *HyperButterfly) appendBfRun(dst []Node, h int, ys []int) []Node {
+	base := h * hb.bSize
+	for _, y := range ys {
+		dst = append(dst, base+y)
 	}
-	return out
+	return dst
 }
 
 // Fan returns vertex-disjoint paths from src to each of the targets

@@ -38,18 +38,60 @@ func TestTheorem5Case2(t *testing.T) {
 	}
 }
 
-// TestTheorem5Case3 exercises the general case.
+// TestTheorem5Case3 constructs and verifies the path set of
+// every case-3 pair of HB(1,3), HB(2,3), HB(3,3) and HB(1,4), and checks
+// that the sweep reached the adjacent sub-cases the construction's
+// shortest factor paths exist for: h ~ h', b ~ b', and both.
 func TestTheorem5Case3(t *testing.T) {
-	hb := MustNew(2, 3)
-	rng := rand.New(rand.NewSource(53))
-	for trial := 0; trial < 300; trial++ {
-		u, v := rng.Intn(hb.Order()), rng.Intn(hb.Order())
-		hu, bu := hb.Decode(u)
-		hv, bv := hb.Decode(v)
-		if hu == hv || bu == bv {
-			continue
+	pairs, cubeAdj, bfAdj, bothAdj := 0, 0, 0, 0
+	for _, dims := range [][2]int{{1, 3}, {2, 3}, {3, 3}, {1, 4}} {
+		hb := MustNew(dims[0], dims[1])
+		for u := 0; u < hb.Order(); u++ {
+			hu, bu := hb.Decode(u)
+			for v := 0; v < hb.Order(); v++ {
+				hv, bv := hb.Decode(v)
+				if hu == hv || bu == bv {
+					continue
+				}
+				checkDisjoint(t, hb, u, v)
+				pairs++
+				ca := hb.Cube().Distance(hu, hv) == 1
+				ba := hb.Butterfly().Distance(bu, bv) == 1
+				if ca {
+					cubeAdj++
+				}
+				if ba {
+					bfAdj++
+				}
+				if ca && ba {
+					bothAdj++
+				}
+			}
 		}
-		checkDisjoint(t, hb, u, v)
+	}
+	if pairs != 46704 {
+		t.Errorf("swept %d case-3 pairs, want 46704", pairs)
+	}
+	if cubeAdj == 0 || bfAdj == 0 || bothAdj == 0 {
+		t.Errorf("adjacent sub-cases: h~h' %d, b~b' %d, both %d; want all non-zero", cubeAdj, bfAdj, bothAdj)
+	}
+}
+
+// TestDisjointPathsBuildNoAdjacency: answering cases 1, 2 and 3 on
+// HB(3,8) leaves the product adjacency unbuilt, so serving /paths costs
+// no graph materialisation.
+func TestDisjointPathsBuildNoAdjacency(t *testing.T) {
+	hb := MustNew(3, 8)
+	bSize := hb.Butterfly().Order()
+	for _, pair := range [][2]Node{
+		{hb.Encode(1, 5), hb.Encode(6, 5)},       // case 1
+		{hb.Encode(2, 7), hb.Encode(2, bSize-1)}, // case 2
+		{hb.Encode(0, 0), hb.Encode(7, bSize/2)}, // case 3
+	} {
+		checkDisjoint(t, hb, pair[0], pair[1])
+	}
+	if hb.dense != nil {
+		t.Error("DisjointPaths built the product adjacency")
 	}
 }
 

@@ -46,16 +46,16 @@ func exactHistogram(t *testing.T, d *graph.Dense) (fractions []float64, mean flo
 
 func TestEstimateDiameterBracketsExact(t *testing.T) {
 	for _, inst := range []struct{ m, n int }{{1, 3}, {2, 3}, {2, 4}, {3, 3}} {
-		imp := core.MustNewImplicit(inst.m, inst.n)
-		exact := graph.Diameter(imp.HyperButterfly.Dense(), 0)
-		if exact != imp.DiameterFormula() {
-			t.Fatalf("HB(%d,%d): exact diameter %d != formula %d", inst.m, inst.n, exact, imp.DiameterFormula())
+		hb := core.MustNew(inst.m, inst.n)
+		exact := graph.Diameter(hb.Dense(), 0)
+		if exact != hb.DiameterFormula() {
+			t.Fatalf("HB(%d,%d): exact diameter %d != formula %d", inst.m, inst.n, exact, hb.DiameterFormula())
 		}
 		for seed := int64(0); seed < 10; seed++ {
-			est := graph.EstimateDiameter(imp.Order(), imp.Distance, graph.EstConfig{
+			est := graph.EstimateDiameter(hb.Order(), hb.Distance, graph.EstConfig{
 				Samples:     512,
 				Seed:        seed,
-				KnownUpper:  imp.DiameterFormula(),
+				KnownUpper:  hb.DiameterFormula(),
 				ScanSources: 2,
 			})
 			if est.Lower > exact || est.Upper < exact {
@@ -69,7 +69,7 @@ func TestEstimateDiameterBracketsExact(t *testing.T) {
 		// With eccentricity scans the lower bound must actually reach the
 		// exact diameter on vertex-transitive instances (every ecc equals
 		// the diameter), making the bracket tight on this family.
-		est := graph.EstimateDiameter(imp.Order(), imp.Distance, graph.EstConfig{
+		est := graph.EstimateDiameter(hb.Order(), hb.Distance, graph.EstConfig{
 			Samples: 64, Seed: 1, ScanSources: 1,
 		})
 		if est.Lower != exact {
@@ -80,8 +80,8 @@ func TestEstimateDiameterBracketsExact(t *testing.T) {
 }
 
 func TestEstimateHistogramCoverage(t *testing.T) {
-	imp := core.MustNewImplicit(2, 3)
-	fractions, mean, diam := exactHistogram(t, imp.HyperButterfly.Dense())
+	hb := core.MustNew(2, 3)
+	fractions, mean, diam := exactHistogram(t, hb.Dense())
 
 	const (
 		seeds      = 60
@@ -90,7 +90,7 @@ func TestEstimateHistogramCoverage(t *testing.T) {
 	misses := 0
 	meanMisses := 0
 	for seed := int64(0); seed < seeds; seed++ {
-		est := graph.EstimateDistanceHistogram(imp.Order(), imp.Distance, graph.EstConfig{
+		est := graph.EstimateDistanceHistogram(hb.Order(), hb.Distance, graph.EstConfig{
 			Samples:    1024,
 			Confidence: confidence,
 			Seed:       seed,
@@ -166,26 +166,26 @@ func spotCheckConnectivity(g graph.Graph, paths func(u, v int) ([][]int, error),
 	return out
 }
 
-// TestSpotCheckConnectivityCertifies certifies the implicit backend's
-// Theorem 5 paths on sampled pairs, and checks that a deficient backend
-// is caught.
+// TestSpotCheckConnectivityCertifies certifies HB's constructed
+// Theorem 5 paths on sampled pairs, and checks that a deficient path
+// source is caught.
 func TestSpotCheckConnectivityCertifies(t *testing.T) {
-	imp := core.MustNewImplicit(2, 3)
-	res := spotCheckConnectivity(imp, func(u, v int) ([][]int, error) {
-		return imp.DisjointPaths(u, v)
-	}, imp.ConnectivityFormula(), 40, 7)
+	hb := core.MustNew(2, 3)
+	res := spotCheckConnectivity(hb, func(u, v int) ([][]int, error) {
+		return hb.DisjointPaths(u, v)
+	}, hb.ConnectivityFormula(), 40, 7)
 	if res.Certified != res.Pairs || res.Pairs != 40 {
 		t.Fatalf("certified %d of %d probes (want all 40): %s", res.Certified, res.Pairs, res.FirstFailure)
 	}
 
 	// A deliberately deficient oracle must not certify.
-	res = spotCheckConnectivity(imp, func(u, v int) ([][]int, error) {
-		ps, err := imp.DisjointPaths(u, v)
+	res = spotCheckConnectivity(hb, func(u, v int) ([][]int, error) {
+		ps, err := hb.DisjointPaths(u, v)
 		if err != nil || len(ps) == 0 {
 			return ps, err
 		}
 		return ps[:len(ps)-1], nil
-	}, imp.ConnectivityFormula(), 5, 7)
+	}, hb.ConnectivityFormula(), 5, 7)
 	if res.Certified != 0 || res.FirstFailure == "" {
 		t.Fatalf("deficient oracle certified %d probes", res.Certified)
 	}

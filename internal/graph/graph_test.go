@@ -384,6 +384,10 @@ func TestVerifyDisjointPathsRejects(t *testing.T) {
 	if err := VerifyDisjointPaths(p, 0, 2, [][]int{{0, 2}}); err == nil {
 		t.Fatal("accepted non-edge path")
 	}
+	// The direct edge twice.
+	if err := VerifyDisjointPaths(p, 0, 1, [][]int{{0, 1}, {0, 1}}); err == nil {
+		t.Fatal("accepted a repeated direct edge")
+	}
 }
 
 func TestVerifyGeneratorAction(t *testing.T) {

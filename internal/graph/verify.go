@@ -126,13 +126,22 @@ func VerifyGeneratorAction(g Graph, degree int) error {
 
 // VerifyDisjointPaths checks that paths is a set of pairwise internally
 // vertex-disjoint s-t paths in g, each a valid walk on edges of g with
-// distinct internal vertices. It returns nil if all constraints hold.
+// distinct internal vertices, and at most one of them the direct edge
+// (two copies of it share no internal vertex but are one path). It
+// returns nil if all constraints hold.
 func VerifyDisjointPaths(g Graph, s, t int, paths [][]int) error {
 	seen := make(map[int]int) // internal vertex -> path index
+	direct := -1              // index of the direct s-t path, if any
 	var buf []int
 	for pi, p := range paths {
 		if len(p) == 0 || p[0] != s || p[len(p)-1] != t {
 			return fmt.Errorf("graph: path %d does not run %d..%d: %v", pi, s, t, p)
+		}
+		if len(p) == 2 {
+			if direct >= 0 {
+				return fmt.Errorf("graph: paths %d and %d are both the direct edge %d-%d", direct, pi, s, t)
+			}
+			direct = pi
 		}
 		inPath := make(map[int]bool, len(p))
 		for i, v := range p {

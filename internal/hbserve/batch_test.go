@@ -211,7 +211,7 @@ func checkBatchColumns(t *testing.T, hb *core.HyperButterfly, op string, faults,
 				t.Fatalf("pair %d: dist %d, want %d", i, r.Dist[i], hb.Distance(u, v))
 			}
 		case "paths":
-			want, err := core.ImplicitOf(hb).DisjointPaths(u, v)
+			want, err := hb.DisjointPaths(u, v)
 			if err != nil { // equal endpoints
 				if r.Status[i] != core.BatchFailed {
 					t.Fatalf("pair %d (%d,%d): status %d, want failed", i, u, v, r.Status[i])
@@ -479,16 +479,16 @@ func TestBatchEmpty(t *testing.T) {
 	}
 }
 
-// TestBatchImplicitTier routes a batch on dims served by the implicit
-// backend and checks it against label arithmetic.
+// TestBatchImplicitTier routes a batch on dims served by the pool's
+// label-arithmetic instance and checks it against label arithmetic.
 func TestBatchImplicitTier(t *testing.T) {
 	s, ts := newTestServer(t)
 	top, err := s.pool.Get(Dims{M: 2, N: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := top.(*core.Implicit); !ok {
-		t.Fatalf("HB(2,3) served by %T, want the implicit backend", top)
+	if _, ok := top.(*core.HyperButterfly); !ok {
+		t.Fatalf("HB(2,3) served by %T, want *core.HyperButterfly", top)
 	}
 	src, dst := batchPairs(top.Order())
 	resp, body := postBatch(t, ts.URL, ctJSON, jsonBatchBody(t, "route", 2, 3, nil, src, dst))
@@ -560,7 +560,7 @@ func TestHandleBatchAllocsFlat(t *testing.T) {
 		t.Skip("sync.Pool drops items at random under -race")
 	}
 	h := NewServer(Config{BatchWorkers: 1}).Handler()
-	top := core.MustNewImplicit(3, 8)
+	top := core.MustNew(3, 8)
 	rng := rand.New(rand.NewSource(9))
 	replays := map[int]*batchReplay{}
 	for _, pairs := range []int{4096, 64} {

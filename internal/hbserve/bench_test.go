@@ -106,7 +106,7 @@ func BenchmarkHandlerRoute(b *testing.B) {
 func BenchmarkHandlerBatch(b *testing.B) {
 	const m, n, pairs, batches = 3, 8, 341, 64
 	h := NewServer(Config{}).Handler()
-	top := core.MustNewImplicit(m, n)
+	top := core.MustNew(m, n)
 	rng := rand.New(rand.NewSource(1))
 	replays := make([]*batchReplay, batches)
 	for k := range replays {
@@ -195,7 +195,7 @@ func BenchmarkScatterPartition(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	top := core.MustNewImplicit(m, n)
+	top := core.MustNew(m, n)
 	rng := rand.New(rand.NewSource(1))
 	var gs scatterScratch
 	reqs := make([]*batchRequest, batches)

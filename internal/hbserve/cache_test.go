@@ -182,8 +182,8 @@ func TestPoolRejectsOversized(t *testing.T) {
 }
 
 // TestPoolImplicitTier pins the one-cap order policy: up to MaxOrder
-// every instance is the label-arithmetic backend, above it the pool
-// rejects.
+// every instance is a label-arithmetic *core.HyperButterfly, above it
+// the pool rejects.
 func TestPoolImplicitTier(t *testing.T) {
 	p := &Pool{MaxOrder: 20000}
 	for _, d := range []Dims{{M: 1, N: 3}, {M: 3, N: 8}} { // orders 48 and 16384
@@ -191,12 +191,12 @@ func TestPoolImplicitTier(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		imp, ok := top.(*core.Implicit)
+		hb, ok := top.(*core.HyperButterfly)
 		if !ok {
-			t.Fatalf("%v got %T, want the implicit backend", d, top)
+			t.Fatalf("%v got %T, want *core.HyperButterfly", d, top)
 		}
-		if want := d.N << uint(d.M+d.N); imp.Order() != want {
-			t.Errorf("%v order %d, want %d", d, imp.Order(), want)
+		if want := d.N << uint(d.M+d.N); hb.Order() != want {
+			t.Errorf("%v order %d, want %d", d, hb.Order(), want)
 		}
 	}
 	if _, err := p.Get(Dims{M: 4, N: 9}); err == nil {

@@ -148,7 +148,7 @@ func TestPartitionMergeAllocsFlat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	top := core.MustNewImplicit(3, 8)
+	top := core.MustNew(3, 8)
 	rng := rand.New(rand.NewSource(3))
 	allocs := func(pairs int) float64 {
 		req := randomRouteBatch(rng, 3, 8, top.Order(), pairs)
@@ -172,7 +172,7 @@ func TestPartitionMergeAllocsFlat(t *testing.T) {
 // body into a warm scatterScratch without allocating, at 64 pairs and
 // at 4,096 — the columns reuse the scratch's storage.
 func TestForwardBatchDecodeAllocsFlat(t *testing.T) {
-	top := core.MustNewImplicit(3, 8)
+	top := core.MustNew(3, 8)
 	rng := rand.New(rand.NewSource(5))
 	var gs scatterScratch
 	bodies := map[int][]byte{}

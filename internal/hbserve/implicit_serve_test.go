@@ -9,7 +9,7 @@ import (
 	"repro/internal/core"
 )
 
-// These tests pin the headline serving claim of the implicit tier: a
+// These tests pin the headline serving claim of label arithmetic: a
 // cold daemon answers /route, /paths (verified), /faultroute and
 // /estimate on HB(10,10) — order 10·2^20 ≈ 10.5M, far above the dense
 // cap — without ever materialising an adjacency. Queries stay in the
@@ -24,7 +24,7 @@ func giantURL(ts *httptest.Server, path string) string {
 
 func TestImplicitServesGiantRoute(t *testing.T) {
 	_, ts := newTestServer(t)
-	imp := core.MustNewImplicit(10, 10)
+	hb := core.MustNew(10, 10)
 	u, v := 12345, giantOrder-678
 	code, body := get(t, giantURL(ts, fmt.Sprintf("/route?u=%d&v=%d&verify=1", u, v)))
 	if code != 200 {
@@ -37,7 +37,7 @@ func TestImplicitServesGiantRoute(t *testing.T) {
 	if !res.Verified {
 		t.Error("verify=1 response not marked verified")
 	}
-	if want := imp.Distance(u, v); res.Distance != want {
+	if want := hb.Distance(u, v); res.Distance != want {
 		t.Errorf("distance %d, want %d", res.Distance, want)
 	}
 	if len(res.Path) != res.Distance+1 || res.Path[0] != u || res.Path[len(res.Path)-1] != v {
@@ -66,11 +66,11 @@ func TestImplicitServesGiantPaths(t *testing.T) {
 
 func TestImplicitServesGiantFaultRoute(t *testing.T) {
 	_, ts := newTestServer(t)
-	imp := core.MustNewImplicit(10, 10)
+	hb := core.MustNew(10, 10)
 	u, v := 0, giantOrder-1
 	// Knock out the first hop of the fault-free optimal route; the
 	// router must deliver around it.
-	direct := imp.Route(u, v)
+	direct := hb.Route(u, v)
 	code, body := get(t, giantURL(ts, fmt.Sprintf("/faultroute?u=%d&v=%d&faults=%d", u, v, direct[1])))
 	if code != 200 {
 		t.Fatalf("status %d: %s", code, body)

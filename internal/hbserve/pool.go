@@ -18,10 +18,10 @@ type Dims struct {
 func (d Dims) String() string { return fmt.Sprintf("HB(%d,%d)", d.M, d.N) }
 
 // Pool is a bounded, lazily-filled cache of constructed HB(m,n)
-// backends. Every instance is the label-arithmetic *core.Implicit, which
-// serves /route, /paths and /faultroute on e.g. HB(10,10) (~10.5M nodes)
-// with zero graph construction; its dense adjacency is built only when
-// a verify=1 BFS oracle asks for it. Instances pin memory once that
+// instances. Every instance is a *core.HyperButterfly, which serves
+// /route, /paths and /faultroute on e.g. HB(10,10) (~10.5M nodes) by
+// label arithmetic with zero graph construction; its dense adjacency is
+// built only when a verify=1 BFS oracle asks for it. Instances pin memory once that
 // adjacency or their route caches warm up, so the pool evicts the
 // least-recently-used instance beyond Max. A per-entry sync.Once keeps
 // concurrent first requests for the same dims from building twice, and
@@ -40,16 +40,17 @@ type Pool struct {
 	evictions uint64
 
 	// construct builds an instance; tests override it to hold a build
-	// open and race evictions against it. Nil means core.NewImplicit.
+	// open and race evictions against it. Nil means core.New.
 	construct func(d Dims) (core.Topology, error)
 }
 
 // DefaultPoolMax bounds the number of live instances.
 const DefaultPoolMax = 8
 
-// DefaultMaxOrder caps the served instances. Implicit instances hold no
-// adjacency, so the bound exists only to keep per-request label work
-// (and response sizes) sane; HB(10,10) at ~10.5M nodes fits.
+// DefaultMaxOrder caps the served instances. Instances hold no
+// adjacency unless a verify=1 oracle builds one, so the bound exists
+// only to keep per-request label work (and response sizes) sane;
+// HB(10,10) at ~10.5M nodes fits.
 const DefaultMaxOrder = 1 << 24
 
 type poolEntry struct {
@@ -119,7 +120,7 @@ func (p *Pool) Get(d Dims) (core.Topology, error) {
 		if p.construct != nil {
 			e.top, e.err = p.construct(d)
 		} else {
-			e.top, e.err = core.NewImplicit(d.M, d.N)
+			e.top, e.err = core.New(d.M, d.N)
 		}
 		e.built.Store(true)
 	})

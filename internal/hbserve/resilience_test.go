@@ -73,7 +73,7 @@ func (c faultRouteCase) query() string {
 // greedy routing too, so they reach every rung of Theorem 5's ladder.
 func neighbourhoodCases(t *testing.T, m, n int, want ...string) []faultRouteCase {
 	t.Helper()
-	top := core.MustNewImplicit(m, n)
+	top := core.MustNew(m, n)
 	var out []faultRouteCase
 	need := map[string]int{}
 	for _, s := range want {
@@ -230,7 +230,7 @@ func (panickyRoutes) AppendRoute(u, v core.Node, buf []core.Node) []core.Node {
 func TestCachedComputePanic(t *testing.T) {
 	s := NewServer(Config{})
 	s.pool.construct = func(d Dims) (core.Topology, error) {
-		return panickyRoutes{core.MustNewImplicit(d.M, d.N)}, nil
+		return panickyRoutes{core.MustNew(d.M, d.N)}, nil
 	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()

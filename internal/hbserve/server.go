@@ -15,9 +15,9 @@
 // /estimate answers sampled diameter/distance questions with explicit
 // confidence statements on instances too large for exact sweeps.
 //
-// Every instance is served by the label-arithmetic implicit backend,
-// so a cold hbd answers /route, /paths and /faultroute on HB(10,10)
-// (~10.5M nodes) without ever materialising a graph. The single-pair
+// Every query is answered by label arithmetic, the Theorem 5 paths
+// included, so a cold hbd answers /route, /paths and /faultroute on
+// HB(10,10) (~10.5M nodes) without ever materialising a graph. The single-pair
 // GETs are one-pair batches: they run the same per-op code as /batch
 // and only render a different JSON shape. verify=1 replays a BFS oracle
 // over the adjacency, built on demand, on instances small enough for
@@ -672,8 +672,8 @@ type estimateResponse struct {
 
 // handleEstimate answers sampled structural questions — a diameter
 // bracket and the distance distribution with Hoeffding intervals — from
-// the distance oracle alone, so it works unchanged on the implicit tier
-// where exact sweeps are out of reach. Uncached: the seed parameter
+// the distance oracle alone, so it works unchanged on instances where
+// exact sweeps are out of reach. Uncached: the seed parameter
 // makes the response identity high-cardinality and recomputation is
 // only milliseconds.
 func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
