@@ -13,7 +13,9 @@
 //	/paths?m=2&n=3&u=0&v=95        the m+4 disjoint paths (Theorem 5)
 //	/faultroute?...&faults=3,17    fault-avoiding route (Remark 10)
 //	/info?m=2&n=3                  order/edges/degree/diameter/connectivity
+//	/estimate?m=2&n=3              exact diameter/distance histogram (<= 4,096 nodes)
 //	/estimate?m=10&n=10&samples=4096   sampled diameter/distance evidence
+//	                               (larger instances, or live=1)
 //	/conformance?m=2&n=3           re-run the invariant registry
 //	/metrics                       Prometheus text exposition
 //	/healthz                       liveness
@@ -65,7 +67,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	timeout := fs.Duration("timeout", 0, "serve: per-request deadline (0 = default, negative disables)")
 	maxInFlight := fs.Int("maxinflight", 0, "serve: 503 load-shedding bound (0 = default, negative disables)")
 	batchWorkers := fs.Int("batchworkers", 0, "serve: /batch kernel fan-out (0 = GOMAXPROCS)")
-	snapshotDir := fs.String("snapshotdir", "", "serve: directory of *.hbsnap artifacts (hbtables -snapshot); /estimate answers covered dims exactly")
 
 	replicas := fs.String("replicas", "", "router: comma-separated replica base URLs")
 	vnodes := fs.Int("vnodes", 0, "router: virtual nodes per replica on the hash ring (0 = default)")
@@ -92,15 +93,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			MaxInFlight:    *maxInFlight,
 			BatchWorkers:   *batchWorkers,
 		})
-		if *snapshotDir != "" {
-			loaded, err := srv.LoadSnapshots(*snapshotDir)
-			if err != nil {
-				fmt.Fprintf(stderr, "hbd: %v\n", err)
-				return 1
-			}
-			defer srv.CloseSnapshots()
-			fmt.Fprintf(stdout, "hbd: loaded %d snapshots from %s\n", loaded, *snapshotDir)
-		}
 		ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 		defer stop()
 		fmt.Fprintf(stdout, "hbd: serving on %s (SIGTERM drains in-flight requests)\n", *addr)

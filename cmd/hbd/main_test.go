@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -49,23 +48,6 @@ func TestRouterModeRejectsEmptyFleet(t *testing.T) {
 		t.Fatalf("exit %d, want 2\nstderr: %s", code, stderr.String())
 	}
 	if !strings.Contains(stderr.String(), "replica") {
-		t.Errorf("stderr %q", stderr.String())
-	}
-}
-
-// TestServeBadSnapshotDir: a broken -snapshotdir must fail startup, not
-// serve without the artifacts it was told to load.
-func TestServeBadSnapshotDir(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	code := run([]string{
-		"-mode", "serve",
-		"-addr", "127.0.0.1:0",
-		"-snapshotdir", filepath.Join(t.TempDir(), "absent"),
-	}, &stdout, &stderr)
-	if code != 1 {
-		t.Fatalf("exit %d, want 1\nstderr: %s", code, stderr.String())
-	}
-	if !strings.Contains(stderr.String(), "snapshot") {
 		t.Errorf("stderr %q", stderr.String())
 	}
 }

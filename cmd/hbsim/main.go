@@ -17,11 +17,12 @@
 //	hbsim -mode chaos -m 2 -n 3 -rate 0.05 -cycles 800
 //	    dynamic fault injection: churn + adversarial min-cut schedules
 //	    with in-flight rerouting; exits 1 on any Remark-10 violation (E-CH)
-//	hbsim -mode noc -m 3 -n 3 -rate 0.5 -cycles 2000 -vcs 4 -bufdepth 2 -out BENCH_noc.json
+//	hbsim -mode noc -m 3 -n 3 -rate 0.5 -cycles 2000 -out BENCH_noc.json
 //	    event-driven NoC engine (E-NC): engine flit throughput,
 //	    HB vs hyper-deBruijn saturation curves with escape-channel
 //	    adaptive routing, collectives under load, churn resilience;
-//	    exits 1 if any adaptive run deadlocks
+//	    exits 1 if any adaptive run deadlocks. The -out artifact records
+//	    the machine (env) and the invocation that regenerates it (command)
 //
 // Exit status: 0 on success, 1 on a simulation or gate failure, 2 on a
 // usage error (unknown mode or pattern, malformed flags).
@@ -33,6 +34,7 @@ import (
 	"io"
 	"math/rand"
 	"os"
+	"strings"
 	"text/tabwriter"
 
 	"repro/internal/broadcast"
@@ -103,6 +105,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				err = nocMode(stdout, nocParams{
 					m: *m, n: *n, rate: *rate, cycles: *cycles, seed: *seed,
 					vcs: *vcs, bufDepth: *bufdepth, pattern: pat, out: *out,
+					command: strings.Join(append([]string{"go run ./cmd/hbsim"}, args...), " "),
 				})
 			}
 		default:

@@ -13,12 +13,16 @@ import (
 	faultsim "repro/internal/faults"
 	"repro/internal/hyperdebruijn"
 	"repro/internal/noc"
+	"repro/internal/profiling"
 )
 
 // nocMode runs the E-NC experiment suite on the event-driven NoC
 // engine and, when -out is set, writes BENCH_noc.json — the cross-PR
 // artifact recording the engine's flit throughput and the HB vs
-// hyper-deBruijn saturation curves. (The engine-vs-oracle ratio comes
+// hyper-deBruijn saturation curves, with the machine it ran on and the
+// invocation that regenerates it. Every field but the flit throughput
+// and the env block is seeded, so a rerun reproduces it exactly
+// (TestBenchNoCDrift). (The engine-vs-oracle ratio comes
 // from BenchmarkNoCObliviousHB33 vs BenchmarkWormholeOracleHB33 in
 // internal/noc, whose oracle is test code.) Every adaptive run must end
 // with Deadlocked == false or the mode returns an error (exit 1): the
@@ -33,6 +37,7 @@ type nocParams struct {
 	seed                        int64
 	pattern                     noc.Pattern
 	out                         string
+	command                     string // the invocation, recorded in the artifact
 }
 
 type nocPoint struct {
@@ -47,6 +52,9 @@ type nocPoint struct {
 }
 
 type nocReport struct {
+	Env     profiling.Env `json:"env"`
+	Command string        `json:"command"`
+
 	M         int    `json:"m"`
 	N         int    `json:"n"`
 	Cycles    int    `json:"cycles"`
@@ -90,6 +98,7 @@ func nocMode(w io.Writer, p nocParams) error {
 		return err
 	}
 	rep := nocReport{
+		Env: profiling.CurrentEnv(), Command: p.command,
 		M: p.m, N: p.n, Cycles: p.cycles, PacketLen: nocPacketLen,
 		BufDepth: p.bufDepth, VCs: p.vcs, Pattern: p.pattern.String(), Seed: p.seed,
 	}

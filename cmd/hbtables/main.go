@@ -10,12 +10,6 @@
 //
 // -cpuprofile/-memprofile capture pprof profiles of the sweep, mirroring
 // the go test flags.
-//
-//	hbtables -snapshot 2x3,3x3 -snapdir snapshots
-//
-// builds precomputed snapshot artifacts (all-pairs distance histogram,
-// eccentricities, Theorem 5 path table; see internal/snapshot) that
-// hbd -snapshotdir mmap-loads to answer /estimate exactly in O(1).
 package main
 
 import (
@@ -23,13 +17,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
-	"strconv"
-	"strings"
 
-	"repro/internal/core"
 	"repro/internal/profiling"
-	"repro/internal/snapshot"
 	"repro/internal/tables"
 )
 
@@ -45,14 +34,8 @@ func run() int {
 	asJSON := flag.Bool("json", false, "emit machine-readable JSON instead of text tables")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the table sweep to this file")
 	memprofile := flag.String("memprofile", "", "write a GC-settled heap profile to this file on exit")
-	snapDims := flag.String("snapshot", "", "build snapshot artifacts for these instances (e.g. 2x3,3x3) instead of tables")
-	snapDir := flag.String("snapdir", "snapshots", "directory to write -snapshot artifacts into")
-	workers := flag.Int("workers", 0, "snapshot sweep workers (0 = GOMAXPROCS)")
 	flag.Parse()
 
-	if *snapDims != "" {
-		return buildSnapshots(*snapDims, *snapDir, *workers)
-	}
 	if *table < 0 || *table > 2 {
 		fmt.Fprintf(os.Stderr, "hbtables: unknown table %d\n", *table)
 		return 2
@@ -100,46 +83,6 @@ func run() int {
 		if !*exact {
 			fmt.Println("(HD diameters shown as formulas; rerun with -exact for the full BFS sweep)")
 		}
-	}
-	return 0
-}
-
-// buildSnapshots parses "2x3,3x3", builds each snapshot live and writes
-// hb_<m>_<n>.hbsnap files into dir.
-func buildSnapshots(spec, dir string, workers int) int {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		fmt.Fprintln(os.Stderr, "hbtables:", err)
-		return 1
-	}
-	for _, part := range strings.Split(spec, ",") {
-		ms, ns, ok := strings.Cut(strings.TrimSpace(part), "x")
-		if !ok {
-			fmt.Fprintf(os.Stderr, "hbtables: bad snapshot spec %q (want MxN, e.g. 2x3)\n", part)
-			return 2
-		}
-		m, errM := strconv.Atoi(ms)
-		n, errN := strconv.Atoi(ns)
-		if errM != nil || errN != nil {
-			fmt.Fprintf(os.Stderr, "hbtables: bad snapshot spec %q (want MxN, e.g. 2x3)\n", part)
-			return 2
-		}
-		hb, err := core.New(m, n)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "hbtables:", err)
-			return 1
-		}
-		snap, err := snapshot.Build(hb, workers)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "hbtables:", err)
-			return 1
-		}
-		path := filepath.Join(dir, fmt.Sprintf("hb_%d_%d%s", m, n, snapshot.FileSuffix))
-		if err := snap.WriteFile(path); err != nil {
-			fmt.Fprintln(os.Stderr, "hbtables:", err)
-			return 1
-		}
-		fmt.Printf("hbtables: wrote %s (order %d, diameter %d, %d distance classes)\n",
-			path, snap.Order, snap.Diameter, len(snap.Hist))
 	}
 	return 0
 }

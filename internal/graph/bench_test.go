@@ -1,17 +1,14 @@
 package graph_test
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"os"
-	"os/exec"
-	"runtime"
-	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/profiling"
 )
 
 // Benchmarks for the CSR BFS kernel layer (E-PF in EXPERIMENTS.md).
@@ -196,54 +193,16 @@ type benchRecord struct {
 	Speedup     float64 `json:"speedup_vs_reference,omitempty"`
 }
 
-// benchEnv is the environment block of a BENCH_*.json artifact: the
-// commit measured (with -dirty when tracked files differ from it) and
-// the machine and toolchain the numbers came from.
-type benchEnv struct {
-	Commit     string `json:"commit"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	NProc      int    `json:"nproc"`
-	CPU        string `json:"cpu"`
-	Go         string `json:"go"`
-}
-
-func currentBenchEnv() benchEnv {
-	commit := "unknown"
-	if out, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output(); err == nil {
-		commit = strings.TrimSpace(string(out))
-		if st, err := exec.Command("git", "status", "--porcelain", "--untracked-files=no").Output(); err == nil && len(st) > 0 {
-			commit += "-dirty"
-		}
-	}
-	return benchEnv{Commit: commit, GOMAXPROCS: runtime.GOMAXPROCS(0), NProc: runtime.NumCPU(), CPU: cpuModel(), Go: runtime.Version()}
-}
-
-// cpuModel is the first "model name" of /proc/cpuinfo, or "unknown".
-func cpuModel() string {
-	f, err := os.Open("/proc/cpuinfo")
-	if err != nil {
-		return "unknown"
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		if k, v, ok := strings.Cut(sc.Text(), ":"); ok && strings.TrimSpace(k) == "model name" {
-			return strings.TrimSpace(v)
-		}
-	}
-	return "unknown"
-}
-
 // writeBenchArtifact writes a BENCH_*.json artifact to path: the
 // environment block, the command that regenerates the file, and the
 // results.
 func writeBenchArtifact(t *testing.T, path, command string, results map[string]benchRecord) {
 	t.Helper()
 	raw, err := json.MarshalIndent(struct {
-		Env     benchEnv               `json:"env"`
+		Env     profiling.Env          `json:"env"`
 		Command string                 `json:"command"`
 		Results map[string]benchRecord `json:"results"`
-	}{currentBenchEnv(), command, results}, "", "  ")
+	}{profiling.CurrentEnv(), command, results}, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}

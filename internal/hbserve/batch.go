@@ -23,7 +23,7 @@ import (
 //   - application/json — columns as JSON arrays
 //     ({"m":2,"n":3,"op":"route","src":[...],"dst":[...]});
 //   - application/x-hbbatch — length-prefixed little-endian binary
-//     frames (see README "Batch serving & snapshots" for the layout).
+//     frames (see README "Batch serving" for the layout).
 //
 // Four ops share the request shape: dist and route run on the
 // zero-alloc core.RouteBatch kernel, paths bundles Theorem 5 disjoint

@@ -295,3 +295,26 @@ func checkMergedWhole(tb testing.TB, top core.Topology, req *batchRequest, merge
 		tb.Fatal("merged sub-answers differ from the whole batch's")
 	}
 }
+
+// BenchmarkHandlerEstimate times one /estimate request through the
+// handler: exact (one BFS) on the two largest instances under
+// maxExactOrder, and the default sampled answer (live=1) on the same
+// dims, which the exact answer's per-request cost is measured against.
+func BenchmarkHandlerEstimate(b *testing.B) {
+	h := NewServer(Config{}).Handler()
+	for _, q := range []string{"m=1&n=8", "m=6&n=4", "m=1&n=8&live=1", "m=6&n=4&live=1"} {
+		b.Run(q, func(b *testing.B) {
+			req := httptest.NewRequest(http.MethodGet, "/estimate?"+q, nil)
+			h.ServeHTTP(httptest.NewRecorder(), req)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				w := httptest.NewRecorder()
+				h.ServeHTTP(w, req)
+				if w.Code != 200 {
+					b.Fatalf("status %d", w.Code)
+				}
+			}
+		})
+	}
+}

@@ -360,7 +360,7 @@ func (rt *Router) noLiveReplica() error {
 
 // relayedHeaders are the replica answer headers a forward passes on to
 // the client, besides the X-Replica stamp the router adds.
-var relayedHeaders = []string{"Content-Type", "X-Cache", "X-Snapshot", "Retry-After"}
+var relayedHeaders = []string{"Content-Type", "X-Cache", "Retry-After"}
 
 // requestKey computes the shard key for one single-query request: the
 // full (dims,u,v) identity — the same identity the replica's route

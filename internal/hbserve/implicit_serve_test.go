@@ -122,13 +122,14 @@ func TestImplicitServesGiantEstimate(t *testing.T) {
 	}
 }
 
-// TestEstimateEndpointSmall cross-checks /estimate against the known
-// exact diameter on a dense-tier instance, where ScanSources certifies
-// the exact value by vertex-transitivity (one eccentricity = diameter).
+// TestEstimateEndpointSmall cross-checks the sampled /estimate (live=1)
+// against the known exact diameter on a small instance, where
+// ScanSources certifies the exact value by vertex-transitivity (one
+// eccentricity = diameter).
 func TestEstimateEndpointSmall(t *testing.T) {
 	_, ts := newTestServer(t)
 	hb := core.MustNew(2, 3)
-	code, body := get(t, fmt.Sprintf("%s/estimate?m=2&n=3&samples=4096&scan=1", ts.URL))
+	code, body := get(t, fmt.Sprintf("%s/estimate?m=2&n=3&live=1&samples=4096&scan=1", ts.URL))
 	if code != 200 {
 		t.Fatalf("status %d: %s", code, body)
 	}

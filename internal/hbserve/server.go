@@ -12,8 +12,9 @@
 // how they interleave. /faultroute takes a caller-supplied fault set
 // and is deliberately uncached (fault sets are high-cardinality);
 // /conformance re-runs the paper's invariant registry on demand;
-// /estimate answers sampled diameter/distance questions with explicit
-// confidence statements on instances too large for exact sweeps.
+// /estimate answers exactly from one BFS on instances up to
+// maxExactOrder nodes, and above that (or with live=1) with sampled
+// diameter/distance evidence and explicit confidence statements.
 //
 // Every query is answered by label arithmetic, the Theorem 5 paths
 // included, so a cold hbd answers /route, /paths and /faultroute on
@@ -34,6 +35,7 @@ import (
 	"net"
 	"net/http"
 	"net/url"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -55,13 +57,6 @@ type Server struct {
 	timeout      time.Duration // per-request deadline
 	maxInFlight  int64         // load-shedding bound
 	batchWorkers int           // /batch kernel fan-out; <= 0 means GOMAXPROCS
-
-	// snapshots holds mmap-loaded precomputed artifacts keyed by dims;
-	// /estimate answers covered instances from the pre-rendered body
-	// instead of sampling. Written by LoadSnapshots, read on the hot
-	// path.
-	snapMu    sync.RWMutex
-	snapshots map[Dims]*snapshotEntry
 
 	// scratch pools the BFS kernel state used by verify=1 requests, so
 	// verification costs one traversal and zero steady-state
@@ -127,7 +122,6 @@ func NewServer(cfg Config) *Server {
 		timeout:      timeout,
 		maxInFlight:  maxInFlight,
 		batchWorkers: cfg.BatchWorkers,
-		snapshots:    make(map[Dims]*snapshotEntry),
 	}
 	s.scratch.New = func() any { return graph.NewScratch(0) }
 	s.mux.HandleFunc("/route", s.instrument("route", s.handleQuery(batchOpRoute)))
@@ -670,12 +664,76 @@ type estimateResponse struct {
 	Fractions    []float64 `json:"fractions"`
 }
 
-// handleEstimate answers sampled structural questions — a diameter
-// bracket and the distance distribution with Hoeffding intervals — from
-// the distance oracle alone, so it works unchanged on instances where
-// exact sweeps are out of reach. Uncached: the seed parameter
-// makes the response identity high-cardinality and recomputation is
-// only milliseconds.
+// maxExactOrder caps the instances /estimate answers exactly (HB(1,8)
+// and HB(6,4) are the largest at 4,096 nodes). At the cap one exact
+// request, a label-arithmetic BFS, takes 0.35-0.51 ms and a sampled one
+// 0.19-0.28 ms (BenchmarkHandlerEstimate, 2-vCPU Xeon, Go 1.24), so the
+// exact answer is recomputed per request rather than stored.
+const maxExactOrder = 1 << 12
+
+// exactEstimateResponse is the exact /estimate answer. It shares field
+// names with estimateResponse where the semantics coincide and adds
+// "exact":true so clients can tell it from a sampled one.
+type exactEstimateResponse struct {
+	M     int  `json:"m"`
+	N     int  `json:"n"`
+	Order int  `json:"order"`
+	Exact bool `json:"exact"`
+
+	Diameter        int `json:"diameter"`
+	DiameterFormula int `json:"diameter_formula"`
+	EccMin          int `json:"ecc_min"`
+	EccMax          int `json:"ecc_max"`
+
+	MeanDistance float64 `json:"mean_distance"`
+	// Hist[d] counts ordered (src, dst) pairs at distance d, self pairs
+	// included, summing to Order².
+	Hist      []int64   `json:"hist"`
+	Fractions []float64 `json:"fractions"`
+}
+
+// exactEstimate computes the exact /estimate answer from one BFS. HB is
+// a Cayley graph (T1), hence vertex-transitive: node 0's eccentricity is
+// every node's, and Order times node 0's distance counts is the
+// all-pairs histogram.
+func exactEstimate(top core.Topology) (exactEstimateResponse, error) {
+	order := top.Order()
+	dist := graph.BFS(top, 0, nil)
+	ecc := slices.Max(dist)
+	if ecc == graph.Unreachable {
+		return exactEstimateResponse{}, fmt.Errorf("hbserve: HB(%d,%d) is disconnected from node 0", top.M(), top.N())
+	}
+	hist := make([]int64, ecc+1)
+	for _, x := range dist {
+		hist[x] += int64(order)
+	}
+	pairs := int64(order) * int64(order-1) // ordered pairs of distinct nodes
+	var sum int64
+	fractions := make([]float64, len(hist))
+	for d := 1; d < len(hist); d++ {
+		sum += int64(d) * hist[d]
+		fractions[d] = float64(hist[d]) / float64(pairs)
+	}
+	return exactEstimateResponse{
+		M: top.M(), N: top.N(), Order: order,
+		Exact:           true,
+		Diameter:        int(ecc),
+		DiameterFormula: top.DiameterFormula(),
+		EccMin:          int(ecc),
+		EccMax:          int(ecc),
+		MeanDistance:    float64(sum) / float64(pairs),
+		Hist:            hist,
+		Fractions:       fractions,
+	}, nil
+}
+
+// handleEstimate answers structural questions. Up to maxExactOrder
+// nodes the answer is exact (exactEstimate). Above it, or with live=1,
+// it samples a diameter bracket and the distance distribution with
+// Hoeffding intervals from the distance oracle alone, so it works
+// unchanged on instances where exact sweeps are out of reach. Uncached:
+// the seed parameter makes the response identity high-cardinality and
+// recomputation is only milliseconds.
 func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	top, d, err := s.instance(q)
@@ -683,14 +741,16 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	// A loaded snapshot makes the answer exact and O(1); live=1 opts back
-	// into the sampled path (for comparing the estimator against truth).
-	if !boolParam(q, "live") {
-		if e := s.snapshotFor(d); e != nil {
-			w.Header().Set("X-Snapshot", "hit")
-			writeBody(w, ctJSON, "", e.estimateBody)
+	// Small instances answer exactly; live=1 opts back into the sampled
+	// path (for comparing the estimator against truth).
+	if !boolParam(q, "live") && top.Order() <= maxExactOrder {
+		resp, err := exactEstimate(top)
+		if err != nil {
+			writeErr(w, err)
 			return
 		}
+		writeJSON(w, resp)
+		return
 	}
 	samples, err := intParam(q, "samples", defaultEstimateSamples)
 	if err != nil {

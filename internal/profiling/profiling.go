@@ -2,7 +2,8 @@
 // commands, mirroring `go test`'s flags so the sweep binaries can be
 // profiled in production the same way the benchmarks are: hbcheck and
 // hbtables both drive the graph kernels hard enough that a pprof
-// capture of a real run is the first diagnostic to reach for.
+// capture of a real run is the first diagnostic to reach for. Env is
+// the machine record that every BENCH_*.json artifact carries.
 package profiling
 
 import (
