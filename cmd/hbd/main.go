@@ -76,7 +76,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	probeTimeout := fs.Duration("probetimeout", 0, "router: per-probe deadline (0 = default)")
 	eject := fs.Int("eject", 0, "router: consecutive failures before ejection (0 = default)")
 	readmit := fs.Int("readmit", 0, "router: consecutive probe successes before re-admission (0 = default)")
-	replication := fs.Int("replication", 0, "router: alive owners per key (0 = default 2)")
+	replication := fs.Int("replication", 0, "router: alive owners per key; a /batch goes whole to the least-loaded owner of its dims (0 = default 2)")
 
 	if err := fs.Parse(args); err != nil {
 		return 2

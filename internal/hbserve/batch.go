@@ -248,10 +248,10 @@ func appendBatchBinRequest(out []byte, code uint8, m, n int, faults, src, dst []
 
 // parseBatchBody decodes an already-buffered /batch body, in whichever
 // codec the Content-Type selects, into req; the binary codec reuses the
-// storage of req's columns. The replica handler and the router's scatter path share it,
-// so a body is valid (or rejected) identically on both tiers. Every
-// field of req is overwritten on success; on failure what req holds
-// is not a request.
+// storage of req's columns. The replica handler and the router's /batch
+// forward share it, so a body is valid (or rejected) identically on both
+// tiers. Every field of req is overwritten on success; on failure what
+// req holds is not a request.
 func parseBatchBody(ct string, body []byte, req *batchRequest) error {
 	var err error
 	switch {

@@ -197,13 +197,13 @@ func sameColumns(a, b *batchColumns) bool {
 }
 
 // FuzzBatchBinResponse: the binary response decoder inverts the
-// encoder, and splicing the sub-responses of any partition of a batch
-// gives the whole-batch bytes in both codecs.
+// encoder, and a binary answer decoded and rendered as JSON, as the
+// router answers a JSON client, equals the replica's own JSON answer.
 func FuzzBatchBinResponse(f *testing.F) {
-	f.Add([]byte{0, 1, 3, 5, 6, 7})
-	f.Add([]byte{1, 3, 8, 0, 4, 2, 9, 1, 1, 0, 3, 250, 2, 2, 1})
-	f.Add([]byte{2, 2, 6, 1, 0, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13})
-	f.Add([]byte{3, 4, 16, 2, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
+	f.Add([]byte{0, 3, 5, 6, 7})
+	f.Add([]byte{1, 8, 0, 4, 2, 9, 1, 1, 0, 3, 250, 2, 2, 1})
+	f.Add([]byte{2, 6, 1, 0, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13})
+	f.Add([]byte{3, 16, 2, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() int {
 			if len(data) == 0 {
@@ -214,7 +214,6 @@ func FuzzBatchBinResponse(f *testing.F) {
 			return v
 		}
 		op := uint8(next() % 4)
-		parts := 1 + next()%4
 		pairs := next() % 32
 		var faults []int
 		if op == batchOpFaultRoute {
@@ -237,52 +236,24 @@ func FuzzBatchBinResponse(f *testing.F) {
 			}
 		}
 		whole := assembleColumns(op, faults, answers)
-		wholeBin := appendBatchBin(nil, whole)
 		dec := dirtyColumns()
-		if err := decodeBatchBinResponse(wholeBin, op, pairs, dec); err != nil {
+		if err := decodeBatchBinResponse(appendBatchBin(nil, whole), op, pairs, dec); err != nil {
 			t.Fatalf("decoding an encoded response: %v", err)
 		}
 		if !sameColumns(dec, whole) {
 			t.Fatalf("decode(encode(c)) = %+v, want %+v", dec, whole)
 		}
-
-		assign := make([]int16, pairs)
-		localIdx := make([]int32, pairs)
-		byPart := make([][]pairAnswer, parts)
-		for i := range answers {
-			p := next() % parts
-			assign[i], localIdx[i] = int16(p), int32(len(byPart[p]))
-			byPart[p] = append(byPart[p], answers[i])
-		}
-		byRep := make([]batchFrames, parts)
-		for p, part := range byPart {
-			if len(part) == 0 {
-				continue
-			}
-			var err error
-			if byRep[p], err = splitBatchBinResponse(appendBatchBin(nil, assembleColumns(op, faults, part)), op, len(part)); err != nil {
-				t.Fatalf("splitting sub-response %d: %v", p, err)
-			}
-		}
-		for codec, want := range map[string][]byte{"bin": wholeBin, "json": appendBatchJSON(nil, whole)} {
-			req := &batchRequest{codec: codec, op: op, m: whole.m, n: whole.n, faults: faults, src: make([]int, pairs)}
-			gs := &scatterScratch{frames: byRep, assign: assign, localIdx: localIdx,
-				merged: *dirtyColumns(), bin: []byte{9, 9, 9}, out: []byte{9}}
-			got, err := gs.mergeAnswer(req)
-			if err != nil {
-				t.Fatalf("%s merge: %v", codec, err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("merged %s response %q differs from the whole batch's %q", codec, got, want)
-			}
+		dec.m, dec.n, dec.faults = whole.m, whole.n, faults
+		if got, want := appendBatchJSON([]byte{9}, dec)[1:], appendBatchJSON(nil, whole); !bytes.Equal(got, want) {
+			t.Fatalf("JSON rendered from the decoded answer %q differs from the replica's %q", got, want)
 		}
 	})
 }
 
-// FuzzBatchBinResponseBytes: the router's answer splitter never panics
-// on arbitrary bytes, and an answer it accepts splices, on its own,
-// into a response that it accepts again and that decodes to the same
-// columns.
+// FuzzBatchBinResponseBytes: the router's answer validator never
+// panics on arbitrary bytes, and an answer it accepts decodes into
+// columns that render as JSON, and that encode into an answer it
+// accepts again and that decodes to the same columns.
 func FuzzBatchBinResponseBytes(f *testing.F) {
 	for op := range batchOpNames {
 		answers := []pairAnswer{{segs: [][]int{{1, 2}, {3}}}, {status: 2, dist: 5, segs: [][]int{{4}}}}
@@ -296,25 +267,19 @@ func FuzzBatchBinResponseBytes(f *testing.F) {
 		status: []uint8{0, 0}, dist: []int32{1, 1}, off: []int32{0, 5, 2}, nodes: []int{7, 8}}))
 	f.Fuzz(func(t *testing.T, op uint8, pairs uint16, body []byte) {
 		op %= 4 // the op is the router's own, one of the four; the body is the network's
-		fr, err := splitBatchBinResponse(body, op, int(pairs))
-		if err != nil {
+		if _, err := splitBatchBinResponse(body, op, int(pairs)); err != nil {
 			return
 		}
-		req := &batchRequest{codec: "bin", op: op, src: make([]int, pairs)}
-		localIdx := make([]int32, pairs)
-		for i := range localIdx {
-			localIdx[i] = int32(i)
-		}
-		spliced := appendSpliced(nil, req, []batchFrames{fr}, make([]int16, pairs), localIdx)
 		var want, got batchColumns
 		if err := decodeBatchBinResponse(body, op, int(pairs), &want); err != nil {
 			t.Fatalf("decoding an accepted answer: %v", err)
 		}
-		if err := decodeBatchBinResponse(spliced, op, int(pairs), &got); err != nil {
-			t.Fatalf("splicing an accepted answer gave a rejected one: %v", err)
+		if err := decodeBatchBinResponse(appendBatchBin(nil, &want), op, int(pairs), &got); err != nil {
+			t.Fatalf("re-encoding an accepted answer gave a rejected one: %v", err)
 		}
 		if !sameColumns(&got, &want) {
-			t.Fatalf("spliced answer decodes to %+v, the original to %+v", got, want)
+			t.Fatalf("re-encoded answer decodes to %+v, the original to %+v", got, want)
 		}
+		appendBatchJSON(nil, &want) // a JSON client's answer is rendered from these columns
 	})
 }

@@ -98,13 +98,13 @@ func BenchmarkHandlerRoute(b *testing.B) {
 	})
 }
 
-// BenchmarkHandlerBatch sends a binary 341-pair HB(3,8) route batch —
-// the sub-batch size the router sends each of three replicas for a
-// 1024-pair client batch — through Server.Handler() with a reused body
-// reader and response writer: decode, route kernel and encode, at the
-// replica's own layer. It cycles through 64 distinct seeded batches.
+// BenchmarkHandlerBatch sends a binary 1024-pair HB(3,8) route batch —
+// the body the router forwards whole to one replica in perfbench's
+// batch-router — through Server.Handler() with a reused body reader and
+// response writer: decode, route kernel and encode, at the replica's
+// own layer. It cycles through 64 distinct seeded batches.
 func BenchmarkHandlerBatch(b *testing.B) {
-	const m, n, pairs, batches = 3, 8, 341, 64
+	const m, n, pairs, batches = 3, 8, 1024, 64
 	h := NewServer(Config{}).Handler()
 	top := core.MustNew(m, n)
 	rng := rand.New(rand.NewSource(1))
@@ -133,6 +133,12 @@ func BenchmarkHandlerBatch(b *testing.B) {
 // took 53–69 µs and 147 allocs/op for single and 128–145 µs and 161
 // allocs/op for batch64; over the router's own connection pool it takes
 // 28–43 µs and 76 allocs/op, and 100–130 µs and 103 allocs/op.
+//
+// The 3rep cases send one HB(3,8) batch through a router in front of
+// three replicas: 64 Theorem 5 paths pairs, and 1024 faultroute pairs
+// around 6 faults. The router forwards each batch whole to one replica,
+// which answers these two ops pair by pair, so they time what a single
+// large batch costs when no other replica shares its work.
 func BenchmarkRouterForward(b *testing.B) {
 	replica := httptest.NewServer(NewServer(Config{}).Handler())
 	defer replica.Close()
@@ -166,60 +172,55 @@ func BenchmarkRouterForward(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.SetBytes(int64(len(body)))
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			req := httptest.NewRequest(http.MethodPost, "/batch", bytes.NewReader(body))
-			req.Header.Set("Content-Type", ctBatchBin)
-			w := httptest.NewRecorder()
-			handler.ServeHTTP(w, req)
-			if w.Code != 200 {
-				b.Fatalf("status %d: %s", w.Code, w.Body.String())
-			}
-		}
+		benchBatchForward(b, handler, body)
 	})
-}
 
-// BenchmarkScatterPartition times the router's per-batch bookkeeping
-// with no I/O: partitioning a 1024-pair HB(3,8) route batch over three
-// replicas (owner sets, least-loaded choice, sub-batch columns and
-// bodies), validating each sub-answer the replicas sent, and splicing
-// their frames into the binary response. It cycles through 256 distinct seeded batches, so the
-// branch predictor cannot learn one batch's keys the way it would
-// replaying a single batch.
-func BenchmarkScatterPartition(b *testing.B) {
-	const m, n, pairs, batches = 3, 8, 1024, 256
-	rt, err := NewRouter(ClusterConfig{Replicas: []string{
-		"http://127.0.0.1:47311", "http://127.0.0.1:47312", "http://127.0.0.1:47313"}})
+	var urls []string
+	for i := 0; i < 3; i++ {
+		replica := httptest.NewServer(NewServer(Config{}).Handler())
+		defer replica.Close()
+		urls = append(urls, replica.URL)
+	}
+	rt3, err := NewRouter(ClusterConfig{Replicas: urls})
 	if err != nil {
 		b.Fatal(err)
 	}
-	top := core.MustNew(m, n)
-	rng := rand.New(rand.NewSource(1))
-	var gs scatterScratch
-	reqs := make([]*batchRequest, batches)
-	answers := make([][][]byte, batches)
-	for k := range reqs {
-		reqs[k] = randomRouteBatch(rng, m, n, top.Order(), pairs)
-		answers[k] = answerScatter(b, rt, top, reqs[k], &gs)
+	order := core.MustNew(3, 8).Order()
+	for _, c := range []struct {
+		op     string
+		pairs  int
+		faults []int
+	}{
+		{"paths", 64, nil},
+		{"faultroute", 1024, []int{11, 222, 3333, 4444, 5555, 16000}},
+	} {
+		b.Run(fmt.Sprintf("%s%d-3rep", c.op, c.pairs), func(b *testing.B) {
+			req := randomRouteBatch(rand.New(rand.NewSource(1)), 3, 8, order, c.pairs)
+			body, err := EncodeBatchBinRequest(c.op, 3, 8, c.faults, req.src, req.dst)
+			if err != nil {
+				b.Fatal(err)
+			}
+			benchBatchForward(b, rt3.Handler(), body)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*c.pairs), "ns/pair")
+		})
 	}
+}
 
+// benchBatchForward posts one binary /batch body through handler b.N
+// times.
+func benchBatchForward(b *testing.B, handler http.Handler, body []byte) {
+	b.SetBytes(int64(len(body)))
 	b.ReportAllocs()
 	b.ResetTimer()
-	var out []byte
 	for i := 0; i < b.N; i++ {
-		req := reqs[i%batches]
-		if _, err := rt.partition(req, &gs); err != nil {
-			b.Fatal(err)
-		}
-		if out, err = gs.spliceAnswers(req, answers[i%batches]); err != nil {
-			b.Fatal(err)
+		req := httptest.NewRequest(http.MethodPost, "/batch", bytes.NewReader(body))
+		req.Header.Set("Content-Type", ctBatchBin)
+		w := httptest.NewRecorder()
+		handler.ServeHTTP(w, req)
+		if w.Code != 200 {
+			b.Fatalf("status %d: %s", w.Code, w.Body.String())
 		}
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*pairs), "ns/pair")
-	b.StopTimer()
-	checkMergedWhole(b, top, reqs[(b.N-1)%batches], out)
 }
 
 // randomRouteBatch draws a binary-codec route batch of uniform pairs on
@@ -231,69 +232,6 @@ func randomRouteBatch(rng *rand.Rand, m, n, order, pairs int) *batchRequest {
 		req.src[i], req.dst[i] = rng.Intn(order), rng.Intn(order)
 	}
 	return req
-}
-
-// answerScatter partitions req on gs, answers every sub-batch body in
-// process, and checks that splicing the answers gives the whole
-// batch's response. It returns the answers, indexed by replica, for
-// replaying the merge.
-func answerScatter(tb testing.TB, rt *Router, top core.Topology, req *batchRequest, gs *scatterScratch) [][]byte {
-	tb.Helper()
-	subs, err := rt.partition(req, gs)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	answers := make([][]byte, len(rt.replicas))
-	for _, sb := range subs {
-		sub := new(batchRequest)
-		if err := parseBatchBody(ctBatchBin, sb.body, sub); err != nil {
-			tb.Fatal(err)
-		}
-		answers[sb.replica] = routeAnswer(tb, top, sub)
-	}
-	out, err := gs.spliceAnswers(req, answers)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	checkMergedWhole(tb, top, req, out)
-	return answers
-}
-
-// spliceAnswers is the router's gather after partitioning req on gs:
-// it validates each replica's answer (nil for a replica without a
-// sub-batch) and merges them in req's codec.
-func (gs *scatterScratch) spliceAnswers(req *batchRequest, answers [][]byte) ([]byte, error) {
-	gs.frames = resized(gs.frames, len(answers))
-	clear(gs.frames)
-	for rep, raw := range answers {
-		if raw == nil {
-			continue
-		}
-		var err error
-		if gs.frames[rep], err = splitBatchBinResponse(raw, req.op, int(gs.count[rep])); err != nil {
-			return nil, err
-		}
-	}
-	return gs.mergeAnswer(req)
-}
-
-// routeAnswer is a replica's binary answer to the route batch req.
-func routeAnswer(tb testing.TB, top core.Topology, req *batchRequest) []byte {
-	tb.Helper()
-	var bs core.BatchScratch
-	if err := core.RouteBatch(top, core.BatchRoute, req.src, req.dst, 1, &bs); err != nil {
-		tb.Fatal(err)
-	}
-	return appendBatchBin(nil, &batchColumns{op: batchOpRoute, status: bs.Status, dist: bs.Dist, off: bs.Off, nodes: bs.Nodes})
-}
-
-// checkMergedWhole fails unless merged is the binary response to req's
-// whole batch answered at once.
-func checkMergedWhole(tb testing.TB, top core.Topology, req *batchRequest, merged []byte) {
-	tb.Helper()
-	if !bytes.Equal(merged, routeAnswer(tb, top, req)) {
-		tb.Fatal("merged sub-answers differ from the whole batch's")
-	}
 }
 
 // BenchmarkHandlerEstimate times one /estimate request through the

@@ -31,14 +31,11 @@ import (
 // replica kill into zero client-visible errors.
 //
 // Keys are replicated at factor R (Replication): each key's owner set
-// is the first R distinct alive replicas on the clockwise walk, single
-// queries fail over within the owner set before walking further, and
-// /batch bodies are scatter-gathered — split pair-by-pair across owner
-// sets, balanced by in-flight load, and re-merged byte-exactly (see
-// cluster_batch.go). That is the capacity half of the fault story: an
-// ejection not only keeps every key reachable, it spreads the ejected
-// replica's share across the surviving owners instead of doubling one
-// survivor's load.
+// is the first R distinct alive replicas on the clockwise walk, and
+// single queries fail over within the owner set before walking further.
+// A /batch body goes whole to the least-loaded alive owner of its dims
+// key (see cluster_batch.go), so an ejection moves a batch to the
+// surviving owner with the fewest pairs in flight.
 
 // ClusterConfig sizes a Router. Zero values select the defaults.
 type ClusterConfig struct {
@@ -101,20 +98,20 @@ type Router struct {
 	shed      atomic.Uint64 // requests refused by the queue bound
 	noReplica atomic.Uint64 // requests failed for want of any live replica
 
-	// Scatter-gather accounting: sub-batches fanned out, sub-batches
-	// retried on another owner, pairs routed through the scatter path,
-	// and per-replica in-flight pairs (the power-of-two-choices signal
-	// and the owner-set occupancy gauge).
+	// /batch accounting: batches forwarded, batch attempts retried on
+	// another replica, pairs in forwarded batches, and per-replica
+	// in-flight pairs (the least-loaded choice's signal and the
+	// owner-set occupancy gauge).
 	subFanout  atomic.Uint64
 	subRetries atomic.Uint64
 	subPairs   atomic.Uint64
 	inflight   []atomic.Int64
 
-	// bodyPool holds request bodies and replica answers; scatterPool
-	// holds scatterScratch. They keep the per-forward allocation profile
+	// bodyPool holds request bodies and replica answers; batchPool
+	// holds batchForward. They keep the per-forward allocation profile
 	// flat under load.
-	bodyPool    sync.Pool
-	scatterPool sync.Pool
+	bodyPool  sync.Pool
+	batchPool sync.Pool
 }
 
 // NewRouter builds a Router over the configured replica fleet. Start
@@ -173,7 +170,7 @@ func NewRouter(cfg ClusterConfig) (*Router, error) {
 		start:       time.Now(),
 	}
 	rt.bodyPool.New = func() any { return new(bytes.Buffer) }
-	rt.scatterPool.New = func() any { return new(scatterScratch) }
+	rt.batchPool.New = func() any { return new(batchForward) }
 	if depth > 0 {
 		rt.queue = make(chan struct{}, depth)
 	}
@@ -237,7 +234,7 @@ func (rt *Router) ListenAndServe(ctx context.Context, addr string, grace time.Du
 // forward proxies one request to the replica owning its shard key,
 // failing over within the key's owner set and then the next live
 // replicas clockwise on transport errors. /batch POSTs branch into the
-// scatter-gather path (cluster_batch.go).
+// whole-batch path (cluster_batch.go).
 func (rt *Router) forward(w http.ResponseWriter, r *http.Request) {
 	if rt.queue != nil {
 		select {
@@ -324,7 +321,7 @@ func (rt *Router) forwardKeyed(w http.ResponseWriter, r *http.Request, key uint6
 }
 
 // try is the router's one attempt loop, shared by single-query forwards
-// and scatter sub-batches. It sends to the replica next picks among
+// and /batch forwards. It sends to the replica next picks among
 // those not yet tried, under the attempt budget, counting load pairs in
 // flight on it meanwhile. send makes one attempt and reports whether it
 // failed through the replica's fault (a transport error or a 5xx,
@@ -365,8 +362,8 @@ var relayedHeaders = []string{"Content-Type", "X-Cache", "Retry-After"}
 // requestKey computes the shard key for one single-query request: the
 // full (dims,u,v) identity — the same identity the replica's route
 // cache keys on, so a key's cache entry lives on exactly one replica.
-// (/batch bodies never reach here; they are decoded and partitioned
-// pair-by-pair in cluster_batch.go.)
+// (/batch bodies never reach here; cluster_batch.go places them by
+// their dims alone.)
 func (rt *Router) requestKey(r *http.Request) uint64 {
 	q := r.URL.Query()
 	qi := func(name string, def int) int {
@@ -417,8 +414,8 @@ type clusterStatus struct {
 	Shed        uint64          `json:"shed"`
 	NoReplica   uint64          `json:"no_replica"`
 
-	// Scatter-gather counters: sub-batches fanned out, sub-batches
-	// retried on another owner, pairs routed through the scatter path.
+	// /batch counters: batches forwarded to a replica, batch attempts
+	// retried on another replica, pairs in forwarded batches.
 	SubbatchFanout  uint64 `json:"subbatch_fanout"`
 	SubbatchRetries uint64 `json:"subbatch_retries"`
 	SubbatchPairs   uint64 `json:"subbatch_pairs"`
@@ -481,11 +478,11 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		rt.noReplica.Load())
 	fmt.Fprintf(w, "# HELP hbd_router_replication Owner-set size R: alive replicas serving each key.\n# TYPE hbd_router_replication gauge\nhbd_router_replication %d\n",
 		rt.replication)
-	fmt.Fprintf(w, "# HELP hbd_router_subbatch_fanout_total Sub-batches fanned out by the /batch scatter path.\n# TYPE hbd_router_subbatch_fanout_total counter\nhbd_router_subbatch_fanout_total %d\n",
+	fmt.Fprintf(w, "# HELP hbd_router_subbatch_fanout_total /batch requests forwarded, one replica request per batch.\n# TYPE hbd_router_subbatch_fanout_total counter\nhbd_router_subbatch_fanout_total %d\n",
 		rt.subFanout.Load())
-	fmt.Fprintf(w, "# HELP hbd_router_subbatch_retries_total Sub-batches retried against another alive owner after a transport failure.\n# TYPE hbd_router_subbatch_retries_total counter\nhbd_router_subbatch_retries_total %d\n",
+	fmt.Fprintf(w, "# HELP hbd_router_subbatch_retries_total /batch requests retried against another alive replica after a transport failure, a 5xx or an invalid answer.\n# TYPE hbd_router_subbatch_retries_total counter\nhbd_router_subbatch_retries_total %d\n",
 		rt.subRetries.Load())
-	fmt.Fprintf(w, "# HELP hbd_router_subbatch_pairs_total Pairs routed through the scatter-gather path.\n# TYPE hbd_router_subbatch_pairs_total counter\nhbd_router_subbatch_pairs_total %d\n",
+	fmt.Fprintf(w, "# HELP hbd_router_subbatch_pairs_total Pairs in forwarded /batch requests.\n# TYPE hbd_router_subbatch_pairs_total counter\nhbd_router_subbatch_pairs_total %d\n",
 		rt.subPairs.Load())
 
 	idx := make([]int, len(rt.replicas))

@@ -89,92 +89,13 @@ func TestLookupNOwnerSets(t *testing.T) {
 	}
 }
 
-// TestPartitionSubBatchColumns: every sub-batch body carries exactly its
-// replica's pairs in their original order, and a pooled scratch that
-// partitioned a full batch partitions an empty one into one empty
-// sub-batch for the dims' owner.
-func TestPartitionSubBatchColumns(t *testing.T) {
-	rt, err := NewRouter(ClusterConfig{Replicas: []string{"http://a:1", "http://b:2", "http://c:3"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var gs scatterScratch
-	req := &batchRequest{op: batchOpRoute, m: 2, n: 4}
-	for i := 0; i < 300; i++ {
-		req.src, req.dst = append(req.src, i%256), append(req.dst, (i*37+5)%256)
-	}
-	subs, err := rt.partition(req, &gs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, sb := range subs {
-		var wantSrc, wantDst []int
-		for i, rep := range gs.assign {
-			if int(rep) == sb.replica {
-				if int(gs.localIdx[i]) != len(wantSrc) {
-					t.Fatalf("pair %d: local index %d, want %d", i, gs.localIdx[i], len(wantSrc))
-				}
-				wantSrc, wantDst = append(wantSrc, req.src[i]), append(wantDst, req.dst[i])
-			}
-		}
-		sub := new(batchRequest)
-		if err := parseBatchBody(ctBatchBin, sb.body, sub); err != nil {
-			t.Fatal(err)
-		}
-		if sb.pairs != len(wantSrc) || !slices.Equal(sub.src, wantSrc) || !slices.Equal(sub.dst, wantDst) {
-			t.Fatalf("replica %d: sub-batch %d pairs src %v dst %v, want %v %v", sb.replica, sb.pairs, sub.src, sub.dst, wantSrc, wantDst)
-		}
-	}
-
-	subs, err = rt.partition(&batchRequest{op: batchOpRoute, m: 2, n: 4}, &gs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(subs) != 1 || subs[0].pairs != 0 || subs[0].replica != rt.ring.Lookup(shardKey(Dims{M: 2, N: 4}, 0, 0), nil) {
-		t.Fatalf("empty batch partitioned into %+v, want one empty sub-batch for the dims' owner", subs)
-	}
-	var sub batchRequest
-	if err := parseBatchBody(ctBatchBin, subs[0].body, &sub); err != nil || len(sub.src) != 0 {
-		t.Fatalf("empty sub-batch body: %+v, %v", sub, err)
-	}
-}
-
-// TestPartitionMergeAllocsFlat: with a warm scratch, partitioning a
-// batch and splicing its sub-answers allocates no more for 4,096 pairs
-// than for 64: the owner table, sub-batch list, columns, bodies and the
-// merged response all live in the scratch.
-func TestPartitionMergeAllocsFlat(t *testing.T) {
-	rt, err := NewRouter(ClusterConfig{Replicas: []string{"http://a:1", "http://b:2", "http://c:3"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	top := core.MustNew(3, 8)
-	rng := rand.New(rand.NewSource(3))
-	allocs := func(pairs int) float64 {
-		req := randomRouteBatch(rng, 3, 8, top.Order(), pairs)
-		var gs scatterScratch
-		answers := answerScatter(t, rt, top, req, &gs)
-		return testing.AllocsPerRun(20, func() {
-			if _, err := rt.partition(req, &gs); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := gs.spliceAnswers(req, answers); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-	if small, large := allocs(64), allocs(4096); small != large {
-		t.Fatalf("partition+merge: %v allocs for 64 pairs, %v for 4096", small, large)
-	}
-}
-
 // TestForwardBatchDecodeAllocsFlat: the router decodes a binary client
-// body into a warm scatterScratch without allocating, at 64 pairs and
-// at 4,096 — the columns reuse the scratch's storage.
+// body into a warm batchForward without allocating, at 64 pairs and at
+// 4,096 — the columns reuse the scratch's storage.
 func TestForwardBatchDecodeAllocsFlat(t *testing.T) {
 	top := core.MustNew(3, 8)
 	rng := rand.New(rand.NewSource(5))
-	var gs scatterScratch
+	var gs batchForward
 	bodies := map[int][]byte{}
 	for _, pairs := range []int{4096, 64} {
 		req := randomRouteBatch(rng, 3, 8, top.Order(), pairs)
@@ -198,11 +119,58 @@ func TestForwardBatchDecodeAllocsFlat(t *testing.T) {
 	}
 }
 
-// --- scatter-gather -------------------------------------------------
+// TestRouterBatchAllocsFlat: a warm router in front of three
+// in-process replicas answers a 4,096-pair binary batch in as many
+// allocations as a 64-pair one, the replica's side of the hop included.
+// The client body, the router's scratch, the replica's answer and the
+// replica's own scratch are all pooled; what remains is per-request
+// HTTP plumbing.
+func TestRouterBatchAllocsFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	var urls []string
+	for i := 0; i < 3; i++ {
+		replica := httptest.NewServer(NewServer(Config{BatchWorkers: 1}).Handler())
+		t.Cleanup(replica.Close)
+		urls = append(urls, replica.URL)
+	}
+	rt, err := NewRouter(ClusterConfig{Replicas: urls})
+	if err != nil {
+		t.Fatal(err)
+	}
+	top := core.MustNew(3, 8)
+	rng := rand.New(rand.NewSource(11))
+	replays := map[int]*batchReplay{}
+	for _, pairs := range []int{4096, 64} {
+		req := randomRouteBatch(rng, 3, 8, top.Order(), pairs)
+		replays[pairs] = newBatchReplay(rt.Handler(), ctBatchBin, appendBatchBinRequest(nil, req.op, req.m, req.n, nil, req.src, req.dst))
+		for k := 0; k < 3; k++ {
+			if code := replays[pairs].post(); code != http.StatusOK {
+				t.Fatalf("%d pairs: status %d", pairs, code) // warm the pools
+			}
+		}
+	}
+	allocs := map[int]float64{}
+	for _, pairs := range []int{64, 4096} {
+		br := replays[pairs]
+		allocs[pairs] = testing.AllocsPerRun(50, func() {
+			if code := br.post(); code != http.StatusOK {
+				t.Fatalf("%d pairs: status %d", pairs, code)
+			}
+		})
+	}
+	if allocs[64] != allocs[4096] {
+		t.Fatalf("router /batch: %v allocs for 64 pairs, %v for 4096", allocs[64], allocs[4096])
+	}
+	t.Logf("%v allocs per forwarded batch, router and replica", allocs[64])
+}
 
-// scatterBody builds one /batch request body covering op and codec,
+// --- whole-batch forwarding -----------------------------------------
+
+// batchBody builds one /batch request body covering op and codec,
 // including the faults column for faultroute.
-func scatterBody(t *testing.T, op, codec string, m, n int, faults, src, dst []int) (string, []byte) {
+func batchBody(t *testing.T, op, codec string, m, n int, faults, src, dst []int) (string, []byte) {
 	t.Helper()
 	if codec == "bin" {
 		body, err := EncodeBatchBinRequest(op, m, n, faults, src, dst)
@@ -223,9 +191,38 @@ func scatterBody(t *testing.T, op, codec string, m, n int, faults, src, dst []in
 	return ctJSON, []byte(body)
 }
 
-// TestRouterScatterByteExact is the merge-correctness pin: for every
-// op and both codecs, a batch scattered across the fleet must come
-// back byte-identical to the same batch answered whole by one replica.
+// postBatchTo posts one /batch body to base and returns the response
+// with its body read.
+func postBatchTo(t *testing.T, base, ct string, body []byte) (*http.Response, []byte) {
+	t.Helper()
+	resp, err := http.Post(base+"/batch", ct, bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	return resp, raw
+}
+
+// firstPick is the replica an idle router with every replica alive
+// sends a batch on d to first: its dims key's primary owner.
+func firstPick(rt *Router, d Dims) int {
+	return rt.ring.owners(shardKey(d, 0, 0), 1, nil, nil)[0]
+}
+
+// routeBatch64 is a fixed 64-pair batch on HB(2,3).
+func routeBatch64() (src, dst []int) {
+	for i := 0; i < 64; i++ {
+		src = append(src, (i*5)%96)
+		dst = append(dst, (i*11+7)%96)
+	}
+	return src, dst
+}
+
+// TestRouterScatterByteExact is the forwarding-correctness pin: for
+// every op and both codecs, a batch answered through the router is
+// byte-identical to the same batch answered by one replica directly,
+// and the router sends each batch to exactly one replica, once.
 func TestRouterScatterByteExact(t *testing.T) {
 	fleet := newTestFleet(t, 3)
 	rt, ts := newTestRouter(t, ClusterConfig{Replicas: fleet.URLs()})
@@ -236,44 +233,36 @@ func TestRouterScatterByteExact(t *testing.T) {
 		src = append(src, i%96)
 		dst = append(dst, (i*7+13)%96)
 	}
-	post := func(base, ct string, body []byte) (*http.Response, []byte) {
-		t.Helper()
-		resp, err := http.Post(base+"/batch", ct, bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		raw, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		return resp, raw
-	}
-
+	batches := 0
 	for _, op := range []string{"dist", "route", "paths", "faultroute"} {
 		var faults []int
 		if op == "faultroute" {
 			faults = []int{2, 17}
 		}
 		for _, codec := range []string{"json", "bin"} {
-			ct, body := scatterBody(t, op, codec, m, n, faults, src, dst)
-			resp, viaRouter := post(ts.URL, ct, body)
+			ct, body := batchBody(t, op, codec, m, n, faults, src, dst)
+			resp, viaRouter := postBatchTo(t, ts.URL, ct, body)
+			batches++
 			if resp.StatusCode != 200 {
 				t.Fatalf("%s/%s: router status %d: %s", op, codec, resp.StatusCode, viaRouter)
 			}
-			if resp.Header.Get("X-Scatter") == "" {
-				t.Errorf("%s/%s: batch of %d pairs was not scattered", op, codec, len(src))
+			if got := resp.Header.Get("X-Replica"); !slices.Contains(fleet.URLs(), got) {
+				t.Errorf("%s/%s: X-Replica %q, want one replica URL", op, codec, got)
 			}
-			direct, whole := post(fleet.URLs()[0], ct, body)
+			direct, whole := postBatchTo(t, fleet.URLs()[0], ct, body)
 			if direct.StatusCode != 200 {
 				t.Fatalf("%s/%s: direct status %d: %s", op, codec, direct.StatusCode, whole)
 			}
 			if !bytes.Equal(viaRouter, whole) {
-				t.Errorf("%s/%s: scattered response differs from whole-batch response\nrouter: %q\ndirect: %q",
+				t.Errorf("%s/%s: response through the router differs from one replica's\nrouter: %q\ndirect: %q",
 					op, codec, truncateForLog(viaRouter), truncateForLog(whole))
 			}
 		}
 	}
 	st := rt.Status()
-	if st.SubbatchFanout < 2 || st.SubbatchPairs == 0 {
-		t.Errorf("scatter counters inert: fanout %d, pairs %d", st.SubbatchFanout, st.SubbatchPairs)
+	if st.SubbatchFanout != uint64(batches) || st.SubbatchRetries != 0 || st.SubbatchPairs != uint64(batches*len(src)) {
+		t.Errorf("batch counters: fanout %d, retries %d, pairs %d; want %d, 0, %d",
+			st.SubbatchFanout, st.SubbatchRetries, st.SubbatchPairs, batches, batches*len(src))
 	}
 }
 
@@ -284,74 +273,53 @@ func truncateForLog(b []byte) []byte {
 	return b
 }
 
-// TestRouterScatterSurvivesKilledReplica: with replication 2, a
-// replica dead at scatter time costs zero pairs — its sub-batches land
-// on (or retry onto) the surviving owners and the merged response is
-// still byte-exact.
+// TestRouterScatterSurvivesKilledReplica: the replica the router picks
+// first for a batch is dead, and the router does not know it yet. The
+// batch is retried on a survivor, zero pairs are lost and every answer
+// is byte-exact, in both codecs.
 func TestRouterScatterSurvivesKilledReplica(t *testing.T) {
 	fleet := newTestFleet(t, 3)
 	rt, ts := newTestRouter(t, ClusterConfig{Replicas: fleet.URLs(), EjectAfter: 2})
 
 	const m, n = 2, 3
-	var src, dst []int
-	for i := 0; i < 64; i++ {
-		src = append(src, (i*5)%96)
-		dst = append(dst, (i*11+7)%96)
-	}
-	ct, body := scatterBody(t, "route", "bin", m, n, nil, src, dst)
-
-	// Reference response from a replica that will stay alive.
-	want := func() []byte {
-		resp, err := http.Post(fleet.URLs()[0]+"/batch", ct, bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		raw, _ := io.ReadAll(resp.Body)
-		if resp.StatusCode != 200 {
-			t.Fatalf("reference status %d: %s", resp.StatusCode, raw)
-		}
-		return raw
-	}()
-
-	// Kill replica 2 without telling the router: the first scatter that
-	// assigns it pairs hits a refused connection and must retry those
-	// sub-batches onto the survivors.
-	if err := fleet.Kill(2); err != nil {
+	src, dst := routeBatch64()
+	dead := firstPick(rt, Dims{M: m, N: n})
+	live := fleet.URLs()[(dead+1)%3]
+	if err := fleet.Kill(dead); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 8; i++ {
-		resp, err := http.Post(ts.URL+"/batch", ct, bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
+	for _, codec := range []string{"bin", "json"} {
+		ct, body := batchBody(t, "route", codec, m, n, nil, src, dst)
+		ref, want := postBatchTo(t, live, ct, body)
+		if ref.StatusCode != 200 {
+			t.Fatalf("%s: reference status %d: %s", codec, ref.StatusCode, want)
 		}
-		raw, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != 200 {
-			t.Fatalf("batch %d: status %d with one replica down: %s", i, resp.StatusCode, raw)
-		}
-		if !bytes.Equal(raw, want) {
-			t.Fatalf("batch %d: response with a dead replica differs from reference", i)
-		}
-		var cols batchColumns
-		if err := decodeBatchBinResponse(raw, batchOpRoute, len(src), &cols); err != nil {
-			t.Fatalf("batch %d: %v", i, err)
+		for i := 0; i < 4; i++ {
+			resp, raw := postBatchTo(t, ts.URL, ct, body)
+			if resp.StatusCode != 200 {
+				t.Fatalf("%s batch %d: status %d with its first pick down: %s", codec, i, resp.StatusCode, raw)
+			}
+			if !bytes.Equal(raw, want) {
+				t.Fatalf("%s batch %d: response with a dead first pick differs from the reference", codec, i)
+			}
+			if got := resp.Header.Get("X-Replica"); got == fleet.URLs()[dead] {
+				t.Fatalf("%s batch %d: answered by the dead replica", codec, i)
+			}
 		}
 	}
-	st := rt.Status()
-	if st.SubbatchRetries == 0 && rt.Healthy(2) {
-		t.Error("dead replica neither triggered sub-batch retries nor got ejected")
+	if st := rt.Status(); st.SubbatchRetries < 1 {
+		t.Errorf("the dead first pick triggered %d batch retries, want at least 1", st.SubbatchRetries)
 	}
 }
 
-// TestRouterScatterRetriesCorruptOffsets: a replica answering a
-// sub-batch with a 200 whose offset column runs past its nodes and
-// back (off=[0,5,2,...]) is a corrupt replica, not a crash. The
-// sub-batch is retried on another owner and the client still gets the
-// whole batch's bytes, in both codecs.
+// TestRouterScatterRetriesCorruptOffsets: the replica the router picks
+// first answers every batch with a 200 whose offset column runs past
+// its nodes and back (off=[0,5,2,...]). That is a corrupt replica, not
+// a crash: each batch is retried on another replica, and the client
+// still gets the whole batch's bytes, in both codecs.
 func TestRouterScatterRetriesCorruptOffsets(t *testing.T) {
 	corrupt := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/healthz" {
+		if strings.HasSuffix(r.URL.Path, "/healthz") {
 			fmt.Fprintln(w, "ok")
 			return
 		}
@@ -374,35 +342,41 @@ func TestRouterScatterRetriesCorruptOffsets(t *testing.T) {
 	}))
 	defer corrupt.Close()
 	fleet := newTestFleet(t, 2)
-	urls := append([]string{corrupt.URL}, fleet.URLs()...)
-	rt, ts := newTestRouter(t, ClusterConfig{Replicas: urls, EjectAfter: 1000})
 
+	// The ring places a replica by its URL, so give the corrupt one a
+	// path prefix that makes it the batch's first pick.
 	const m, n = 2, 3
-	var src, dst []int
-	for i := 0; i < 64; i++ {
-		src = append(src, (i*5)%96)
-		dst = append(dst, (i*11+7)%96)
-	}
-	for _, codec := range []string{"bin", "json"} {
-		ct, body := scatterBody(t, "route", codec, m, n, nil, src, dst)
-		var answers [2][]byte
-		for k, base := range []string{fleet.URLs()[0], ts.URL} {
-			resp, err := http.Post(base+"/batch", ct, bytes.NewReader(body))
-			if err != nil {
-				t.Fatal(err)
-			}
-			answers[k], _ = io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode != 200 {
-				t.Fatalf("%s via %s: status %d: %s", codec, base, resp.StatusCode, answers[k])
-			}
+	var cfg ClusterConfig
+	for k := 0; ; k++ {
+		cfg = ClusterConfig{Replicas: append([]string{fmt.Sprintf("%s/c%d", corrupt.URL, k)}, fleet.URLs()...), EjectAfter: 1000}
+		probe, err := NewRouter(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !bytes.Equal(answers[1], answers[0]) {
-			t.Fatalf("%s: answer through a corrupt replica differs from the whole batch's", codec)
+		if firstPick(probe, Dims{M: m, N: n}) == 0 {
+			break
 		}
 	}
-	if st := rt.Status(); st.SubbatchRetries == 0 {
-		t.Error("the corrupt replica's sub-batches were never retried")
+	rt, ts := newTestRouter(t, cfg)
+
+	src, dst := routeBatch64()
+	codecs := []string{"bin", "json"}
+	for _, codec := range codecs {
+		ct, body := batchBody(t, "route", codec, m, n, nil, src, dst)
+		ref, want := postBatchTo(t, fleet.URLs()[0], ct, body)
+		if ref.StatusCode != 200 {
+			t.Fatalf("%s: reference status %d: %s", codec, ref.StatusCode, want)
+		}
+		resp, raw := postBatchTo(t, ts.URL, ct, body)
+		if resp.StatusCode != 200 {
+			t.Fatalf("%s via the router: status %d: %s", codec, resp.StatusCode, raw)
+		}
+		if !bytes.Equal(raw, want) {
+			t.Fatalf("%s: answer through a corrupt first pick differs from the whole batch's", codec)
+		}
+	}
+	if st := rt.Status(); st.SubbatchRetries != uint64(len(codecs)) {
+		t.Errorf("%d batch retries, want %d: one per batch sent to the corrupt first pick", st.SubbatchRetries, len(codecs))
 	}
 }
 
@@ -455,8 +429,8 @@ func TestRouterBatchMalformed400(t *testing.T) {
 	}
 }
 
-// TestRouterScatterMetrics scrapes /metrics after a scattered batch
-// and pins the new families.
+// TestRouterScatterMetrics scrapes /metrics after one forwarded batch
+// and pins the /batch families.
 func TestRouterScatterMetrics(t *testing.T) {
 	fleet := newTestFleet(t, 2)
 	_, ts := newTestRouter(t, ClusterConfig{Replicas: fleet.URLs()})
@@ -466,7 +440,7 @@ func TestRouterScatterMetrics(t *testing.T) {
 		src = append(src, i)
 		dst = append(dst, (i+9)%48)
 	}
-	ct, body := scatterBody(t, "route", "bin", 2, 3, nil, src, dst)
+	ct, body := batchBody(t, "route", "bin", 2, 3, nil, src, dst)
 	resp, err := http.Post(ts.URL+"/batch", ct, bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -494,8 +468,8 @@ func TestRouterScatterMetrics(t *testing.T) {
 			t.Errorf("metrics missing %q", want)
 		}
 	}
-	// Both replicas served one sub-batch of the 32-pair scatter.
-	if !strings.Contains(text, "hbd_router_subbatch_fanout_total 2\n") {
+	// The 32-pair batch went to one replica, once.
+	if !strings.Contains(text, "hbd_router_subbatch_fanout_total 1\n") {
 		t.Errorf("fanout counter: %s", grepLine(text, "hbd_router_subbatch_fanout_total"))
 	}
 	if !strings.Contains(text, "hbd_router_subbatch_pairs_total 32\n") {

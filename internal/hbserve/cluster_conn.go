@@ -16,8 +16,8 @@ import (
 	"time"
 )
 
-// The router's transport to its replicas. Every forward, scatter
-// sub-batch and health probe is one synchronous HTTP/1.1 round trip on
+// The router's transport to its replicas. Every forward, /batch
+// forward and health probe is one synchronous HTTP/1.1 round trip on
 // the calling goroutine, over a keep-alive connection taken from the
 // replica's idle stack: write the request and flush once, read the
 // answer with http.ReadResponse, read the body in full, and put the

@@ -188,7 +188,7 @@ func checkNoFailures(t *testing.T, rt *Router) {
 	t.Helper()
 	st := rt.Status()
 	if st.Retries != 0 || st.SubbatchRetries != 0 {
-		t.Errorf("retries %d, sub-batch retries %d; want 0", st.Retries, st.SubbatchRetries)
+		t.Errorf("retries %d, batch retries %d; want 0", st.Retries, st.SubbatchRetries)
 	}
 	for i, r := range st.Replicas {
 		if !r.Healthy || r.Ejections != 0 {
@@ -341,7 +341,7 @@ func TestRouterPoolConcurrentForwards(t *testing.T) {
 	checkNoFailures(t, rt)
 }
 
-// TestRouterPoolStopClosesConns: after GET forwards and a scattered
+// TestRouterPoolStopClosesConns: after GET forwards and a forwarded
 // /batch, Router.Stop leaves no connection open on any replica.
 func TestRouterPoolStopClosesConns(t *testing.T) {
 	h := NewServer(Config{}).Handler()

@@ -383,7 +383,7 @@ func TestRouterRetriesReplicaDyingMidRequest(t *testing.T) {
 
 // TestRouterRetriesReplica503: a replica answering a single GET with a
 // 5xx, a shed among them, is retried on the key's other owner, exactly
-// as a scatter sub-batch is; the client never sees that 503.
+// as a forwarded /batch is; the client never sees that 503.
 func TestRouterRetriesReplica503(t *testing.T) {
 	shedding := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/healthz" {

@@ -100,54 +100,28 @@ func (r *hashRing) Lookup(key uint64, alive func(int) bool) int {
 // next member in place — a key replicated at factor R keeps an alive
 // owner inside its original owner set as long as fewer than R members
 // are down, with no re-walk past the set. The result is appended to
-// buf (pass buf[:0] to reuse an allocation across calls). alive is a
-// snapshot the caller takes once for a whole batch.
+// buf[:0], reusing its storage. alive is a snapshot the caller takes
+// once per request.
 func (r *hashRing) owners(key uint64, n int, alive []bool, buf []int) []int {
-	return r.appendOwners(buf[:0], r.first(key), n, alive)
-}
-
-// appendOwners appends to dst the owner set of a walk that starts at
-// point p (p = len(hashes) wraps to point 0).
-func (r *hashRing) appendOwners(dst []int, p, n int, alive []bool) []int {
-	base := len(dst)
-	for k := 0; k < len(r.hashes) && len(dst)-base < n; k++ {
+	dst := buf[:0]
+	p := r.first(key)
+	for k := 0; k < len(r.hashes) && len(dst) < n; k++ {
 		if p == len(r.hashes) {
 			p = 0
 		}
 		rep := r.replicas[p]
 		p++
-		if (alive == nil || alive[rep]) && !slices.Contains(dst[base:], rep) {
+		if (alive == nil || alive[rep]) && !slices.Contains(dst, rep) {
 			dst = append(dst, rep)
 		}
 	}
 	return dst
 }
 
-// ownerTable lists, for every walk start p in 0..len(hashes), the owner
-// set appendOwners gives under one alive snapshot, into tab's storage.
-// Every walk passes every point, so each set has the same width,
-// min(n, alive replicas), and p's set is tab[p*width:][:width]: a key's
-// owners are then one first and one slice away.
-func (r *hashRing) ownerTable(n int, alive []bool, tab []int) (_ []int, width int) {
-	tab = tab[:0]
-	for p := 0; p <= len(r.hashes); p++ {
-		tab = r.appendOwners(tab, p, n, alive)
-	}
-	return tab, len(tab) / (len(r.hashes) + 1)
+// shardKey hashes one (dims,u,v) query identity onto the ring with
+// murmur3 fmix64 rounds over the integers: m, then n, u and v. A
+// single query is placed by its own key, a /batch body by its dims' key
+// shardKey(dims, 0, 0).
+func shardKey(d Dims, u, v int) uint64 {
+	return fmix64(fmix64(fmix64(fmix64(uint64(d.M))^uint64(d.N))^uint64(u)) ^ uint64(v))
 }
-
-// keyHasher hashes the (dims,u,v) keys of one dims onto the ring with
-// murmur3 fmix64 rounds over the integers: the dims part is mixed once,
-// and each key mixes in u, then v. Batch pairs and single queries share
-// it, so a pair and its GET land on the same owners.
-type keyHasher uint64
-
-func newKeyHasher(d Dims) keyHasher { return keyHasher(keyHasher(0).key(d.M, d.N)) }
-
-// key returns the ring key of (u, v).
-func (k keyHasher) key(u, v int) uint64 {
-	return fmix64(fmix64(uint64(k)^uint64(u)) ^ uint64(v))
-}
-
-// shardKey hashes one (dims,u,v) query identity onto the ring.
-func shardKey(d Dims, u, v int) uint64 { return newKeyHasher(d).key(u, v) }

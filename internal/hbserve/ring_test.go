@@ -68,13 +68,11 @@ func (r *hashRing) LookupN(key uint64, n int, alive func(int) bool, buf []int) [
 	return owners
 }
 
-// TestRequestKeyMatchesPartitionKey: the key the router derives from
-// a GET URL is the key partition uses for the same (dims,u,v), for
-// random dims and endpoints, negative, zero and extreme ones included,
-// so a pair and its GET share an owner set. With R=1 a one-pair batch
-// lands on the GET's owner.
-func TestRequestKeyMatchesPartitionKey(t *testing.T) {
-	rt, err := NewRouter(ClusterConfig{Replicas: []string{"http://a:1", "http://b:2", "http://c:3"}, Replication: 1})
+// TestRequestKeyMatchesShardKey: the key the router derives from a GET
+// URL is shardKey of the same (dims,u,v), for random dims and
+// endpoints, negative, zero and extreme ones included.
+func TestRequestKeyMatchesShardKey(t *testing.T) {
+	rt, err := NewRouter(ClusterConfig{Replicas: []string{"http://a:1", "http://b:2", "http://c:3"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,30 +85,20 @@ func TestRequestKeyMatchesPartitionKey(t *testing.T) {
 		func() int { return []int{0, -1, math.MinInt64, math.MaxInt64, 9, 10, -10}[rng.Intn(7)] },
 	}
 	pick := func() int { return ints[rng.Intn(len(ints))]() }
-	var gs scatterScratch
 	for trial := 0; trial < 200; trial++ {
 		d := Dims{M: pick(), N: pick()}
-		key := newKeyHasher(d)
 		for k := 0; k < 50; k++ {
 			u, v := pick(), pick()
 			get := httptest.NewRequest(http.MethodGet, fmt.Sprintf("/route?m=%d&n=%d&u=%d&v=%d", d.M, d.N, u, v), nil)
-			got := rt.requestKey(get)
-			if want := key.key(u, v); got != want {
-				t.Fatalf("dims %+v pair (%d,%d): GET key %#x, partition key %#x", d, u, v, got, want)
-			}
-			subs, err := rt.partition(&batchRequest{op: batchOpRoute, m: d.M, n: d.N, src: []int{u}, dst: []int{v}}, &gs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if owner := rt.ring.Lookup(got, nil); len(subs) != 1 || subs[0].replica != owner {
-				t.Fatalf("dims %+v pair (%d,%d): one-pair batch placed %+v, GET owner %d", d, u, v, subs, owner)
+			if got, want := rt.requestKey(get), shardKey(d, u, v); got != want {
+				t.Fatalf("dims %+v pair (%d,%d): GET key %#x, shardKey %#x", d, u, v, got, want)
 			}
 		}
 	}
 }
 
-// FuzzRingOwners differentially checks the bucketed first and the
-// owner table against the sort.Search oracle LookupN, over fleets of
+// FuzzRingOwners differentially checks the bucketed first and owners
+// against the sort.Search oracle LookupN, over fleets of
 // 1-8 replicas with 1-128 vnodes, owner-set sizes 0..n+1 and any alive
 // mask. Each input also probes the exact hash of one ring point and the
 // start of the key's bucket, where an off-by-one would show.
@@ -135,10 +123,6 @@ func FuzzRingOwners(f *testing.F) {
 		for i := range alive {
 			alive[i] = mask>>i&1 == 1
 		}
-		tab, width := ring.ownerTable(R, alive, nil)
-		if len(tab) != width*(len(ring.hashes)+1) {
-			t.Fatalf("owner table of %d entries is not %d rows of %d", len(tab), len(ring.hashes)+1, width)
-		}
 		point := ring.hashes[key%uint64(len(ring.hashes))]
 		for _, k := range []uint64{key, point, point + 1, key >> ring.shift << ring.shift} {
 			i := ring.first(k)
@@ -146,9 +130,6 @@ func FuzzRingOwners(f *testing.F) {
 				t.Fatalf("key %#x: first %d, sort.Search %d", k, i, want)
 			}
 			want := ring.LookupN(k, R, func(i int) bool { return alive[i] }, nil)
-			if got := tab[i*width:][:width]; !slices.Equal(got, want) {
-				t.Fatalf("key %#x alive %v R=%d: owner table %v, LookupN %v", k, alive, R, got, want)
-			}
 			if got := ring.owners(k, R, alive, nil); !slices.Equal(got, want) {
 				t.Fatalf("key %#x alive %v R=%d: owners %v, LookupN %v", k, alive, R, got, want)
 			}
