@@ -237,23 +237,28 @@ func (b *Butterfly) Route(u, v Node) []Node {
 	return b.AppendWalk(u, v, walk, 0, append(make([]Node, 0, d+1), u))
 }
 
-// RouteGenerators returns the generator sequence of Route(u, v): a
-// clockwise step is g or f, a counter-clockwise one g^{-1} or f^{-1},
-// and f/f^{-1} are the steps that complement a symbol.
+// RouteGenerators returns the generator sequence of Route(u, v).
 func (b *Butterfly) RouteGenerators(u, v Node) []int {
 	path := b.Route(u, v)
 	gens := make([]int, len(path)-1)
 	for i := range gens {
-		pi, mask := b.Split(path[i])
-		next, nextMask := b.Split(path[i+1])
-		if next == (pi+1)%b.n {
-			gens[i] = GenG
-		} else {
-			gens[i] = GenGInv
-		}
-		if mask != nextMask {
-			gens[i]++ // GenF, GenFInv
-		}
+		gens[i] = b.Generator(path[i], path[i+1])
 	}
 	return gens
+}
+
+// Generator returns the generator taking u to its neighbour w: a
+// clockwise step is g or f, a counter-clockwise one g^{-1} or f^{-1},
+// and f/f^{-1} are the steps that complement a symbol.
+func (b *Butterfly) Generator(u, w Node) int {
+	pi, mask := b.Split(u)
+	next, nextMask := b.Split(w)
+	gen := GenGInv
+	if next == (pi+1)%b.n {
+		gen = GenG
+	}
+	if mask != nextMask {
+		gen++ // GenF, GenFInv
+	}
+	return gen
 }

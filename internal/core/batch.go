@@ -91,11 +91,10 @@ func batchWorkers(workers, pairs int) int {
 // GOMAXPROCS); batches too small to shard run on the calling goroutine
 // with no allocation at all. Invalid endpoints get BatchBadNode with
 // Dist -1 and an empty route segment; they never abort the batch.
-func RouteBatch(t Topology, op BatchOp, src, dst []Node, workers int, bs *BatchScratch) error {
+func RouteBatch(hb *HyperButterfly, op BatchOp, src, dst []Node, workers int, bs *BatchScratch) error {
 	if len(src) != len(dst) {
 		return fmt.Errorf("core: batch columns disagree: %d src, %d dst", len(src), len(dst))
 	}
-	r := batchRouterOf(t)
 	pairs := len(src)
 	// The columns grow with append's headroom: batch sizes and node
 	// totals vary from call to call, and an exact-size column would be
@@ -106,10 +105,10 @@ func RouteBatch(t Topology, op BatchOp, src, dst []Node, workers int, bs *BatchS
 	workers = batchWorkers(workers, pairs)
 
 	if workers == 1 {
-		batchPlanRange(r, src, dst, bs, 0, pairs)
+		batchPlanRange(hb, src, dst, bs, 0, pairs)
 	} else {
 		shardRange(workers, pairs, func(lo, hi int) {
-			batchPlanRange(r, src, dst, bs, lo, hi)
+			batchPlanRange(hb, src, dst, bs, lo, hi)
 		})
 	}
 	if op == BatchDist {
@@ -132,59 +131,27 @@ func RouteBatch(t Topology, op BatchOp, src, dst []Node, workers int, bs *BatchS
 	bs.Nodes = slices.Grow(bs.Nodes[:0], int(total))[:total]
 
 	if workers == 1 {
-		batchRouteRange(r, src, dst, bs, 0, pairs)
+		batchRouteRange(hb, src, dst, bs, 0, pairs)
 	} else {
 		shardRange(workers, pairs, func(lo, hi int) {
-			batchRouteRange(r, src, dst, bs, lo, hi)
+			batchRouteRange(hb, src, dst, bs, lo, hi)
 		})
 	}
 	return nil
 }
 
-// batchRouter is what the kernel's two passes ask of a topology: plan
-// a pair once (its distance and its butterfly walk), then expand that
-// plan into the route.
-type batchRouter interface {
-	ValidNode(v Node) bool
-	planRoute(u, v Node) (int, butterfly.Walk)
-	appendPlanned(u, v Node, walk butterfly.Walk, buf []Node) []Node
-}
-
-// batchRouterOf returns the instance under t when t is one of this
-// package's backends. Any other Topology — one that wraps a backend and
-// may override its routing, like a fault-injecting test double — is
-// answered through its own Distance and AppendRoute.
-func batchRouterOf(t Topology) batchRouter {
-	if b, ok := t.(interface{ hyper() *HyperButterfly }); ok {
-		return b.hyper()
-	}
-	return topologyRouter{t}
-}
-
-// topologyRouter plans nothing: its distance is the Topology's and its
-// expansion is the Topology's AppendRoute.
-type topologyRouter struct{ Topology }
-
-func (t topologyRouter) planRoute(u, v Node) (int, butterfly.Walk) {
-	return t.Distance(u, v), 0
-}
-
-func (t topologyRouter) appendPlanned(u, v Node, _ butterfly.Walk, buf []Node) []Node {
-	return t.AppendRoute(u, v, buf)
-}
-
 // batchPlanRange fills the status, distance and walk columns for
 // [lo, hi).
-func batchPlanRange(r batchRouter, src, dst []Node, bs *BatchScratch, lo, hi int) {
+func batchPlanRange(hb *HyperButterfly, src, dst []Node, bs *BatchScratch, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		u, v := src[i], dst[i]
-		if !r.ValidNode(u) || !r.ValidNode(v) {
+		if !hb.ValidNode(u) || !hb.ValidNode(v) {
 			bs.Status[i] = BatchBadNode
 			bs.Dist[i] = -1
 			continue
 		}
 		bs.Status[i] = BatchOK
-		d, walk := r.planRoute(u, v)
+		d, walk := hb.planRoute(u, v)
 		bs.Dist[i], bs.walks[i] = int32(d), walk
 	}
 }
@@ -195,13 +162,13 @@ func batchPlanRange(r batchRouter, src, dst []Node, bs *BatchScratch, lo, hi int
 // written in place and any length disagreement with the distance
 // column is a core invariant violation, not a quiet overrun into the
 // neighbouring pair.
-func batchRouteRange(r batchRouter, src, dst []Node, bs *BatchScratch, lo, hi int) {
+func batchRouteRange(hb *HyperButterfly, src, dst []Node, bs *BatchScratch, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		if bs.Status[i] != BatchOK {
 			continue
 		}
 		start, end := bs.Off[i], bs.Off[i+1]
-		out := r.appendPlanned(src[i], dst[i], bs.walks[i], bs.Nodes[start:start:end])
+		out := hb.appendPlanned(src[i], dst[i], bs.walks[i], bs.Nodes[start:start:end])
 		if int32(len(out)) != end-start {
 			panic(fmt.Sprintf("core: route %d->%d has %d nodes, distance column promised %d",
 				src[i], dst[i], len(out), end-start))
@@ -209,21 +176,20 @@ func batchRouteRange(r batchRouter, src, dst []Node, bs *BatchScratch, lo, hi in
 	}
 }
 
-// shardRange runs f over contiguous chunks of [0, n) on workers
-// goroutines and waits for all of them.
+// shardRange runs f over contiguous chunks of [0, n), the last on the
+// calling goroutine and each other on its own, and waits for all of
+// them, also when the caller's chunk panics.
 func shardRange(workers, n int, f func(lo, hi int)) {
 	chunk := (n + workers - 1) / workers
 	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
+	defer wg.Wait()
+	lo := 0
+	for ; lo+chunk < n; lo += chunk {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
 			f(lo, hi)
-		}(lo, hi)
+		}(lo, lo+chunk)
 	}
-	wg.Wait()
+	f(lo, n)
 }

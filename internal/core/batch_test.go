@@ -92,14 +92,9 @@ func oracleRoute(hb *core.HyperButterfly, u, v core.Node) []core.Node {
 	return path
 }
 
-// wrappedTopology hides the backend behind the interface, the way a
-// serving wrapper would, so RouteBatch answers it through the wrapper's
-// own Distance and AppendRoute.
-type wrappedTopology struct{ core.Topology }
-
 // TestRouteBatchMatchesOracle: on every pair of HB(2,3), HB(2,4) and
 // HB(3,4), the batch kernel's routes (planned once, then expanded) equal
-// the oracle's, on the instance and on a wrapper that hides it.
+// the oracle's.
 func TestRouteBatchMatchesOracle(t *testing.T) {
 	for _, dims := range [][2]int{{2, 3}, {2, 4}, {3, 4}} {
 		hb := core.MustNew(dims[0], dims[1])
@@ -111,19 +106,17 @@ func TestRouteBatchMatchesOracle(t *testing.T) {
 				src, dst = append(src, u), append(dst, v)
 			}
 		}
-		for name, top := range map[string]core.Topology{"hb": hb, "wrapped": wrappedTopology{hb}} {
-			var bs core.BatchScratch
-			if err := core.RouteBatch(top, core.BatchRoute, src, dst, 0, &bs); err != nil {
-				t.Fatal(err)
+		var bs core.BatchScratch
+		if err := core.RouteBatch(hb, core.BatchRoute, src, dst, 0, &bs); err != nil {
+			t.Fatal(err)
+		}
+		for i := range src {
+			want := oracleRoute(hb, src[i], dst[i])
+			if got := bs.Nodes[bs.Off[i]:bs.Off[i+1]]; !slices.Equal(got, want) {
+				t.Fatalf("HB(%d,%d): pair %d->%d route %v, oracle %v", dims[0], dims[1], src[i], dst[i], got, want)
 			}
-			for i := range src {
-				want := oracleRoute(hb, src[i], dst[i])
-				if got := bs.Nodes[bs.Off[i]:bs.Off[i+1]]; !slices.Equal(got, want) {
-					t.Fatalf("HB(%d,%d) %s: pair %d->%d route %v, oracle %v", dims[0], dims[1], name, src[i], dst[i], got, want)
-				}
-				if int(bs.Dist[i]) != len(want)-1 {
-					t.Fatalf("HB(%d,%d) %s: pair %d->%d dist %d, oracle route has %d hops", dims[0], dims[1], name, src[i], dst[i], bs.Dist[i], len(want)-1)
-				}
+			if int(bs.Dist[i]) != len(want)-1 {
+				t.Fatalf("HB(%d,%d): pair %d->%d dist %d, oracle route has %d hops", dims[0], dims[1], src[i], dst[i], bs.Dist[i], len(want)-1)
 			}
 		}
 	}
@@ -313,7 +306,7 @@ func TestRouteBatchParallelAllocsBounded(t *testing.T) {
 func BenchmarkRouteBatch(b *testing.B) {
 	for _, bc := range []struct {
 		name    string
-		top     core.Topology
+		top     *core.HyperButterfly
 		workers int
 		random  bool
 	}{

@@ -24,6 +24,8 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
+	"strconv"
 	"sync"
 
 	"repro/internal/bitvec"
@@ -137,12 +139,25 @@ type Move struct {
 	Index int
 }
 
+// cubeMoveNames holds the names of the hypercube generators h0..h29,
+// which cover every m <= 30 that New accepts, so rendering a move
+// allocates nothing.
+var cubeMoveNames = func() (names [30]string) {
+	for i := range names {
+		names[i] = "h" + strconv.Itoa(i)
+	}
+	return names
+}()
+
 // String renders a move in the paper's notation.
 func (mv Move) String() string {
-	if mv.Cube {
-		return fmt.Sprintf("h%d", mv.Index)
+	if !mv.Cube {
+		return butterfly.GeneratorNames[mv.Index]
 	}
-	return butterfly.GeneratorNames[mv.Index]
+	if mv.Index >= 0 && mv.Index < len(cubeMoveNames) {
+		return cubeMoveNames[mv.Index]
+	}
+	return "h" + strconv.Itoa(mv.Index)
 }
 
 // Inverse returns the move undoing mv (the generator set is closed under
@@ -218,12 +233,16 @@ func (hb *HyperButterfly) Distance(u, v Node) int {
 func (hb *HyperButterfly) RouteMoves(u, v Node) []Move {
 	hu, bu := hb.Decode(u)
 	hv, bv := hb.Decode(v)
-	moves := make([]Move, 0, hb.Distance(u, v))
-	for _, d := range bitvec.DiffBits(uint64(hu), uint64(hv), hb.m) {
-		moves = append(moves, Move{Cube: true, Index: d})
+	dist, walk := hb.planRoute(u, v)
+	moves := make([]Move, 0, dist)
+	for d := uint(hu ^ hv); d != 0; d &= d - 1 {
+		moves = append(moves, Move{Cube: true, Index: bits.TrailingZeros(d)})
 	}
-	for _, g := range hb.bf.RouteGenerators(bu, bv) {
-		moves = append(moves, Move{Index: g})
+	// A B_n route has at most ⌊3n/2⌋+1 nodes, so it fits on the stack.
+	var steps [2 * butterfly.MaxDim]butterfly.Node
+	path := hb.bf.AppendWalk(bu, bv, walk, 0, append(steps[:0], bu))
+	for i := 1; i < len(path); i++ {
+		moves = append(moves, Move{Index: hb.bf.Generator(path[i-1], path[i])})
 	}
 	return moves
 }
@@ -243,4 +262,40 @@ func (hb *HyperButterfly) Route(u, v Node) []Node {
 		panic(fmt.Sprintf("core: route from %d ended at %d, want %d", u, cur, v))
 	}
 	return path
+}
+
+// AppendRoute appends the shortest u-v path Route returns (both
+// endpoints included) to buf, allocation-free when buf has capacity:
+// the hypercube part is corrected lowest-dimension-first, then the
+// butterfly walk is emitted run by run without materialising the move
+// sequence. This is the routing primitive the hbd service and the
+// giant-instance smoke tests run at HB(10,10) scale.
+func (hb *HyperButterfly) AppendRoute(u, v Node, buf []Node) []Node {
+	if !hb.ValidNode(u) || !hb.ValidNode(v) {
+		panic(fmt.Sprintf("core: AppendRoute endpoints %d,%d out of range [0,%d)", u, v, hb.Order()))
+	}
+	_, walk := hb.planRoute(u, v)
+	return hb.appendPlanned(u, v, walk, buf)
+}
+
+// planRoute returns the u-v distance and the butterfly walk of the route
+// AppendRoute emits, for appendPlanned to expand.
+func (hb *HyperButterfly) planRoute(u, v Node) (int, butterfly.Walk) {
+	hu, bu := hb.Decode(u)
+	hv, bv := hb.Decode(v)
+	d, walk := hb.bf.PlanWalk(bu, bv)
+	return hb.cube.Distance(hu, hv) + d, walk
+}
+
+// appendPlanned is AppendRoute with the butterfly walk already planned.
+func (hb *HyperButterfly) appendPlanned(u, v Node, walk butterfly.Walk, buf []Node) []Node {
+	hu, bu := hb.Decode(u)
+	hv, bv := hb.Decode(v)
+	buf = append(buf, u)
+	h := hu
+	for d := hu ^ hv; d != 0; d &= d - 1 {
+		h ^= d & -d
+		buf = append(buf, h*hb.bSize+bu)
+	}
+	return hb.bf.AppendWalk(bu, bv, walk, hv*hb.bSize, buf)
 }

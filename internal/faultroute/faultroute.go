@@ -6,12 +6,12 @@
 // fault-tolerance bound — the "maximal fault tolerance" the paper is
 // named for.
 //
-// The router works against any core.Topology backend. Fault state is
-// sparse (proportional to the fault count, not the order), and the only
-// strategies that touch order-sized state — the BFS last resort and the
-// exhaustive Connected check — are gated behind ExhaustiveMaxOrder, so a
-// router over an implicit HB(10,10) stays within the Theorem 5 ladder
-// and never allocates ten-million-entry masks.
+// The router computes on a *core.HyperButterfly by label arithmetic.
+// Fault state is sparse (proportional to the fault count, not the
+// order), and the only strategies that touch order-sized state — the
+// BFS last resort and the exhaustive Connected check — are gated behind
+// ExhaustiveMaxOrder, so a router over HB(10,10) stays within the
+// Theorem 5 ladder and never allocates ten-million-entry masks.
 package faultroute
 
 import (
@@ -31,7 +31,7 @@ import (
 // methods are safe for concurrent use; reads of the exported Stats
 // field are only meaningful while no Route call is in flight.
 type Router struct {
-	hb core.Topology
+	hb *core.HyperButterfly
 
 	mu     sync.Mutex
 	faulty map[core.Node]bool // sparse: only faulty nodes are present
@@ -73,9 +73,8 @@ const routerCacheMax = 4096
 // it those paths answer from the Corollary 1 guarantee instead.
 const ExhaustiveMaxOrder = 1 << 21
 
-// New returns a Router for any Topology backend with the given faulty
-// nodes.
-func New(hb core.Topology, faults []core.Node) (*Router, error) {
+// New returns a Router on hb with the given faulty nodes.
+func New(hb *core.HyperButterfly, faults []core.Node) (*Router, error) {
 	r := &Router{hb: hb, faulty: make(map[core.Node]bool, len(faults)), cache: make(map[pairKey]cachedRoute)}
 	for _, f := range faults {
 		if !hb.ValidNode(f) {
@@ -171,7 +170,7 @@ func (r *Router) FaultList() []core.Node {
 // fresh fault set per query (the conformance harness, the hbd
 // /faultroute endpoint): build a router, route once, report the
 // strategy that delivered.
-func Route(hb core.Topology, faults []core.Node, u, v core.Node) ([]core.Node, string, error) {
+func Route(hb *core.HyperButterfly, faults []core.Node, u, v core.Node) ([]core.Node, string, error) {
 	r, err := New(hb, faults)
 	if err != nil {
 		return nil, "", err

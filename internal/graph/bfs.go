@@ -28,10 +28,10 @@ func BFS(g Graph, src int, excluded []bool) []int32 {
 
 // BFSReference is the straightforward interface-dispatched BFS. It is
 // the production path for every Graph that is not a Dense — BFS,
-// Eccentricity and IsConnected fall back to it, and faultroute's
-// label-arithmetic topologies reach it through IsConnected — and the
-// differential-testing oracle for the CSR kernel. Semantics are
-// identical to BFS.
+// Eccentricity and IsConnected fall back to it, and a label-arithmetic
+// *core.HyperButterfly reaches it through faultroute's IsConnected and
+// hbd's exact /estimate — and the differential-testing oracle for the
+// CSR kernel. Semantics are identical to BFS.
 func BFSReference(g Graph, src int, excluded []bool) []int32 {
 	n := g.Order()
 	dist := make([]int32, n)

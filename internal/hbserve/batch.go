@@ -398,7 +398,7 @@ type batchColumns struct {
 
 // runBatch answers req with the per-op kernels. The returned columns
 // alias sc, so they are read before sc goes back to its pool.
-func (s *Server) runBatch(top core.Topology, req *batchRequest, sc *batchScratch) (batchColumns, error) {
+func (s *Server) runBatch(top *core.HyperButterfly, req *batchRequest, sc *batchScratch) (batchColumns, error) {
 	cols := batchColumns{op: req.op, m: req.m, n: req.n, faults: req.faults}
 	switch req.op {
 	case batchOpDist, batchOpRoute:
@@ -429,7 +429,7 @@ func (s *Server) runBatch(top core.Topology, req *batchRequest, sc *batchScratch
 // strategy ladder is computed from node labels, so building one costs
 // O(|faults|), and an answer never depends on earlier requests or
 // waits on another request's fault set.
-func faultRouteBatch(top core.Topology, req *batchRequest, sc *batchScratch) error {
+func faultRouteBatch(top *core.HyperButterfly, req *batchRequest, sc *batchScratch) error {
 	r, err := faultroute.New(top, req.faults)
 	if err != nil {
 		return badRequest("%v", err)
@@ -465,7 +465,7 @@ func faultRouteBatch(top core.Topology, req *batchRequest, sc *batchScratch) err
 // pathsBatch bundles the Theorem 5 disjoint paths per pair into the
 // two-level columnar layout (pair -> path offsets, path -> node
 // offsets).
-func pathsBatch(top core.Topology, req *batchRequest, sc *batchScratch) {
+func pathsBatch(top *core.HyperButterfly, req *batchRequest, sc *batchScratch) {
 	sc.bs.Status = sc.bs.Status[:0]
 	sc.off = append(sc.off[:0], 0)
 	sc.poff = append(sc.poff[:0], 0)

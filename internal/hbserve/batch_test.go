@@ -487,9 +487,6 @@ func TestBatchImplicitTier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := top.(*core.HyperButterfly); !ok {
-		t.Fatalf("HB(2,3) served by %T, want *core.HyperButterfly", top)
-	}
 	src, dst := batchPairs(top.Order())
 	resp, body := postBatch(t, ts.URL, ctJSON, jsonBatchBody(t, "route", 2, 3, nil, src, dst))
 	if resp.StatusCode != 200 {

@@ -182,18 +182,13 @@ func TestPoolRejectsOversized(t *testing.T) {
 }
 
 // TestPoolImplicitTier pins the one-cap order policy: up to MaxOrder
-// every instance is a label-arithmetic *core.HyperButterfly, above it
-// the pool rejects.
+// the pool builds every instance, above it the pool rejects.
 func TestPoolImplicitTier(t *testing.T) {
 	p := &Pool{MaxOrder: 20000}
 	for _, d := range []Dims{{M: 1, N: 3}, {M: 3, N: 8}} { // orders 48 and 16384
-		top, err := p.Get(d)
+		hb, err := p.Get(d)
 		if err != nil {
 			t.Fatal(err)
-		}
-		hb, ok := top.(*core.HyperButterfly)
-		if !ok {
-			t.Fatalf("%v got %T, want *core.HyperButterfly", d, top)
 		}
 		if want := d.N << uint(d.M+d.N); hb.Order() != want {
 			t.Errorf("%v order %d, want %d", d, hb.Order(), want)
@@ -234,7 +229,7 @@ func TestPoolConcurrentGet(t *testing.T) {
 func TestPoolErrorEntriesNotResident(t *testing.T) {
 	var fail atomic.Bool
 	fail.Store(true)
-	p := &Pool{Max: 2, construct: func(d Dims) (core.Topology, error) {
+	p := &Pool{Max: 2, construct: func(d Dims) (*core.HyperButterfly, error) {
 		if fail.Load() {
 			return nil, errors.New("construct: transient failure")
 		}
@@ -287,7 +282,7 @@ func TestPoolErrorEntriesNotResident(t *testing.T) {
 // construct all observe the error, and the pool ends empty so a later
 // Get can retry.
 func TestPoolConcurrentFailedGets(t *testing.T) {
-	p := &Pool{Max: 4, construct: func(d Dims) (core.Topology, error) {
+	p := &Pool{Max: 4, construct: func(d Dims) (*core.HyperButterfly, error) {
 		return nil, errors.New("construct: always fails")
 	}}
 	var wg sync.WaitGroup

@@ -551,6 +551,26 @@ func TestPeekBatchDims(t *testing.T) {
 	}
 }
 
+// TestRouterStopWithoutStart: a router that was never started stops at
+// once, and a Start after Stop launches no probes.
+func TestRouterStopWithoutStart(t *testing.T) {
+	rt, err := NewRouter(ClusterConfig{Replicas: []string{"http://127.0.0.1:9001"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stopped := make(chan struct{})
+	go func() {
+		rt.Stop()
+		rt.Start()
+		close(stopped)
+	}()
+	select {
+	case <-stopped:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Stop on a never-started router still blocked after 10s")
+	}
+}
+
 func TestNewRouterValidation(t *testing.T) {
 	if _, err := NewRouter(ClusterConfig{}); err == nil {
 		t.Error("accepted an empty replica list")

@@ -51,8 +51,9 @@ type healthChecker struct {
 
 	replicas []*replicaState
 
-	stop chan struct{}
-	done chan struct{}
+	start sync.Once
+	stop  chan struct{}
+	done  chan struct{}
 }
 
 func newHealthChecker(conns []*replicaConns, interval, timeout time.Duration, ejectAfter, readmitAfter int) *healthChecker {
@@ -85,25 +86,27 @@ func newHealthChecker(conns []*replicaConns, interval, timeout time.Duration, ej
 }
 
 // Start launches the probe loop; Stop shuts it down and waits for it.
-func (h *healthChecker) Start() {
-	go func() {
-		defer close(h.done)
-		tick := time.NewTicker(h.interval)
-		defer tick.Stop()
-		for {
-			select {
-			case <-h.stop:
-				return
-			case <-tick.C:
-				h.probeAll()
-			}
-		}
-	}()
-}
+// A checker that was never started stops at once, and stays stopped.
+func (h *healthChecker) Start() { h.start.Do(func() { go h.probeLoop() }) }
 
 func (h *healthChecker) Stop() {
+	h.start.Do(func() { close(h.done) })
 	close(h.stop)
 	<-h.done
+}
+
+func (h *healthChecker) probeLoop() {
+	defer close(h.done)
+	tick := time.NewTicker(h.interval)
+	defer tick.Stop()
+	for {
+		select {
+		case <-h.stop:
+			return
+		case <-tick.C:
+			h.probeAll()
+		}
+	}
 }
 
 // probeAll probes every replica concurrently so one hung peer cannot

@@ -41,7 +41,7 @@ type Pool struct {
 
 	// construct builds an instance; tests override it to hold a build
 	// open and race evictions against it. Nil means core.New.
-	construct func(d Dims) (core.Topology, error)
+	construct func(d Dims) (*core.HyperButterfly, error)
 }
 
 // DefaultPoolMax bounds the number of live instances.
@@ -56,14 +56,14 @@ const DefaultMaxOrder = 1 << 24
 type poolEntry struct {
 	once  sync.Once
 	built atomic.Bool // set after once.Do completes; evictions prefer built entries
-	top   core.Topology
+	top   *core.HyperButterfly
 	err   error
 	elem  *list.Element
 }
 
-// Get returns the HB(d.M, d.N) backend, constructing it on first use
+// Get returns the HB(d.M, d.N) instance, constructing it on first use
 // and bumping its recency. Safe for concurrent use.
-func (p *Pool) Get(d Dims) (core.Topology, error) {
+func (p *Pool) Get(d Dims) (*core.HyperButterfly, error) {
 	maxOrder := p.MaxOrder
 	if maxOrder <= 0 {
 		maxOrder = DefaultMaxOrder

@@ -114,6 +114,47 @@ func TestSingleQueryMatchesOnePairBatch(t *testing.T) {
 	}
 }
 
+// TestHandleRouteAllocsFlat: with the route cache off, a GET /route on
+// HB(3,8) allocates as often for a diameter pair as for a 1-hop pair,
+// over a hypercube edge or a butterfly edge: naming the moves and
+// rendering the path cost the same whatever the route.
+func TestHandleRouteAllocsFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	h := NewServer(Config{CacheSize: -1, BatchWorkers: 1}).Handler()
+	hb := core.MustNew(3, 8)
+	far := 0
+	for hb.Distance(0, far) != hb.DiameterFormula() {
+		far++
+	}
+	pairs := map[string]int{
+		"cube edge":      hb.Apply(core.Move{Cube: true}, 0),
+		"butterfly edge": hb.Apply(core.Move{}, 0),
+		"diameter":       far,
+	}
+	allocs := map[string]float64{}
+	for name, v := range pairs {
+		req := httptest.NewRequest(http.MethodGet, fmt.Sprintf("/route?m=3&n=8&u=0&v=%d", v), nil)
+		w := discardWriter{header: http.Header{}}
+		get := func() {
+			clear(w.header)
+			w.code = 0
+			h.ServeHTTP(&w, req)
+			if w.code != http.StatusOK {
+				t.Fatalf("%s pair 0->%d: status %d", name, v, w.code)
+			}
+		}
+		get() // warm the pools
+		allocs[name] = testing.AllocsPerRun(50, get)
+	}
+	for name := range pairs {
+		if allocs[name] != allocs["diameter"] {
+			t.Errorf("GET /route: %v allocs for a %s pair, %v for a diameter pair", allocs[name], name, allocs["diameter"])
+		}
+	}
+}
+
 // FuzzGetQuery sends raw query strings to the single-pair GET
 // endpoints and to the router's shard-key parser. No query may panic
 // or draw a 5xx. A 200 /route answer must be a route of

@@ -214,24 +214,16 @@ func TestPanicRecovery(t *testing.T) {
 	}
 }
 
-// panickyRoutes is a backend whose routing panics, standing in for a
-// bug in constructive code.
-type panickyRoutes struct{ core.Topology }
-
-func (panickyRoutes) Route(u, v core.Node) []core.Node { panic("route bug") }
-
-func (panickyRoutes) AppendRoute(u, v core.Node, buf []core.Node) []core.Node {
-	panic("route bug")
-}
-
-// TestCachedComputePanic: a panic inside a cached /route compute answers
-// 500 to the request that ran it and to every request waiting on it, and
-// each compute that panicked is counted once.
+// TestCachedComputePanic: a panic inside a cached compute answers 500
+// to the request that ran it and to every request waiting on it, and
+// each compute that panicked is counted once. The panic is injected at
+// the cache boundary: the handler serves through serveCached, the call
+// /route and /paths make.
 func TestCachedComputePanic(t *testing.T) {
 	s := NewServer(Config{})
-	s.pool.construct = func(d Dims) (core.Topology, error) {
-		return panickyRoutes{core.MustNew(d.M, d.N)}, nil
-	}
+	s.mux.HandleFunc("/boom", s.instrument("boom", func(w http.ResponseWriter, r *http.Request) {
+		s.serveCached(w, "boom", func() ([]byte, error) { panic("route bug") })
+	}))
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -241,7 +233,7 @@ func TestCachedComputePanic(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			code, body := get(t, ts.URL+"/route?m=2&n=3&u=0&v=95")
+			code, body := get(t, ts.URL+"/boom")
 			if code != http.StatusInternalServerError || !strings.Contains(string(body), "route bug") {
 				t.Errorf("status %d, want 500 naming the panic: %s", code, body)
 			}
@@ -344,7 +336,7 @@ func TestPoolNeverEvictsInFlightBuild(t *testing.T) {
 	started := make(chan struct{})
 	release := make(chan struct{})
 	p := &Pool{Max: 1}
-	p.construct = func(d Dims) (core.Topology, error) {
+	p.construct = func(d Dims) (*core.HyperButterfly, error) {
 		if d == d1 {
 			close(started)
 			<-release
@@ -352,7 +344,7 @@ func TestPoolNeverEvictsInFlightBuild(t *testing.T) {
 		return core.New(d.M, d.N)
 	}
 
-	got := make(chan core.Topology, 1)
+	got := make(chan *core.HyperButterfly, 1)
 	go func() {
 		hb, err := p.Get(d1)
 		if err != nil {

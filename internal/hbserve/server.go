@@ -284,14 +284,22 @@ func setResponseHeaders(w http.ResponseWriter, contentType, cache string) {
 }
 
 // writeBody writes pre-rendered bytes under the shared header helper.
-// It declares their length: net/http would otherwise send a body over
-// its 2 KB buffer chunked, which costs a batch answer one more write on
-// the sender and one more read, often a wakeup, on the reader.
+// It declares the length of a body over net/http's 2 KB buffer, which
+// net/http would otherwise send chunked, at the cost of one more write
+// on the sender and one more read, often a wakeup, on the reader. A
+// body within the buffer is written whole when the handler returns,
+// and net/http declares its length then without allocating.
 func writeBody(w http.ResponseWriter, contentType, cache string, body []byte) {
 	setResponseHeaders(w, contentType, cache)
-	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	if len(body) > chunkingBuffer {
+		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	}
 	w.Write(body)
 }
+
+// chunkingBuffer is the size of net/http's per-response buffer, up to
+// which a handler's writes are held back and their length declared.
+const chunkingBuffer = 2048
 
 // writeJSON writes v as JSON; writeErr maps errors to {"error": ...},
 // with an *httpError's code, or 500 for any other error.
@@ -312,23 +320,13 @@ func writeErr(w http.ResponseWriter, err error) {
 	json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
 }
 
-// writeCached writes pre-rendered JSON bytes (already newline-
-// terminated by the encoder that produced them).
-func writeCached(w http.ResponseWriter, body []byte, hit bool) {
-	state := "miss"
-	if hit {
-		state = "hit"
-	}
-	writeBody(w, ctJSON, state, body)
-}
-
 // query parsing ------------------------------------------------------
 
 // The parameter readers take the url.Values a handler parsed once from
 // its request, not the request itself: r.URL.Query() parses the whole
 // query string on every call.
 
-func (s *Server) instance(q url.Values) (core.Topology, Dims, error) {
+func (s *Server) instance(q url.Values) (*core.HyperButterfly, Dims, error) {
 	m, err := intParam(q, "m", 2)
 	if err != nil {
 		return nil, Dims{}, err
@@ -357,7 +355,7 @@ func intParam(q url.Values, name string, def int) (int, error) {
 	return v, nil
 }
 
-func nodeParam(q url.Values, top core.Topology, name string) (core.Node, error) {
+func nodeParam(q url.Values, top *core.HyperButterfly, name string) (core.Node, error) {
 	raw := q.Get(name)
 	if raw == "" {
 		return 0, badRequest("missing node parameter %q", name)
@@ -456,31 +454,41 @@ func (s *Server) handleQuery(op uint8) http.HandlerFunc {
 			return
 		}
 		verify := boolParam(q, "verify")
-		body, hit, err := s.cache.GetOrCompute(cacheKey(batchOpNames[op], d, u, v, verify), func() ([]byte, error) {
-			defer s.countPanic()
+		s.serveCached(w, cacheKey(batchOpNames[op], d, u, v, verify), func() ([]byte, error) {
 			return s.renderQuery(top, d, op, u, v, nil, verify)
 		})
-		if err != nil {
-			writeErr(w, err)
-			return
-		}
-		writeCached(w, body, hit)
 	}
 }
 
-// countPanic, deferred in a cached compute, counts a panic before the
-// route cache turns it into an error for the caller and every waiter.
-func (s *Server) countPanic() {
-	if p := recover(); p != nil {
-		s.metrics.PanicRecovered()
-		panic(p)
+// serveCached answers with the route cache's JSON body for key,
+// computed once by compute across concurrent callers. A panicking
+// compute is counted here, before the cache turns it into an error for
+// the caller and every waiter, and answers 500.
+func (s *Server) serveCached(w http.ResponseWriter, key string, compute func() ([]byte, error)) {
+	body, hit, err := s.cache.GetOrCompute(key, func() ([]byte, error) {
+		defer func() {
+			if p := recover(); p != nil {
+				s.metrics.PanicRecovered()
+				panic(p)
+			}
+		}()
+		return compute()
+	})
+	if err != nil {
+		writeErr(w, err)
+		return
 	}
+	state := "miss"
+	if hit {
+		state = "hit"
+	}
+	writeBody(w, ctJSON, state, body)
 }
 
 // renderQuery answers the pair (u, v) as a one-pair batch with the
 // /batch per-op code and renders the answer in the GET endpoint's JSON
 // shape.
-func (s *Server) renderQuery(top core.Topology, d Dims, op uint8, u, v int, faults []int, verify bool) ([]byte, error) {
+func (s *Server) renderQuery(top *core.HyperButterfly, d Dims, op uint8, u, v int, faults []int, verify bool) ([]byte, error) {
 	sc := batchScratchPool.Get().(*batchScratch)
 	defer batchScratchPool.Put(sc)
 	req := &batchRequest{op: op, m: d.M, n: d.N, faults: faults, src: []int{u}, dst: []int{v}}
@@ -550,7 +558,7 @@ func (s *Server) renderQuery(top core.Topology, d Dims, op uint8, u, v int, faul
 // always-non-nil slice, so the echoed "faults" field is a canonical JSON
 // array ([] rather than null, 3,3,1 rendered as [1,3]) regardless of how
 // the caller spelled the query.
-func faultsParam(q url.Values, top core.Topology) ([]int, error) {
+func faultsParam(q url.Values, top *core.HyperButterfly) ([]int, error) {
 	out := []int{}
 	raw := q.Get("faults")
 	if raw == "" {
@@ -696,7 +704,7 @@ type exactEstimateResponse struct {
 // a Cayley graph (T1), hence vertex-transitive: node 0's eccentricity is
 // every node's, and Order times node 0's distance counts is the
 // all-pairs histogram.
-func exactEstimate(top core.Topology) (exactEstimateResponse, error) {
+func exactEstimate(top *core.HyperButterfly) (exactEstimateResponse, error) {
 	order := top.Order()
 	dist := graph.BFS(top, 0, nil)
 	ecc := slices.Max(dist)
@@ -809,14 +817,18 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 
 // cacheKey builds the full query identity for the route cache. The
 // verify flag is part of the identity: verified and unverified bodies
-// differ.
+// differ. The key is assembled on the stack, so building it allocates
+// only the string, whatever the node ids.
 func cacheKey(kind string, d Dims, u, v int, verify bool) string {
-	key := kind + "|" + strconv.Itoa(d.M) + "|" + strconv.Itoa(d.N) + "|" +
-		strconv.Itoa(u) + "|" + strconv.Itoa(v)
-	if verify {
-		key += "|verified"
+	var buf [64]byte
+	key := append(buf[:0], kind...)
+	for _, x := range [...]int{d.M, d.N, u, v} {
+		key = strconv.AppendInt(append(key, '|'), int64(x), 10)
 	}
-	return key
+	if verify {
+		key = append(key, "|verified"...)
+	}
+	return string(key)
 }
 
 // boolParam reads a flag parameter (accepted forms: 1, true).
@@ -830,14 +842,14 @@ func boolParam(q url.Values, name string) bool {
 // maxBFSVerifyOrder bounds the instances verify=1 checks against a BFS
 // over the materialised adjacency (HB(3,8), the paper's own large
 // example at 16384 nodes, fits with headroom). Above it the check is
-// label arithmetic, since building that adjacency is what the backend
-// avoids.
+// label arithmetic, since building that adjacency is what serving by
+// label arithmetic avoids.
 const maxBFSVerifyOrder = 1 << 17
 
 // bfsDist runs one pooled-scratch kernel BFS from u and passes the
 // distances to read (the slice aliases the scratch, so it must not
 // escape read).
-func (s *Server) bfsDist(top core.Topology, u int, read func(dist []int32) error) error {
+func (s *Server) bfsDist(top *core.HyperButterfly, u int, read func(dist []int32) error) error {
 	sc := s.scratch.Get().(*graph.Scratch)
 	defer s.scratch.Put(sc)
 	return read(top.Dense().BFSScratch(u, nil, sc))
@@ -851,7 +863,7 @@ func (s *Server) bfsDist(top core.Topology, u int, read func(dist []int32) error
 // its predecessor and the length against the analytic distance, which
 // the implicit differential gate holds to BFS equality on every
 // conformance instance.
-func (s *Server) verifyRoute(top core.Topology, u, v int, path []int) error {
+func (s *Server) verifyRoute(top *core.HyperButterfly, u, v int, path []int) error {
 	if len(path) == 0 || path[0] != u || path[len(path)-1] != v {
 		return fmt.Errorf("route verification failed: path endpoints %v, want %d -> %d", path, u, v)
 	}
@@ -885,7 +897,7 @@ func (s *Server) verifyRoute(top core.Topology, u, v int, path []int) error {
 // implicitHasEdge reports whether u-w is an edge using only the label
 // neighborhood of u; it returns the (possibly grown) scratch buffer so
 // a verification loop reuses one allocation.
-func implicitHasEdge(top core.Topology, u, w int, buf []int) ([]int, bool) {
+func implicitHasEdge(top *core.HyperButterfly, u, w int, buf []int) ([]int, bool) {
 	buf = top.AppendNeighbors(u, buf[:0])
 	for _, x := range buf {
 		if x == w {
@@ -899,9 +911,9 @@ func implicitHasEdge(top core.Topology, u, w int, buf []int) ([]int, bool) {
 // u -> v over real edges, the set must be internally vertex-disjoint,
 // and no path may be shorter than the shortest-path distance. Up to
 // maxBFSVerifyOrder the distance comes from the BFS oracle; above it
-// graph.VerifyDisjointPaths certifies the set (every Topology is a
+// graph.VerifyDisjointPaths certifies the set (the instance is a
 // graph.Graph) against the analytic distance.
-func (s *Server) verifyPaths(top core.Topology, u, v int, paths [][]int) error {
+func (s *Server) verifyPaths(top *core.HyperButterfly, u, v int, paths [][]int) error {
 	if top.Order() > maxBFSVerifyOrder {
 		if err := graph.VerifyDisjointPaths(top, u, v, paths); err != nil {
 			return fmt.Errorf("paths verification failed: %v", err)
