@@ -22,7 +22,8 @@
 //
 // /route and /paths responses are cached and byte-identical for
 // identical queries. SIGINT/SIGTERM drain in-flight requests before
-// exit. Every request runs under a deadline (-timeout), overload sheds
+// exit. /batch, /faultroute, /conformance and /estimate refuse to start
+// work past a per-request deadline (-timeout), overload sheds
 // with 503 + Retry-After (-maxinflight), and handler panics answer 500
 // and increment hbd_panics_total instead of killing the daemon.
 //
@@ -66,7 +67,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	grace := fs.Duration("grace", 10*time.Second, "serve: shutdown drain budget")
 	timeout := fs.Duration("timeout", 0, "serve: per-request deadline (0 = default, negative disables)")
 	maxInFlight := fs.Int("maxinflight", 0, "serve: 503 load-shedding bound (0 = default, negative disables)")
-	batchWorkers := fs.Int("batchworkers", 0, "serve: /batch kernel fan-out (0 = GOMAXPROCS)")
 
 	replicas := fs.String("replicas", "", "router: comma-separated replica base URLs")
 	vnodes := fs.Int("vnodes", 0, "router: virtual nodes per replica on the hash ring (0 = default)")
@@ -91,7 +91,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			CacheShard:     *shards,
 			RequestTimeout: *timeout,
 			MaxInFlight:    *maxInFlight,
-			BatchWorkers:   *batchWorkers,
 		})
 		ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 		defer stop()

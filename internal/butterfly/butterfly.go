@@ -91,7 +91,7 @@ func (b *Butterfly) NodeOf(pi int, mask uint64) Node {
 
 // Split decomposes a node id into (pi, mask).
 func (b *Butterfly) Split(v Node) (pi int, mask uint64) {
-	return v >> uint(b.n), uint64(v) & bitvec.Mask(b.n)
+	return v >> uint(b.n), uint64(v) & (1<<uint(b.n) - 1)
 }
 
 // PI returns the permutation index of v (Definition 1).

@@ -3,6 +3,7 @@ package butterfly
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 )
 
@@ -183,41 +184,48 @@ func (b *Butterfly) Distance(u, v Node) int {
 	return d
 }
 
-// AppendWalk appends base+w for every vertex w strictly after u on walk,
-// a plan PlanWalk(u, v) returned, allocation-free when buf has capacity.
-// Each step moves one level along the walk's run and, on crossing a ring
+// WriteWalk writes base+w for every vertex w strictly after u on walk,
+// a plan PlanWalk(u, v) returned, into seg by index: seg[k] is the
+// (k+1)-th vertex, and len(seg) must be the walk's step count. Each
+// step moves one level along the walk's run and, on crossing a ring
 // edge whose symbol still differs from v's, complements it (f or f^{-1}
 // rather than g or g^{-1}), so repeated crossings complement at most
 // once. The base offset lets product networks (core.HyperButterfly)
 // relabel the walk into a sub-butterfly without an intermediate slice.
-func (b *Butterfly) AppendWalk(u, v Node, walk Walk, base int, buf []int) []int {
-	n := b.n
+func (b *Butterfly) WriteWalk(u, v Node, walk Walk, base int, seg []int) {
+	n := uint(b.n)
+	r0, r1, r2 := uint(walk&0xff), uint(walk>>8&0xff), uint(walk>>16&0xff)
+	if r0+r1+r2 != uint(len(seg)) {
+		panic(fmt.Sprintf("butterfly: walk %d->%d has %d steps, given %d slots", u, v, r0+r1+r2, len(seg)))
+	}
+	// One loop over every step, its direction read from a bit mask
+	// rather than branched on, so a turn between runs costs no
+	// mispredicted loop exit. Bit k of cw is set when step k goes
+	// clockwise; a walk has at most ⌊3n/2⌋ < 64 steps. The shifts in
+	// the loop are masked to 63 so that they compile without a range
+	// check.
+	cw := uint64(1<<r1-1) << r0
+	if walk&walkCW != 0 {
+		cw ^= 1<<(r0+r1+r2) - 1
+	}
 	pi, mask := b.Split(u)
 	_, maskV := b.Split(v)
-	clockwise := walk&walkCW != 0
-	for run := 0; run < 3; run++ {
-		steps := int(walk >> (8 * run) & 0xff)
-		for ; steps > 0; steps-- {
-			if clockwise {
-				mask ^= (mask ^ maskV) & (1 << uint(pi))
-				if pi++; pi == n {
-					pi = 0
-				}
-			} else {
-				if pi == 0 {
-					pi = n
-				}
-				pi--
-				mask ^= (mask ^ maskV) & (1 << uint(pi))
-			}
-			buf = append(buf, base+(pi<<uint(n)|int(mask)))
+	for k := range seg {
+		c := int(cw & 1)
+		cw >>= 1
+		e := pi + c - 1 // the ring edge this step crosses
+		if e < 0 {
+			e += int(n)
 		}
-		clockwise = !clockwise
+		mask ^= (mask ^ maskV) & (1 << (uint(e) & 63))
+		if pi = e + c; pi == int(n) {
+			pi = 0
+		}
+		seg[k] = base + (pi<<(n&63) | int(mask))
 	}
-	if end := pi<<uint(n) | int(mask); end != v {
+	if end := pi<<n | int(mask); end != v {
 		panic(fmt.Sprintf("butterfly: route from %d ended at %d, want %d", u, end, v))
 	}
-	return buf
 }
 
 // AppendRoute appends a shortest u-v path (both endpoints included) to
@@ -226,16 +234,17 @@ func (b *Butterfly) AppendWalk(u, v Node, walk Walk, base int, buf []int) []int 
 // no heap allocation, which is what lets label arithmetic route on
 // multi-million-node instances at dense-graph speeds.
 func (b *Butterfly) AppendRoute(u, v Node, buf []Node) []Node {
-	_, walk := b.PlanWalk(u, v)
-	return b.AppendWalk(u, v, walk, 0, append(buf, u))
+	d, walk := b.PlanWalk(u, v)
+	at := len(buf)
+	buf = slices.Grow(buf, d+1)[:at+d+1]
+	buf[at] = u
+	b.WriteWalk(u, v, walk, 0, buf[at+1:])
+	return buf
 }
 
 // Route returns a shortest path from u to v as a node sequence including
 // both endpoints; its length always equals Distance(u, v) + 1.
-func (b *Butterfly) Route(u, v Node) []Node {
-	d, walk := b.PlanWalk(u, v)
-	return b.AppendWalk(u, v, walk, 0, append(make([]Node, 0, d+1), u))
-}
+func (b *Butterfly) Route(u, v Node) []Node { return b.AppendRoute(u, v, nil) }
 
 // RouteGenerators returns the generator sequence of Route(u, v).
 func (b *Butterfly) RouteGenerators(u, v Node) []int {

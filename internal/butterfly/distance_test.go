@@ -13,7 +13,7 @@ import (
 
 // The oracle: the planner as an O(n) scan over every counter-clockwise
 // extent beta, and the route as its move sequence applied generator by
-// generator. planWalk and AppendWalk must reproduce both exactly.
+// generator. planWalk and WriteWalk must reproduce both exactly.
 
 // scanPlan describes an optimal covering walk as the scan finds it.
 type scanPlan struct {

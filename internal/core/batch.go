@@ -5,8 +5,6 @@ import (
 	"runtime"
 	"slices"
 	"sync"
-
-	"repro/internal/butterfly"
 )
 
 // Batch routing kernel.
@@ -19,15 +17,17 @@ import (
 // routes a single contiguous node arena addressed by a prefix-summed
 // offset column — with zero steady-state allocations per pair.
 //
-// The route pass exploits a Theorem 3 invariant: the route emitted by
-// AppendRoute is optimal, so its node count is exactly Distance(u,v)+1.
-// That turns batch routing into two embarrassingly parallel passes with
-// no synchronisation on the arena: pass one plans every pair once (its
-// distance and its butterfly walk), a serial prefix sum sizes the
-// arena and assigns every pair a disjoint segment, and pass two
-// expands each stored walk into its own full-capacity segment. The
-// offset column doubles as the columnar wire format the /batch codecs
-// emit, so the kernel output is encoded without copying.
+// Each pair is answered in one step of one sequential sweep: writeRoute
+// decodes both endpoints once, reads the butterfly plan once and writes
+// the route by index into the arena right after the previous pair's,
+// and the sweep records the distance and the next offset. No pair is
+// revisited, so nothing is stored between a plan and its expansion. A
+// shortest route has at most diameter+1 nodes (Theorem 3), so a sweep
+// over k pairs fits in k·(diameter+1) arena slots: the sharded path
+// gives each worker that many slots at its chunk's own position, and a
+// serial pass then slides the chunks together and shifts their offsets.
+// The offset column doubles as the columnar wire format the /batch
+// codecs emit, so the kernel output is encoded without copying.
 
 // Per-pair status codes. They are wire-format values (the /batch
 // protocol echoes them verbatim), so they are stable small integers.
@@ -64,8 +64,6 @@ type BatchScratch struct {
 	Dist   []int32
 	Off    []int32 // len(pairs)+1 after BatchRoute; prefix sums into Nodes
 	Nodes  []Node  // route arena; segments are disjoint per pair
-
-	walks []butterfly.Walk // per pair, planned by the first pass
 }
 
 // batchChunkMin is the smallest per-worker slice of a batch worth a
@@ -96,91 +94,83 @@ func RouteBatch(hb *HyperButterfly, op BatchOp, src, dst []Node, workers int, bs
 		return fmt.Errorf("core: batch columns disagree: %d src, %d dst", len(src), len(dst))
 	}
 	pairs := len(src)
-	// The columns grow with append's headroom: batch sizes and node
-	// totals vary from call to call, and an exact-size column would be
-	// re-made whenever a batch beats the last one.
+	// The columns grow with append's headroom: batch sizes vary from
+	// call to call, and an exact-size column would be re-made whenever a
+	// batch beats the last one.
 	bs.Status = slices.Grow(bs.Status[:0], pairs)[:pairs]
 	bs.Dist = slices.Grow(bs.Dist[:0], pairs)[:pairs]
-	bs.walks = slices.Grow(bs.walks[:0], pairs)[:pairs]
-	workers = batchWorkers(workers, pairs)
-
-	if workers == 1 {
-		batchPlanRange(hb, src, dst, bs, 0, pairs)
-	} else {
-		shardRange(workers, pairs, func(lo, hi int) {
-			batchPlanRange(hb, src, dst, bs, lo, hi)
-		})
+	bs.Off, bs.Nodes = bs.Off[:0], bs.Nodes[:0]
+	span := 0
+	if op == BatchRoute {
+		span = hb.span
+		bs.Off = slices.Grow(bs.Off, pairs+1)[:pairs+1]
+		bs.Off[0] = 0
+		bs.Nodes = slices.Grow(bs.Nodes, pairs*span)[:pairs*span]
 	}
-	if op == BatchDist {
-		bs.Off = bs.Off[:0]
-		bs.Nodes = bs.Nodes[:0]
+	if workers = batchWorkers(workers, pairs); workers == 1 {
+		bs.Nodes = bs.Nodes[:batchSweep(hb, src, dst, bs, span, 0, pairs)]
 		return nil
 	}
-
-	// Prefix-sum the route lengths (Distance+1 nodes per answered pair)
-	// into disjoint arena segments.
-	bs.Off = slices.Grow(bs.Off[:0], pairs+1)[:pairs+1]
-	total := int32(0)
-	bs.Off[0] = 0
-	for i := 0; i < pairs; i++ {
-		if bs.Status[i] == BatchOK {
-			total += bs.Dist[i] + 1
-		}
-		bs.Off[i+1] = total
-	}
-	bs.Nodes = slices.Grow(bs.Nodes[:0], int(total))[:total]
-
-	if workers == 1 {
-		batchRouteRange(hb, src, dst, bs, 0, pairs)
-	} else {
-		shardRange(workers, pairs, func(lo, hi int) {
-			batchRouteRange(hb, src, dst, bs, lo, hi)
-		})
+	chunk := (pairs + workers - 1) / workers
+	shardRange(chunk, pairs, func(lo, hi int) {
+		batchSweep(hb, src, dst, bs, span, lo, hi)
+	})
+	if op == BatchRoute {
+		bs.Nodes = bs.Nodes[:compactChunks(bs, span, chunk, pairs)]
 	}
 	return nil
 }
 
-// batchPlanRange fills the status, distance and walk columns for
-// [lo, hi).
-func batchPlanRange(hb *HyperButterfly, src, dst []Node, bs *BatchScratch, lo, hi int) {
+// batchSweep answers pairs [lo, hi) in order. With span 0 it fills the
+// status and distance columns only. Otherwise it also writes each
+// answered route into the arena from slot lo·span on, right after the
+// previous pair's, sets Off[i+1] for every pair of the range, and
+// returns the end of what it wrote; its writes never leave the range's
+// hi-lo spans of slots, since no route is longer than the diameter.
+func batchSweep(hb *HyperButterfly, src, dst []Node, bs *BatchScratch, span, lo, hi int) int {
+	order := hb.Order()
+	start := lo * span
+	arena := bs.Nodes[start : hi*span : hi*span]
+	at := 0
 	for i := lo; i < hi; i++ {
 		u, v := src[i], dst[i]
-		if !hb.ValidNode(u) || !hb.ValidNode(v) {
-			bs.Status[i] = BatchBadNode
-			bs.Dist[i] = -1
-			continue
+		if uint(u) >= uint(order) || uint(v) >= uint(order) {
+			bs.Status[i], bs.Dist[i] = BatchBadNode, -1
+		} else if span == 0 {
+			bs.Status[i], bs.Dist[i] = BatchOK, int32(hb.Distance(u, v))
+		} else {
+			d := hb.writeRoute(u, v, arena[at:])
+			bs.Status[i], bs.Dist[i] = BatchOK, int32(d)
+			at += d + 1
 		}
-		bs.Status[i] = BatchOK
-		d, walk := hb.planRoute(u, v)
-		bs.Dist[i], bs.walks[i] = int32(d), walk
-	}
-}
-
-// batchRouteRange appends each answered route of [lo, hi) into its
-// pre-sized arena segment, expanding the walks the first pass planned.
-// The three-index slice pins the segment capacity, so the route is
-// written in place and any length disagreement with the distance
-// column is a core invariant violation, not a quiet overrun into the
-// neighbouring pair.
-func batchRouteRange(hb *HyperButterfly, src, dst []Node, bs *BatchScratch, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		if bs.Status[i] != BatchOK {
-			continue
-		}
-		start, end := bs.Off[i], bs.Off[i+1]
-		out := hb.appendPlanned(src[i], dst[i], bs.walks[i], bs.Nodes[start:start:end])
-		if int32(len(out)) != end-start {
-			panic(fmt.Sprintf("core: route %d->%d has %d nodes, distance column promised %d",
-				src[i], dst[i], len(out), end-start))
+		if span != 0 {
+			bs.Off[i+1] = int32(start + at)
 		}
 	}
+	return start + at
 }
 
-// shardRange runs f over contiguous chunks of [0, n), the last on the
-// calling goroutine and each other on its own, and waits for all of
-// them, also when the caller's chunk panics.
-func shardRange(workers, n int, f func(lo, hi int)) {
-	chunk := (n + workers - 1) / workers
+// compactChunks slides the route segments the sharded sweep wrote at
+// each chunk's lo·span down onto the end of the previous chunk's,
+// shifts the chunk's offsets to match, and returns the arena's length.
+func compactChunks(bs *BatchScratch, span, chunk, pairs int) int {
+	end := int(bs.Off[min(chunk, pairs)])
+	for lo := chunk; lo < pairs; lo += chunk {
+		hi := min(lo+chunk, pairs)
+		start := lo * span
+		shift := int32(start - end)
+		end += copy(bs.Nodes[end:], bs.Nodes[start:bs.Off[hi]])
+		for i := lo + 1; i <= hi; i++ {
+			bs.Off[i] -= shift
+		}
+	}
+	return end
+}
+
+// shardRange runs f over contiguous chunks of [0, n) of chunk pairs
+// each, the last on the calling goroutine and each other on its own,
+// and waits for all of them, also when the caller's chunk panics.
+func shardRange(chunk, n int, f func(lo, hi int)) {
 	var wg sync.WaitGroup
 	defer wg.Wait()
 	lo := 0

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -119,6 +120,120 @@ func TestRouteBatchMatchesOracle(t *testing.T) {
 				t.Fatalf("HB(%d,%d): pair %d->%d dist %d, oracle route has %d hops", dims[0], dims[1], src[i], dst[i], bs.Dist[i], len(want)-1)
 			}
 		}
+	}
+}
+
+// checkSweep runs one route batch at the given worker count and checks
+// every pair against the one-pair Distance and Route: an invalid pair
+// is BatchBadNode with Dist -1 and an empty segment; a valid one is
+// BatchOK, and its segment is Route(u, v), a walk of adjacent nodes
+// from u to v of Dist hops.
+func checkSweep(t *testing.T, hb *core.HyperButterfly, src, dst []core.Node, workers int) {
+	t.Helper()
+	var bs core.BatchScratch
+	if err := core.RouteBatch(hb, core.BatchRoute, src, dst, workers, &bs); err != nil {
+		t.Fatal(err)
+	}
+	name := fmt.Sprintf("HB(%d,%d) workers=%d", hb.M(), hb.N(), workers)
+	if len(bs.Status) != len(src) || len(bs.Dist) != len(src) || len(bs.Off) != len(src)+1 || bs.Off[0] != 0 {
+		t.Fatalf("%s: columns status %d dist %d off %d for %d pairs", name, len(bs.Status), len(bs.Dist), len(bs.Off), len(src))
+	}
+	if int(bs.Off[len(src)]) != len(bs.Nodes) {
+		t.Fatalf("%s: offsets end at %d, arena holds %d nodes", name, bs.Off[len(src)], len(bs.Nodes))
+	}
+	var nbrs []core.Node
+	for i := range src {
+		u, v := src[i], dst[i]
+		seg := bs.Nodes[bs.Off[i]:bs.Off[i+1]]
+		if !hb.ValidNode(u) || !hb.ValidNode(v) {
+			if bs.Status[i] != core.BatchBadNode || bs.Dist[i] != -1 || len(seg) != 0 {
+				t.Fatalf("%s: pair %d (%d,%d) got status %d dist %d segment %v", name, i, u, v, bs.Status[i], bs.Dist[i], seg)
+			}
+			continue
+		}
+		if bs.Status[i] != core.BatchOK || int(bs.Dist[i]) != hb.Distance(u, v) {
+			t.Fatalf("%s: pair %d (%d,%d) got status %d dist %d, want distance %d", name, i, u, v, bs.Status[i], bs.Dist[i], hb.Distance(u, v))
+		}
+		if want := hb.Route(u, v); !slices.Equal(seg, want) {
+			t.Fatalf("%s: pair %d (%d,%d) route %v, Route %v", name, i, u, v, seg, want)
+		}
+		if len(seg) != int(bs.Dist[i])+1 || seg[0] != u || seg[len(seg)-1] != v {
+			t.Fatalf("%s: pair %d (%d,%d) route %v is not %d hops from u to v", name, i, u, v, seg, bs.Dist[i])
+		}
+		for k := 1; k < len(seg); k++ {
+			if nbrs = hb.AppendNeighbors(seg[k-1], nbrs[:0]); !slices.Contains(nbrs, seg[k]) {
+				t.Fatalf("%s: pair %d (%d,%d) route %v: hop %d->%d is not an edge", name, i, u, v, seg, seg[k-1], seg[k])
+			}
+		}
+	}
+}
+
+// TestRouteBatchSweepExhaustive: on every ordered pair of HB(1,3),
+// HB(2,3), HB(1,4) and HB(2,5), with out-of-range ids mixed in, the
+// one-pass sweep answers each pair as the one-pair Distance and Route
+// do, serially and sharded over 3 workers.
+func TestRouteBatchSweepExhaustive(t *testing.T) {
+	for _, dims := range [][2]int{{1, 3}, {2, 3}, {1, 4}, {2, 5}} {
+		hb := core.MustNew(dims[0], dims[1])
+		order := hb.Order()
+		var src, dst []core.Node
+		for u := 0; u < order; u++ {
+			for v := 0; v < order; v++ {
+				src, dst = append(src, u), append(dst, v)
+				if (u*order+v)%97 == 0 {
+					src, dst = append(src, order+u, -1-u), append(dst, v, order)
+				}
+			}
+		}
+		for _, workers := range []int{1, 3} {
+			checkSweep(t, hb, src, dst, workers)
+		}
+	}
+}
+
+// TestRouteBatchSweepRandom: the sweep matches the one-pair answers on
+// random pairs of larger instances: HB(3,8) as served, HB(1,12) at the
+// largest plan table, HB(1,13), whose butterfly plans run planWalk per
+// call, and HB(10,10).
+func TestRouteBatchSweepRandom(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, dims := range [][2]int{{3, 8}, {1, 12}, {1, 13}, {10, 10}} {
+		hb := core.MustNew(dims[0], dims[1])
+		src, dst := make([]core.Node, 2000), make([]core.Node, 2000)
+		for i := range src {
+			src[i], dst[i] = rng.Intn(hb.Order()), rng.Intn(hb.Order())
+		}
+		src[17], dst[1001] = hb.Order(), -5
+		for _, workers := range []int{1, 3} {
+			checkSweep(t, hb, src, dst, workers)
+		}
+	}
+}
+
+// TestRouteBatchArenaWarm: warm 1024-pair HB(3,8) route batches of
+// fresh random pairs never re-make a column. The arena is sized by the
+// diameter bound, which depends on the pair count alone.
+func TestRouteBatchArenaWarm(t *testing.T) {
+	hb := core.MustNew(3, 8)
+	rng := rand.New(rand.NewSource(5))
+	src, dst := make([]core.Node, 1024), make([]core.Node, 1024)
+	var bs core.BatchScratch
+	caps := func() [4]int { return [4]int{cap(bs.Status), cap(bs.Dist), cap(bs.Off), cap(bs.Nodes)} }
+	remade := 0
+	for batch := 0; batch < 200; batch++ {
+		for i := range src {
+			src[i], dst[i] = rng.Intn(hb.Order()), rng.Intn(hb.Order())
+		}
+		before := caps()
+		if err := core.RouteBatch(hb, core.BatchRoute, src, dst, 1, &bs); err != nil {
+			t.Fatal(err)
+		}
+		if batch > 0 && caps() != before {
+			remade++
+		}
+	}
+	if remade != 0 {
+		t.Fatalf("columns re-made in %d of 199 warm batches, want 0", remade)
 	}
 }
 

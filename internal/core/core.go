@@ -25,6 +25,7 @@ package core
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -44,6 +45,10 @@ type HyperButterfly struct {
 	cube  *hypercube.Cube
 	bf    *butterfly.Butterfly
 	bSize int
+	// nRecip is ⌈2^64/n⌉: Decode divides by n with one multiplication.
+	nRecip uint64
+	// span is the most nodes a shortest route has: diameter + 1.
+	span int
 
 	// The product adjacency, built on first use by Dense.
 	denseOnce sync.Once
@@ -62,7 +67,11 @@ func New(m, n int) (*HyperButterfly, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	return &HyperButterfly{m: m, cube: cube, bf: bf, bSize: bf.Order()}, nil
+	return &HyperButterfly{
+		m: m, cube: cube, bf: bf, bSize: bf.Order(),
+		nRecip: ^uint64(0)/uint64(n) + 1,
+		span:   m + bf.DiameterFormula() + 1,
+	}, nil
 }
 
 // MustNew is New for known-good dimensions; it panics on error.
@@ -123,9 +132,14 @@ func (hb *HyperButterfly) Encode(h int, b butterfly.Node) Node {
 	return h*hb.bSize + b
 }
 
-// Decode splits a node id into its hypercube and butterfly parts.
+// Decode splits a node id v >= 0 into its hypercube and butterfly
+// parts without a division: h = ⌊v/(n·2^n)⌋ = ⌊(v>>n)/n⌋, and the
+// quotient by n is the high word of the product with ⌈2^64/n⌉, exact
+// because v>>n < 2^(63-n) keeps the rounding error below 1/n.
 func (hb *HyperButterfly) Decode(v Node) (h int, b butterfly.Node) {
-	return v / hb.bSize, v % hb.bSize
+	q, _ := bits.Mul64(uint64(v)>>uint(hb.bf.Dim()), hb.nRecip)
+	h = int(q)
+	return h, v - h*hb.bSize
 }
 
 // Identity returns the identity node (00…0; t_1 t_2 … t_n) of Remark 7.
@@ -222,8 +236,9 @@ func (hb *HyperButterfly) VertexLabel(v Node) string {
 // of the Hamming distance of the hypercube parts and the butterfly
 // distance of the butterfly parts (Remark 8).
 func (hb *HyperButterfly) Distance(u, v Node) int {
-	d, _ := hb.planRoute(u, v)
-	return d
+	hu, bu := hb.Decode(u)
+	hv, bv := hb.Decode(v)
+	return hb.cube.Distance(hu, hv) + hb.bf.Distance(bu, bv)
 }
 
 // RouteMoves returns the generator sequence of a shortest u-v path,
@@ -231,18 +246,18 @@ func (hb *HyperButterfly) Distance(u, v Node) int {
 // sub-hypercube (H_m, b), then route the butterfly part within the
 // sub-butterfly (h', B_n).
 func (hb *HyperButterfly) RouteMoves(u, v Node) []Move {
-	hu, bu := hb.Decode(u)
+	// A route has at most m + ⌊3n/2⌋ + 1 nodes, so it fits on the stack.
+	var nodes [30 + 3*butterfly.MaxDim/2 + 1]Node
+	path := nodes[:hb.writeRoute(u, v, nodes[:])+1]
+	hu, _ := hb.Decode(u)
 	hv, bv := hb.Decode(v)
-	dist, walk := hb.planRoute(u, v)
-	moves := make([]Move, 0, dist)
+	moves := make([]Move, 0, len(path)-1)
 	for d := uint(hu ^ hv); d != 0; d &= d - 1 {
 		moves = append(moves, Move{Cube: true, Index: bits.TrailingZeros(d)})
 	}
-	// A B_n route has at most ⌊3n/2⌋+1 nodes, so it fits on the stack.
-	var steps [2 * butterfly.MaxDim]butterfly.Node
-	path := hb.bf.AppendWalk(bu, bv, walk, 0, append(steps[:0], bu))
-	for i := 1; i < len(path); i++ {
-		moves = append(moves, Move{Index: hb.bf.Generator(path[i-1], path[i])})
+	base := v - bv // the butterfly walk runs in the sub-butterfly (hv, B_n)
+	for i := len(moves) + 1; i < len(path); i++ {
+		moves = append(moves, Move{Index: hb.bf.Generator(path[i-1]-base, path[i]-base)})
 	}
 	return moves
 }
@@ -265,37 +280,37 @@ func (hb *HyperButterfly) Route(u, v Node) []Node {
 }
 
 // AppendRoute appends the shortest u-v path Route returns (both
-// endpoints included) to buf, allocation-free when buf has capacity:
-// the hypercube part is corrected lowest-dimension-first, then the
-// butterfly walk is emitted run by run without materialising the move
-// sequence. This is the routing primitive the hbd service and the
-// giant-instance smoke tests run at HB(10,10) scale.
+// endpoints included) to buf, allocation-free when buf has room for a
+// route of diameter length. This is the routing primitive the hbd
+// service and the giant-instance smoke tests run at HB(10,10) scale.
 func (hb *HyperButterfly) AppendRoute(u, v Node, buf []Node) []Node {
 	if !hb.ValidNode(u) || !hb.ValidNode(v) {
 		panic(fmt.Sprintf("core: AppendRoute endpoints %d,%d out of range [0,%d)", u, v, hb.Order()))
 	}
-	_, walk := hb.planRoute(u, v)
-	return hb.appendPlanned(u, v, walk, buf)
+	at := len(buf)
+	buf = slices.Grow(buf, hb.span)
+	d := hb.writeRoute(u, v, buf[at:at+hb.span])
+	return buf[:at+d+1]
 }
 
-// planRoute returns the u-v distance and the butterfly walk of the route
-// AppendRoute emits, for appendPlanned to expand.
-func (hb *HyperButterfly) planRoute(u, v Node) (int, butterfly.Walk) {
+// writeRoute is the one per-pair routing routine: it decodes u and v
+// once, reads the butterfly plan once, writes the route into seg by
+// index — u, the hypercube part corrected lowest dimension first, then
+// the butterfly walk — and returns the distance, one less than the
+// node count written. u and v must be valid; a seg too short for the
+// route panics with an index error rather than writing past it.
+func (hb *HyperButterfly) writeRoute(u, v Node, seg []Node) int {
 	hu, bu := hb.Decode(u)
 	hv, bv := hb.Decode(v)
-	d, walk := hb.bf.PlanWalk(bu, bv)
-	return hb.cube.Distance(hu, hv) + d, walk
-}
-
-// appendPlanned is AppendRoute with the butterfly walk already planned.
-func (hb *HyperButterfly) appendPlanned(u, v Node, walk butterfly.Walk, buf []Node) []Node {
-	hu, bu := hb.Decode(u)
-	hv, bv := hb.Decode(v)
-	buf = append(buf, u)
+	bd, walk := hb.bf.PlanWalk(bu, bv)
+	seg[0] = u
+	k := 1
 	h := hu
 	for d := hu ^ hv; d != 0; d &= d - 1 {
 		h ^= d & -d
-		buf = append(buf, h*hb.bSize+bu)
+		seg[k] = h*hb.bSize + bu
+		k++
 	}
-	return hb.bf.AppendWalk(bu, bv, walk, hv*hb.bSize, buf)
+	hb.bf.WriteWalk(bu, bv, walk, v-bv, seg[k:k+bd])
+	return k - 1 + bd
 }

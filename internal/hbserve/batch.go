@@ -168,7 +168,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	start := time.Now()
-	cols, err := s.runBatch(top, req, sc)
+	cols, err := runBatch(top, req, sc)
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -321,64 +321,94 @@ func nextFrame(data []byte) (payload, rest []byte, err error) {
 	return data[4 : 4+n], data[4+n:], nil
 }
 
-// parseBatchBin decodes the binary framing (header, faults, src, dst)
-// into req, reusing its column storage.
-func parseBatchBin(body []byte, req *batchRequest) error {
+// batchBinFrames is a binary request body whose framing checked out:
+// its header fields and its three column frames, each exactly 4 bytes
+// per value the header promised. The frames alias the body.
+type batchBinFrames struct {
+	op               uint8
+	m, n, pairs      int
+	faults, src, dst []byte // LE uint32 values
+}
+
+// splitBatchBin is the binary codec's framing step: the header frame
+// (length, magic, version, op), the pair cap, the faults, src and dst
+// frame lengths, and no trailing bytes. A body it accepts decodes, so
+// the router sizes and forwards a binary batch on this step alone.
+func splitBatchBin(body []byte) (batchBinFrames, error) {
+	var f batchBinFrames
 	le := binary.LittleEndian
 	hdr, rest, err := nextFrame(body)
 	if err != nil {
-		return badRequest("bad binary batch: %v", err)
+		return f, badRequest("bad binary batch: %v", err)
 	}
 	if len(hdr) != 24 {
-		return badRequest("bad binary batch: header frame is %d bytes, want 24", len(hdr))
+		return f, badRequest("bad binary batch: header frame is %d bytes, want 24", len(hdr))
 	}
 	if m := le.Uint32(hdr); m != batchBinMagic {
-		return badRequest("bad binary batch: magic %#x, want %#x", m, batchBinMagic)
+		return f, badRequest("bad binary batch: magic %#x, want %#x", m, batchBinMagic)
 	}
 	if v := le.Uint16(hdr[4:]); v != batchBinVersion {
-		return badRequest("bad binary batch: version %d, want %d", v, batchBinVersion)
+		return f, badRequest("bad binary batch: version %d, want %d", v, batchBinVersion)
 	}
-	op := hdr[6]
-	if _, ok := batchOpNames[op]; !ok {
-		return badRequest("bad binary batch: unknown op code %d", op)
+	f.op = hdr[6]
+	if _, ok := batchOpNames[f.op]; !ok {
+		return f, badRequest("bad binary batch: unknown op code %d", f.op)
 	}
-	req.codec, req.op = "bin", op
-	req.m, req.n = int(le.Uint32(hdr[8:])), int(le.Uint32(hdr[12:]))
-	npairs := int(le.Uint32(hdr[16:]))
+	f.m, f.n = int(le.Uint32(hdr[8:])), int(le.Uint32(hdr[12:]))
+	f.pairs = int(le.Uint32(hdr[16:]))
 	nfaults := int(le.Uint32(hdr[20:]))
-	if npairs > maxBatchPairs {
-		return badRequest("%d pairs over the per-request cap %d", npairs, maxBatchPairs)
+	if f.pairs > maxBatchPairs {
+		return f, badRequest("%d pairs over the per-request cap %d", f.pairs, maxBatchPairs)
 	}
-	if req.faults, rest, err = readU32Column(rest, nfaults, "faults", req.faults); err != nil {
-		return err
+	if f.faults, rest, err = columnFrame(rest, nfaults, "faults"); err != nil {
+		return f, err
 	}
-	if req.src, rest, err = readU32Column(rest, npairs, "src", req.src); err != nil {
-		return err
+	if f.src, rest, err = columnFrame(rest, f.pairs, "src"); err != nil {
+		return f, err
 	}
-	if req.dst, rest, err = readU32Column(rest, npairs, "dst", req.dst); err != nil {
-		return err
+	if f.dst, rest, err = columnFrame(rest, f.pairs, "dst"); err != nil {
+		return f, err
 	}
 	if len(rest) != 0 {
-		return badRequest("bad binary batch: %d trailing bytes after dst frame", len(rest))
+		return f, badRequest("bad binary batch: %d trailing bytes after dst frame", len(rest))
 	}
+	return f, nil
+}
+
+// columnFrame pops one column frame of want values.
+func columnFrame(data []byte, want int, name string) (payload, rest []byte, err error) {
+	payload, rest, err = nextFrame(data)
+	if err != nil {
+		return nil, nil, badRequest("bad binary batch: %s frame: %v", name, err)
+	}
+	if len(payload) != 4*want {
+		return nil, nil, badRequest("bad binary batch: %s frame is %d bytes, header promised %d values", name, len(payload), want)
+	}
+	return payload, rest, nil
+}
+
+// parseBatchBin decodes the binary framing (header, faults, src, dst)
+// into req, reusing its column storage.
+func parseBatchBin(body []byte, req *batchRequest) error {
+	f, err := splitBatchBin(body)
+	if err != nil {
+		return err
+	}
+	req.codec, req.op, req.m, req.n = "bin", f.op, f.m, f.n
+	req.faults = readU32Column(f.faults, req.faults)
+	req.src = readU32Column(f.src, req.src)
+	req.dst = readU32Column(f.dst, req.dst)
 	return nil
 }
 
-// readU32Column pops one column frame of want values into vals's
-// storage. vals comes back unchanged when the frame is rejected.
-func readU32Column(data []byte, want int, name string, vals []int) ([]int, []byte, error) {
-	payload, rest, err := nextFrame(data)
-	if err != nil {
-		return vals, nil, badRequest("bad binary batch: %s frame: %v", name, err)
-	}
-	if len(payload) != 4*want {
-		return vals, nil, badRequest("bad binary batch: %s frame is %d bytes, header promised %d values", name, len(payload), want)
-	}
-	vals = resized(vals, want)
+// readU32Column decodes a column frame's LE uint32 values into vals's
+// storage.
+func readU32Column(payload []byte, vals []int) []int {
+	vals = resized(vals, len(payload)/4)
 	for i := range vals {
 		vals[i] = int(binary.LittleEndian.Uint32(payload[4*i:]))
 	}
-	return vals, rest, nil
+	return vals
 }
 
 // computation --------------------------------------------------------
@@ -396,9 +426,12 @@ type batchColumns struct {
 	nodes  []int
 }
 
-// runBatch answers req with the per-op kernels. The returned columns
-// alias sc, so they are read before sc goes back to its pool.
-func (s *Server) runBatch(top *core.HyperButterfly, req *batchRequest, sc *batchScratch) (batchColumns, error) {
+// runBatch answers req with the per-op kernels on the calling
+// goroutine: under load every CPU is already serving another request,
+// so fanning one batch out over workers would add hand-offs, not
+// capacity. The returned columns alias sc, so they are read before sc
+// goes back to its pool.
+func runBatch(top *core.HyperButterfly, req *batchRequest, sc *batchScratch) (batchColumns, error) {
 	cols := batchColumns{op: req.op, m: req.m, n: req.n, faults: req.faults}
 	switch req.op {
 	case batchOpDist, batchOpRoute:
@@ -406,7 +439,7 @@ func (s *Server) runBatch(top *core.HyperButterfly, req *batchRequest, sc *batch
 		if req.op == batchOpRoute {
 			kop = core.BatchRoute
 		}
-		if err := core.RouteBatch(top, kop, req.src, req.dst, s.batchWorkers, &sc.bs); err != nil {
+		if err := core.RouteBatch(top, kop, req.src, req.dst, 1, &sc.bs); err != nil {
 			return cols, badRequest("%v", err)
 		}
 		cols.status, cols.dist, cols.off, cols.nodes = sc.bs.Status, sc.bs.Dist, sc.bs.Off, sc.bs.Nodes

@@ -8,7 +8,9 @@ import (
 
 // FuzzParseBatchBody: the /batch request decoders never panic, and any
 // body one of them accepts re-encodes in its codec and re-parses to the
-// same request.
+// same request. The binary codec's framing step, on which the router
+// forwards a binary body, accepts exactly the bodies the full decoder
+// accepts and reads the same op, dims and pair count.
 func FuzzParseBatchBody(f *testing.F) {
 	for _, body := range []string{
 		`{"m":2,"n":3,"op":"route","src":[0,5],"dst":[9,95]}`,
@@ -33,7 +35,18 @@ func FuzzParseBatchBody(f *testing.F) {
 			ct = ctBatchBin
 		}
 		req := new(batchRequest)
-		if err := parseBatchBody(ct, body, req); err != nil {
+		err := parseBatchBody(ct, body, req)
+		if bin {
+			fr, ferr := splitBatchBin(body)
+			if (ferr == nil) != (err == nil) {
+				t.Fatalf("framing step error %v, full parse error %v", ferr, err)
+			}
+			if err == nil && (fr.op != req.op || fr.m != req.m || fr.n != req.n || fr.pairs != len(req.src)) {
+				t.Fatalf("framing step read op %d HB(%d,%d) %d pairs, full parse op %d HB(%d,%d) %d pairs",
+					fr.op, fr.m, fr.n, fr.pairs, req.op, req.m, req.n, len(req.src))
+			}
+		}
+		if err != nil {
 			return
 		}
 		op := batchOpNames[req.op]

@@ -556,7 +556,7 @@ func TestHandleBatchAllocsFlat(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under -race")
 	}
-	h := NewServer(Config{BatchWorkers: 1}).Handler()
+	h := NewServer(Config{}).Handler()
 	top := core.MustNew(3, 8)
 	rng := rand.New(rand.NewSource(9))
 	replays := map[int]*batchReplay{}

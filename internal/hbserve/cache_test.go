@@ -5,9 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 )
@@ -319,6 +322,39 @@ func TestMetricsBucketCount(t *testing.T) {
 		if latencyBuckets[i] <= latencyBuckets[i-1] {
 			t.Fatalf("buckets not strictly increasing at %d", i)
 		}
+	}
+}
+
+// TestRequestCounterOrder pins the order of hbd_requests_total lines:
+// by endpoint+"\xff"+code as bytes, so an endpoint listed after one it
+// extends, and codes in numeric order.
+func TestRequestCounterOrder(t *testing.T) {
+	m := NewMetrics()
+	for _, r := range []struct {
+		endpoint string
+		code     int
+	}{{"a", 503}, {"ab", 200}, {"a", 200}, {"a", 200}, {"b", 404}} {
+		m.RequestEnd(r.endpoint, r.code, time.Millisecond)
+	}
+	var out bytes.Buffer
+	m.WriteTo(&out, nil, nil)
+	var got []string
+	for _, line := range strings.Split(out.String(), "\n") {
+		if strings.HasPrefix(line, "hbd_requests_total{") {
+			got = append(got, line)
+		}
+	}
+	want := []string{
+		`hbd_requests_total{endpoint="ab",code="200"} 1`,
+		`hbd_requests_total{endpoint="a",code="200"} 2`,
+		`hbd_requests_total{endpoint="a",code="503"} 1`,
+		`hbd_requests_total{endpoint="b",code="404"} 1`,
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("request counters:\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+	if total, non2xx := m.Requests(); total != 5 || non2xx != 2 {
+		t.Errorf("Requests() = %d, %d non-2xx; want 5, 2", total, non2xx)
 	}
 }
 

@@ -19,25 +19,27 @@ import (
 // batch fails over to the least-loaded alive replica not yet tried,
 // and a replica killed mid-batch loses zero pairs.
 //
-// The router still decodes every body, so garbage is refused with 400
+// The router still checks every body, so garbage is refused with 400
 // at the edge. The replica always receives the binary codec: a binary
-// client's body is forwarded as the bytes the router parsed, and a
-// JSON client's columns are encoded once. Every answer is validated by
+// client's body passes the codec's framing step (splitBatchBin), which
+// accepts exactly the bodies the full decoder accepts, and is forwarded
+// as the bytes it checked; a JSON client's body is decoded and its
+// columns encoded once. Every answer is validated by
 // splitBatchBinResponse against the batch's op and pair count before
 // any byte of it reaches the client. A binary client gets the
 // replica's bytes as they came; a JSON client gets them decoded once
 // and rendered by appendBatchJSON. Either answer is byte-identical to
 // one replica answering the client's body itself.
 //
-// forwardBatch takes its pooled batchForward before it decodes and
-// decodes the client body into the scratch's batchRequest, so a warm
-// router forwards a binary batch without per-pair garbage. Ownership
-// rule: a decoded request aliases its pooled scratch, and nothing keeps
-// it once the handler returns.
+// forwardBatch takes its pooled batchForward before it checks the
+// client body, so a warm router forwards a binary batch without
+// per-pair work or garbage. Ownership rule: a decoded request aliases
+// its pooled scratch, and nothing keeps it once the handler returns.
 
 // batchForward is the pooled working set of one forwarded batch.
 type batchForward struct {
-	req    batchRequest // the client's batch, decoded into this scratch
+	req    batchRequest // the client's batch: a JSON one decoded, a binary one's header
+	pairs  int          // the batch's pair count
 	alive  []bool       // replica health, read once per batch
 	owners []int        // the owner set of the batch's dims key
 	bin    []byte       // a JSON client's batch in the binary codec
@@ -73,14 +75,14 @@ func (rt *Router) forwardBatch(w http.ResponseWriter, r *http.Request, body []by
 	}
 	var err error
 	replica, sent := -1, 0
-	answered := rt.try(int64(len(req.src)), next, func(i int) bool {
+	answered := rt.try(int64(bf.pairs), next, func(i int) bool {
 		if sent++; sent == 1 {
 			rt.subFanout.Add(1)
-			rt.subPairs.Add(uint64(len(req.src)))
+			rt.subPairs.Add(uint64(bf.pairs))
 		} else {
 			rt.subRetries.Add(1)
 		}
-		retry, e := rt.postBatch(r, i, req, body, &bf.answer)
+		retry, e := rt.postBatch(r, i, req.op, bf.pairs, body, &bf.answer)
 		switch {
 		case e == nil:
 			replica = i
@@ -102,7 +104,7 @@ func (rt *Router) forwardBatch(w http.ResponseWriter, r *http.Request, body []by
 
 	out := bf.answer.Bytes()
 	if req.codec != "bin" {
-		if err := decodeBatchBinResponse(out, req.op, len(req.src), &bf.cols); err != nil {
+		if err := decodeBatchBinResponse(out, req.op, bf.pairs, &bf.cols); err != nil {
 			writeErr(w, err)
 			return
 		}
@@ -114,13 +116,31 @@ func (rt *Router) forwardBatch(w http.ResponseWriter, r *http.Request, body []by
 	writeBody(w, req.contentType(), "", out)
 }
 
-// decode checks that a client body's dims can be peeked and decodes
-// the body into bf.req.
+// decode checks that a client body's dims can be peeked and that the
+// body parses, and records its shape in bf: a binary body by its
+// framing step alone, a JSON body decoded into bf.req.
 func (bf *batchForward) decode(ct string, body []byte) error {
 	if _, _, ok := peekBatchDims(ct, body); !ok {
 		return badRequest("unreadable batch dims (want explicit non-negative m and n)")
 	}
-	return parseBatchBody(ct, body, &bf.req)
+	if ct == ctBatchBin {
+		f, err := splitBatchBin(body)
+		if err != nil {
+			return err
+		}
+		// The columns stay empty but keep their storage for the next
+		// JSON body this scratch decodes.
+		req := &bf.req
+		req.codec, req.op, req.m, req.n = "bin", f.op, f.m, f.n
+		req.faults, req.src, req.dst = req.faults[:0], req.src[:0], req.dst[:0]
+		bf.pairs = f.pairs
+		return nil
+	}
+	if err := parseBatchBody(ct, body, &bf.req); err != nil {
+		return err
+	}
+	bf.pairs = len(bf.req.src)
+	return nil
 }
 
 // batchOwner picks the replica a batch is sent to first: the
@@ -159,11 +179,12 @@ func (rt *Router) nextAliveOwner(tried []bool) int {
 }
 
 // postBatch performs one binary-codec /batch request against replica i
-// into answer and validates the answer against req. retry reports
+// into answer and validates the answer as one to a batch of pairs pairs
+// for op. retry reports
 // whether a failure is the replica's fault (transport error, 5xx, a
 // 2xx that is not a valid answer to the batch) rather than the
 // request's (4xx).
-func (rt *Router) postBatch(r *http.Request, i int, req *batchRequest, body []byte, answer *bytes.Buffer) (retry bool, err error) {
+func (rt *Router) postBatch(r *http.Request, i int, op uint8, pairs int, body []byte, answer *bytes.Buffer) (retry bool, err error) {
 	resp, err := rt.health.replicas[i].conns.roundTrip(r.Context(), http.MethodPost, "/batch", ctBatchBin, body, rt.timeout, answer)
 	if err != nil {
 		return true, err
@@ -171,7 +192,7 @@ func (rt *Router) postBatch(r *http.Request, i int, req *batchRequest, body []by
 	if resp.StatusCode/100 != 2 {
 		return resp.StatusCode >= 500, &httpError{code: resp.StatusCode, msg: fmt.Sprintf("replica %s: %s", rt.replicas[i], bytes.TrimSpace(answer.Bytes()))}
 	}
-	if _, err := splitBatchBinResponse(answer.Bytes(), req.op, len(req.src)); err != nil {
+	if _, err := splitBatchBinResponse(answer.Bytes(), op, pairs); err != nil {
 		// A 2xx that is not a valid answer is a corrupt replica;
 		// retrying elsewhere is safe and the failure feeds ejection.
 		return true, fmt.Errorf("replica %s: %v", rt.replicas[i], err)

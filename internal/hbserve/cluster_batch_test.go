@@ -89,9 +89,9 @@ func TestLookupNOwnerSets(t *testing.T) {
 	}
 }
 
-// TestForwardBatchDecodeAllocsFlat: the router decodes a binary client
+// TestForwardBatchDecodeAllocsFlat: the router checks a binary client
 // body into a warm batchForward without allocating, at 64 pairs and at
-// 4,096 — the columns reuse the scratch's storage.
+// 4,096, and records its pair count.
 func TestForwardBatchDecodeAllocsFlat(t *testing.T) {
 	top := core.MustNew(3, 8)
 	rng := rand.New(rand.NewSource(5))
@@ -113,8 +113,8 @@ func TestForwardBatchDecodeAllocsFlat(t *testing.T) {
 		}); got != 0 {
 			t.Errorf("%d pairs: %v allocs per decode, want 0", pairs, got)
 		}
-		if len(gs.req.src) != pairs {
-			t.Fatalf("%d pairs: decoded %d", pairs, len(gs.req.src))
+		if gs.pairs != pairs {
+			t.Fatalf("%d pairs: recorded %d", pairs, gs.pairs)
 		}
 	}
 }
@@ -131,7 +131,7 @@ func TestRouterBatchAllocsFlat(t *testing.T) {
 	}
 	var urls []string
 	for i := 0; i < 3; i++ {
-		replica := httptest.NewServer(NewServer(Config{BatchWorkers: 1}).Handler())
+		replica := httptest.NewServer(NewServer(Config{}).Handler())
 		t.Cleanup(replica.Close)
 		urls = append(urls, replica.URL)
 	}

@@ -3,6 +3,7 @@ package hbserve
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -20,7 +21,7 @@ import (
 // scrapes are diffable.
 type Metrics struct {
 	mu        sync.Mutex
-	requests  map[string]*atomic.Uint64    // "endpoint\xffcode" -> count
+	requests  map[requestKey]*atomic.Uint64
 	durations map[string]*latencyHistogram // endpoint -> histogram
 	inflight  atomic.Int64
 	panics    atomic.Uint64 // handler panics recovered by instrument
@@ -36,10 +37,20 @@ type Metrics struct {
 	batchDur      map[string]*latencyHistogram // op -> compute latency
 }
 
+// requestKey labels one request counter. A struct key, unlike a
+// formatted string, is looked up without allocating.
+type requestKey struct {
+	endpoint string
+	code     int
+}
+
+// sortKey is the order the exposition lists request counters in.
+func (k requestKey) sortKey() string { return k.endpoint + "\xff" + strconv.Itoa(k.code) }
+
 // NewMetrics returns an empty registry.
 func NewMetrics() *Metrics {
 	return &Metrics{
-		requests:      make(map[string]*atomic.Uint64),
+		requests:      make(map[requestKey]*atomic.Uint64),
 		durations:     make(map[string]*latencyHistogram),
 		batchRequests: make(map[string]*atomic.Uint64),
 		batchPairs:    make(map[string]*atomic.Uint64),
@@ -123,7 +134,7 @@ func (h *latencyHistogram) observe(elapsed time.Duration) {
 }
 
 func (m *Metrics) counter(endpoint string, code int) *atomic.Uint64 {
-	key := endpoint + "\xff" + strconv.Itoa(code)
+	key := requestKey{endpoint, code}
 	m.mu.Lock()
 	c, ok := m.requests[key]
 	if !ok {
@@ -153,8 +164,7 @@ func (m *Metrics) Requests() (total, non2xx uint64) {
 	for key, c := range m.requests {
 		n := c.Load()
 		total += n
-		code := key[len(key)-3:]
-		if code[0] != '2' {
+		if key.code/100 != 2 {
 			non2xx += n
 		}
 	}
@@ -176,7 +186,7 @@ func (m *Metrics) WriteTo(w io.Writer, cache *RouteCache, pool *Pool) {
 		m.shed.Load())
 
 	m.mu.Lock()
-	reqKeys := make([]string, 0, len(m.requests))
+	reqKeys := make([]requestKey, 0, len(m.requests))
 	for k := range m.requests {
 		reqKeys = append(reqKeys, k)
 	}
@@ -185,7 +195,7 @@ func (m *Metrics) WriteTo(w io.Writer, cache *RouteCache, pool *Pool) {
 		durKeys = append(durKeys, k)
 	}
 	m.mu.Unlock()
-	sort.Strings(reqKeys)
+	slices.SortFunc(reqKeys, func(a, b requestKey) int { return strings.Compare(a.sortKey(), b.sortKey()) })
 	sort.Strings(durKeys)
 
 	fmt.Fprintf(w, "# HELP hbd_requests_total Requests served, by endpoint and status code.\n# TYPE hbd_requests_total counter\n")
@@ -193,8 +203,7 @@ func (m *Metrics) WriteTo(w io.Writer, cache *RouteCache, pool *Pool) {
 		m.mu.Lock()
 		c := m.requests[k]
 		m.mu.Unlock()
-		sep := len(k) - 4 // "\xff" + 3-digit code
-		fmt.Fprintf(w, "hbd_requests_total{endpoint=%q,code=%q} %d\n", k[:sep], k[sep+1:], c.Load())
+		fmt.Fprintf(w, "hbd_requests_total{endpoint=%q,code=%q} %d\n", k.endpoint, strconv.Itoa(k.code), c.Load())
 	}
 
 	fmt.Fprintf(w, "# HELP hbd_request_seconds Request latency, by endpoint.\n# TYPE hbd_request_seconds histogram\n")

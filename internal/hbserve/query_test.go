@@ -122,7 +122,7 @@ func TestHandleRouteAllocsFlat(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under -race")
 	}
-	h := NewServer(Config{CacheSize: -1, BatchWorkers: 1}).Handler()
+	h := NewServer(Config{CacheSize: -1}).Handler()
 	hb := core.MustNew(3, 8)
 	far := 0
 	for hb.Distance(0, far) != hb.DiameterFormula() {

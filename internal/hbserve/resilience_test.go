@@ -315,6 +315,14 @@ func TestRequestDeadline(t *testing.T) {
 			t.Errorf("%s: status %d, want 503: %s", path, code, body)
 		}
 	}
+	// /batch and the sampled /estimate check it too.
+	if code, body := get(t, ts.URL+"/estimate?m=2&n=3&live=1"); code != http.StatusServiceUnavailable {
+		t.Errorf("/estimate live=1: status %d, want 503: %s", code, body)
+	}
+	batch := []byte(`{"m":2,"n":3,"op":"route","src":[0],"dst":[95]}`)
+	if resp, body := postBatch(t, ts.URL, ctJSON, batch); resp.StatusCode != http.StatusServiceUnavailable {
+		t.Errorf("/batch: status %d, want 503: %s", resp.StatusCode, body)
+	}
 
 	// A negative RequestTimeout disables the deadline entirely.
 	s2 := NewServer(Config{RequestTimeout: -1})
@@ -322,6 +330,9 @@ func TestRequestDeadline(t *testing.T) {
 	defer ts2.Close()
 	if code, body := get(t, ts2.URL+"/faultroute?m=2&n=3&u=0&v=95"); code != 200 {
 		t.Errorf("deadline-disabled faultroute failed: %d %s", code, body)
+	}
+	if resp, body := postBatch(t, ts2.URL, ctJSON, batch); resp.StatusCode != 200 {
+		t.Errorf("deadline-disabled batch failed: %d %s", resp.StatusCode, body)
 	}
 }
 

@@ -54,9 +54,8 @@ type Server struct {
 	metrics *Metrics
 	mux     *http.ServeMux
 
-	timeout      time.Duration // per-request deadline
-	maxInFlight  int64         // load-shedding bound
-	batchWorkers int           // /batch kernel fan-out; <= 0 means GOMAXPROCS
+	timeout     time.Duration // per-request deadline
+	maxInFlight int64         // load-shedding bound
 
 	// scratch pools the BFS kernel state used by verify=1 requests, so
 	// verification costs one traversal and zero steady-state
@@ -75,16 +74,14 @@ type Config struct {
 	MaxOrder   int // max nodes of a served instance (DefaultMaxOrder)
 	CacheSize  int // route-cache capacity in entries; < 0 disables
 	CacheShard int // route-cache shard count (DefaultCacheShards)
-	// RequestTimeout bounds each instrumented request via its context;
-	// 0 means DefaultRequestTimeout, < 0 disables the deadline.
+	// RequestTimeout is the deadline /batch, /faultroute, /conformance
+	// and /estimate check before their work starts; 0 means
+	// DefaultRequestTimeout, < 0 disables the deadline.
 	RequestTimeout time.Duration
 	// MaxInFlight sheds load with a 503 + Retry-After once this many
 	// instrumented requests are already in flight; 0 means
 	// DefaultMaxInFlight, < 0 disables shedding.
 	MaxInFlight int
-	// BatchWorkers bounds the per-request fan-out of the /batch routing
-	// kernel; 0 means GOMAXPROCS.
-	BatchWorkers int
 }
 
 // DefaultCacheSize holds rendered /route and /paths bodies; entries
@@ -115,22 +112,21 @@ func NewServer(cfg Config) *Server {
 		maxInFlight = DefaultMaxInFlight
 	}
 	s := &Server{
-		pool:         &Pool{Max: cfg.PoolMax, MaxOrder: cfg.MaxOrder},
-		cache:        NewRouteCache(size, cfg.CacheShard),
-		metrics:      NewMetrics(),
-		mux:          http.NewServeMux(),
-		timeout:      timeout,
-		maxInFlight:  maxInFlight,
-		batchWorkers: cfg.BatchWorkers,
+		pool:        &Pool{Max: cfg.PoolMax, MaxOrder: cfg.MaxOrder},
+		cache:       NewRouteCache(size, cfg.CacheShard),
+		metrics:     NewMetrics(),
+		mux:         http.NewServeMux(),
+		timeout:     timeout,
+		maxInFlight: maxInFlight,
 	}
 	s.scratch.New = func() any { return graph.NewScratch(0) }
 	s.mux.HandleFunc("/route", s.instrument("route", s.handleQuery(batchOpRoute)))
-	s.mux.HandleFunc("/batch", s.instrument("batch", s.handleBatch))
+	s.mux.HandleFunc("/batch", s.instrument("batch", s.withDeadline(s.handleBatch)))
 	s.mux.HandleFunc("/paths", s.instrument("paths", s.handleQuery(batchOpPaths)))
-	s.mux.HandleFunc("/faultroute", s.instrument("faultroute", s.handleQuery(batchOpFaultRoute)))
+	s.mux.HandleFunc("/faultroute", s.instrument("faultroute", s.withDeadline(s.handleQuery(batchOpFaultRoute))))
 	s.mux.HandleFunc("/info", s.instrument("info", s.handleInfo))
-	s.mux.HandleFunc("/conformance", s.instrument("conformance", s.handleConformance))
-	s.mux.HandleFunc("/estimate", s.instrument("estimate", s.handleEstimate))
+	s.mux.HandleFunc("/conformance", s.instrument("conformance", s.withDeadline(s.handleConformance)))
+	s.mux.HandleFunc("/estimate", s.instrument("estimate", s.withDeadline(s.handleEstimate)))
 	s.mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintln(w, "ok")
@@ -207,9 +203,8 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 // the in-flight gauge, per-endpoint counter and latency histogram;
 // load shedding (503 + Retry-After beyond maxInFlight, so an
 // overloaded daemon degrades crisply instead of queueing without
-// bound); a per-request deadline on the context; and panic recovery
-// that answers 500 and increments a metric instead of killing the
-// daemon.
+// bound); and panic recovery that answers 500 and increments a metric
+// instead of killing the daemon.
 func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		s.metrics.RequestStart()
@@ -240,18 +235,28 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 		if s.testHook != nil {
 			s.testHook(endpoint)
 		}
-		if s.timeout > 0 {
-			ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
-			defer cancel()
-			r = r.WithContext(ctx)
-		}
 		h(sw, r)
 	}
 }
 
+// withDeadline puts the per-request deadline on h's request context.
+// Only the handlers that read it through checkDeadline get one: the
+// context, its timer and the request copy would cost every other
+// request, a route-cache hit included, allocations it never uses.
+func (s *Server) withDeadline(h http.HandlerFunc) http.HandlerFunc {
+	if s.timeout <= 0 {
+		return h
+	}
+	return func(w http.ResponseWriter, r *http.Request) {
+		ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
+		defer cancel()
+		h(w, r.WithContext(ctx))
+	}
+}
+
 // checkDeadline maps an already-expired request context to a 503 the
-// heavy handlers (/conformance, /faultroute) consult before starting
-// expensive work.
+// heavy handlers (/batch, /conformance, /estimate, /faultroute)
+// consult before starting expensive work.
 func checkDeadline(r *http.Request) error {
 	if err := r.Context().Err(); err != nil {
 		return &httpError{code: http.StatusServiceUnavailable, msg: "request deadline exceeded before work started"}
@@ -492,7 +497,7 @@ func (s *Server) renderQuery(top *core.HyperButterfly, d Dims, op uint8, u, v in
 	sc := batchScratchPool.Get().(*batchScratch)
 	defer batchScratchPool.Put(sc)
 	req := &batchRequest{op: op, m: d.M, n: d.N, faults: faults, src: []int{u}, dst: []int{v}}
-	cols, err := s.runBatch(top, req, sc)
+	cols, err := runBatch(top, req, sc)
 	if err != nil {
 		return nil, err
 	}
