@@ -21,7 +21,7 @@ import (
 // scrapes are diffable.
 type Metrics struct {
 	mu        sync.Mutex
-	requests  map[requestKey]*atomic.Uint64
+	requests  map[counterKey]*atomic.Uint64
 	durations map[string]*latencyHistogram // endpoint -> histogram
 	inflight  atomic.Int64
 	panics    atomic.Uint64 // handler panics recovered by instrument
@@ -37,20 +37,20 @@ type Metrics struct {
 	batchDur      map[string]*latencyHistogram // op -> compute latency
 }
 
-// requestKey labels one request counter. A struct key, unlike a
+// counterKey labels one request counter. A struct key, unlike a
 // formatted string, is looked up without allocating.
-type requestKey struct {
+type counterKey struct {
 	endpoint string
 	code     int
 }
 
 // sortKey is the order the exposition lists request counters in.
-func (k requestKey) sortKey() string { return k.endpoint + "\xff" + strconv.Itoa(k.code) }
+func (k counterKey) sortKey() string { return k.endpoint + "\xff" + strconv.Itoa(k.code) }
 
 // NewMetrics returns an empty registry.
 func NewMetrics() *Metrics {
 	return &Metrics{
-		requests:      make(map[requestKey]*atomic.Uint64),
+		requests:      make(map[counterKey]*atomic.Uint64),
 		durations:     make(map[string]*latencyHistogram),
 		batchRequests: make(map[string]*atomic.Uint64),
 		batchPairs:    make(map[string]*atomic.Uint64),
@@ -134,7 +134,7 @@ func (h *latencyHistogram) observe(elapsed time.Duration) {
 }
 
 func (m *Metrics) counter(endpoint string, code int) *atomic.Uint64 {
-	key := requestKey{endpoint, code}
+	key := counterKey{endpoint, code}
 	m.mu.Lock()
 	c, ok := m.requests[key]
 	if !ok {
@@ -186,7 +186,7 @@ func (m *Metrics) WriteTo(w io.Writer, cache *RouteCache, pool *Pool) {
 		m.shed.Load())
 
 	m.mu.Lock()
-	reqKeys := make([]requestKey, 0, len(m.requests))
+	reqKeys := make([]counterKey, 0, len(m.requests))
 	for k := range m.requests {
 		reqKeys = append(reqKeys, k)
 	}
@@ -195,7 +195,7 @@ func (m *Metrics) WriteTo(w io.Writer, cache *RouteCache, pool *Pool) {
 		durKeys = append(durKeys, k)
 	}
 	m.mu.Unlock()
-	slices.SortFunc(reqKeys, func(a, b requestKey) int { return strings.Compare(a.sortKey(), b.sortKey()) })
+	slices.SortFunc(reqKeys, func(a, b counterKey) int { return strings.Compare(a.sortKey(), b.sortKey()) })
 	sort.Strings(durKeys)
 
 	fmt.Fprintf(w, "# HELP hbd_requests_total Requests served, by endpoint and status code.\n# TYPE hbd_requests_total counter\n")
