@@ -2,9 +2,7 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
-	"sync"
 )
 
 // Batch routing kernel.
@@ -22,11 +20,11 @@ import (
 // the route by index into the arena right after the previous pair's,
 // and the sweep records the distance and the next offset. No pair is
 // revisited, so nothing is stored between a plan and its expansion. A
-// shortest route has at most diameter+1 nodes (Theorem 3), so a sweep
-// over k pairs fits in k·(diameter+1) arena slots: the sharded path
-// gives each worker that many slots at its chunk's own position, and a
-// serial pass then slides the chunks together and shifts their offsets.
-// The offset column doubles as the columnar wire format the /batch
+// shortest route has at most diameter+1 nodes (Theorem 3), so the arena
+// is sized k·(diameter+1) slots for k pairs before the sweep starts and
+// never grows inside it. The sweep runs on the calling goroutine: a
+// server answers many batches at once, so its CPUs are already busy
+// with other requests. The offset column doubles as the columnar wire format the /batch
 // codecs emit, so the kernel output is encoded without copying.
 
 // Per-pair status codes. They are wire-format values (the /batch
@@ -66,29 +64,11 @@ type BatchScratch struct {
 	Nodes  []Node  // route arena; segments are disjoint per pair
 }
 
-// batchChunkMin is the smallest per-worker slice of a batch worth a
-// goroutine: below it the spawn overhead exceeds the label arithmetic.
-const batchChunkMin = 256
-
-// batchWorkers clamps a requested worker count to the batch size.
-func batchWorkers(workers, pairs int) int {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if limit := pairs / batchChunkMin; workers > limit {
-		workers = limit
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	return workers
-}
-
 // RouteBatch answers op for every pair (src[i], dst[i]) into bs,
-// reusing its storage. workers bounds the fan-out (<= 0 means
-// GOMAXPROCS); batches too small to shard run on the calling goroutine
-// with no allocation at all. Invalid endpoints get BatchBadNode with
-// Dist -1 and an empty route segment; they never abort the batch.
+// reusing its storage, in one sweep on the calling goroutine that
+// allocates nothing once bs has grown. workers is ignored; it is kept
+// only so existing callers compile. Invalid endpoints get BatchBadNode
+// with Dist -1 and an empty route segment; they never abort the batch.
 func RouteBatch(hb *HyperButterfly, op BatchOp, src, dst []Node, workers int, bs *BatchScratch) error {
 	if len(src) != len(dst) {
 		return fmt.Errorf("core: batch columns disagree: %d src, %d dst", len(src), len(dst))
@@ -107,79 +87,31 @@ func RouteBatch(hb *HyperButterfly, op BatchOp, src, dst []Node, workers int, bs
 		bs.Off[0] = 0
 		bs.Nodes = slices.Grow(bs.Nodes, pairs*span)[:pairs*span]
 	}
-	if workers = batchWorkers(workers, pairs); workers == 1 {
-		bs.Nodes = bs.Nodes[:batchSweep(hb, src, dst, bs, span, 0, pairs)]
-		return nil
-	}
-	chunk := (pairs + workers - 1) / workers
-	shardRange(chunk, pairs, func(lo, hi int) {
-		batchSweep(hb, src, dst, bs, span, lo, hi)
-	})
-	if op == BatchRoute {
-		bs.Nodes = bs.Nodes[:compactChunks(bs, span, chunk, pairs)]
-	}
+	bs.Nodes = bs.Nodes[:batchSweep(hb, src, dst, bs, span)]
 	return nil
 }
 
-// batchSweep answers pairs [lo, hi) in order. With span 0 it fills the
+// batchSweep answers every pair in order. With span 0 it fills the
 // status and distance columns only. Otherwise it also writes each
-// answered route into the arena from slot lo·span on, right after the
-// previous pair's, sets Off[i+1] for every pair of the range, and
-// returns the end of what it wrote; its writes never leave the range's
-// hi-lo spans of slots, since no route is longer than the diameter.
-func batchSweep(hb *HyperButterfly, src, dst []Node, bs *BatchScratch, span, lo, hi int) int {
+// answered route into the arena right after the previous pair's, sets
+// Off[i+1] for every pair, and returns the end of what it wrote.
+func batchSweep(hb *HyperButterfly, src, dst []Node, bs *BatchScratch, span int) int {
 	order := hb.Order()
-	start := lo * span
-	arena := bs.Nodes[start : hi*span : hi*span]
 	at := 0
-	for i := lo; i < hi; i++ {
+	for i := range src {
 		u, v := src[i], dst[i]
 		if uint(u) >= uint(order) || uint(v) >= uint(order) {
 			bs.Status[i], bs.Dist[i] = BatchBadNode, -1
 		} else if span == 0 {
 			bs.Status[i], bs.Dist[i] = BatchOK, int32(hb.Distance(u, v))
 		} else {
-			d := hb.writeRoute(u, v, arena[at:])
+			d := hb.writeRoute(u, v, bs.Nodes[at:])
 			bs.Status[i], bs.Dist[i] = BatchOK, int32(d)
 			at += d + 1
 		}
 		if span != 0 {
-			bs.Off[i+1] = int32(start + at)
+			bs.Off[i+1] = int32(at)
 		}
 	}
-	return start + at
-}
-
-// compactChunks slides the route segments the sharded sweep wrote at
-// each chunk's lo·span down onto the end of the previous chunk's,
-// shifts the chunk's offsets to match, and returns the arena's length.
-func compactChunks(bs *BatchScratch, span, chunk, pairs int) int {
-	end := int(bs.Off[min(chunk, pairs)])
-	for lo := chunk; lo < pairs; lo += chunk {
-		hi := min(lo+chunk, pairs)
-		start := lo * span
-		shift := int32(start - end)
-		end += copy(bs.Nodes[end:], bs.Nodes[start:bs.Off[hi]])
-		for i := lo + 1; i <= hi; i++ {
-			bs.Off[i] -= shift
-		}
-	}
-	return end
-}
-
-// shardRange runs f over contiguous chunks of [0, n) of chunk pairs
-// each, the last on the calling goroutine and each other on its own,
-// and waits for all of them, also when the caller's chunk panics.
-func shardRange(chunk, n int, f func(lo, hi int)) {
-	var wg sync.WaitGroup
-	defer wg.Wait()
-	lo := 0
-	for ; lo+chunk < n; lo += chunk {
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			f(lo, hi)
-		}(lo, lo+chunk)
-	}
-	f(lo, n)
+	return at
 }

@@ -123,18 +123,17 @@ func TestRouteBatchMatchesOracle(t *testing.T) {
 	}
 }
 
-// checkSweep runs one route batch at the given worker count and checks
-// every pair against the one-pair Distance and Route: an invalid pair
+// checkSweep runs one route batch and checks every pair against the one-pair Distance and Route: an invalid pair
 // is BatchBadNode with Dist -1 and an empty segment; a valid one is
 // BatchOK, and its segment is Route(u, v), a walk of adjacent nodes
 // from u to v of Dist hops.
-func checkSweep(t *testing.T, hb *core.HyperButterfly, src, dst []core.Node, workers int) {
+func checkSweep(t *testing.T, hb *core.HyperButterfly, src, dst []core.Node) {
 	t.Helper()
 	var bs core.BatchScratch
-	if err := core.RouteBatch(hb, core.BatchRoute, src, dst, workers, &bs); err != nil {
+	if err := core.RouteBatch(hb, core.BatchRoute, src, dst, 1, &bs); err != nil {
 		t.Fatal(err)
 	}
-	name := fmt.Sprintf("HB(%d,%d) workers=%d", hb.M(), hb.N(), workers)
+	name := fmt.Sprintf("HB(%d,%d)", hb.M(), hb.N())
 	if len(bs.Status) != len(src) || len(bs.Dist) != len(src) || len(bs.Off) != len(src)+1 || bs.Off[0] != 0 {
 		t.Fatalf("%s: columns status %d dist %d off %d for %d pairs", name, len(bs.Status), len(bs.Dist), len(bs.Off), len(src))
 	}
@@ -171,7 +170,7 @@ func checkSweep(t *testing.T, hb *core.HyperButterfly, src, dst []core.Node, wor
 // TestRouteBatchSweepExhaustive: on every ordered pair of HB(1,3),
 // HB(2,3), HB(1,4) and HB(2,5), with out-of-range ids mixed in, the
 // one-pass sweep answers each pair as the one-pair Distance and Route
-// do, serially and sharded over 3 workers.
+// do.
 func TestRouteBatchSweepExhaustive(t *testing.T) {
 	for _, dims := range [][2]int{{1, 3}, {2, 3}, {1, 4}, {2, 5}} {
 		hb := core.MustNew(dims[0], dims[1])
@@ -185,9 +184,7 @@ func TestRouteBatchSweepExhaustive(t *testing.T) {
 				}
 			}
 		}
-		for _, workers := range []int{1, 3} {
-			checkSweep(t, hb, src, dst, workers)
-		}
+		checkSweep(t, hb, src, dst)
 	}
 }
 
@@ -204,9 +201,7 @@ func TestRouteBatchSweepRandom(t *testing.T) {
 			src[i], dst[i] = rng.Intn(hb.Order()), rng.Intn(hb.Order())
 		}
 		src[17], dst[1001] = hb.Order(), -5
-		for _, workers := range []int{1, 3} {
-			checkSweep(t, hb, src, dst, workers)
-		}
+		checkSweep(t, hb, src, dst)
 	}
 }
 
@@ -257,9 +252,8 @@ func TestRouteBatchDistOnly(t *testing.T) {
 	}
 }
 
-// TestRouteBatchParallelMatchesSerial pins the sharded fan-out to the
-// serial answer: identical columns, byte for byte, at worker counts
-// that split the batch unevenly.
+// TestRouteBatchParallelMatchesSerial pins RouteBatch's ignored worker
+// count: any value gives the one-worker columns, byte for byte.
 func TestRouteBatchParallelMatchesSerial(t *testing.T) {
 	top := core.MustNew(3, 3)
 	src, dst := testPairs(top.Order(), 2048)
@@ -388,9 +382,8 @@ func TestBatchScratchGrowsWithHeadroom(t *testing.T) {
 	}
 }
 
-// TestRouteBatchParallelAllocsBounded keeps the sharded path honest:
-// its allocations are per-batch goroutine bookkeeping, not per-pair, so
-// they must stay a small constant regardless of batch size.
+// TestRouteBatchParallelAllocsBounded: a worker count above 1 adds no
+// per-pair allocation; RouteBatch ignores it and sweeps serially.
 func TestRouteBatchParallelAllocsBounded(t *testing.T) {
 	top := core.MustNew(3, 3)
 	order := top.Order()
@@ -420,14 +413,12 @@ func TestRouteBatchParallelAllocsBounded(t *testing.T) {
 // random pairs, the traffic perfbench's batch-router workload serves.
 func BenchmarkRouteBatch(b *testing.B) {
 	for _, bc := range []struct {
-		name    string
-		top     *core.HyperButterfly
-		workers int
-		random  bool
+		name   string
+		top    *core.HyperButterfly
+		random bool
 	}{
-		{"serial", core.MustNew(3, 3), 1, false},
-		{"parallel", core.MustNew(3, 3), 0, false},
-		{"hb38-random/serial", core.MustNew(3, 8), 1, true},
+		{"serial", core.MustNew(3, 3), false},
+		{"hb38-random/serial", core.MustNew(3, 8), true},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			order := bc.top.Order()
@@ -447,7 +438,7 @@ func BenchmarkRouteBatch(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := core.RouteBatch(bc.top, core.BatchRoute, src, dst, bc.workers, &bs); err != nil {
+				if err := core.RouteBatch(bc.top, core.BatchRoute, src, dst, 1, &bs); err != nil {
 					b.Fatal(err)
 				}
 			}

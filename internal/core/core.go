@@ -45,8 +45,6 @@ type HyperButterfly struct {
 	cube  *hypercube.Cube
 	bf    *butterfly.Butterfly
 	bSize int
-	// nRecip is ⌈2^64/n⌉: Decode divides by n with one multiplication.
-	nRecip uint64
 	// span is the most nodes a shortest route has: diameter + 1.
 	span int
 
@@ -67,11 +65,7 @@ func New(m, n int) (*HyperButterfly, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	return &HyperButterfly{
-		m: m, cube: cube, bf: bf, bSize: bf.Order(),
-		nRecip: ^uint64(0)/uint64(n) + 1,
-		span:   m + bf.DiameterFormula() + 1,
-	}, nil
+	return &HyperButterfly{m: m, cube: cube, bf: bf, bSize: bf.Order(), span: m + bf.DiameterFormula() + 1}, nil
 }
 
 // MustNew is New for known-good dimensions; it panics on error.
@@ -132,14 +126,9 @@ func (hb *HyperButterfly) Encode(h int, b butterfly.Node) Node {
 	return h*hb.bSize + b
 }
 
-// Decode splits a node id v >= 0 into its hypercube and butterfly
-// parts without a division: h = ⌊v/(n·2^n)⌋ = ⌊(v>>n)/n⌋, and the
-// quotient by n is the high word of the product with ⌈2^64/n⌉, exact
-// because v>>n < 2^(63-n) keeps the rounding error below 1/n.
+// Decode splits a node id into its hypercube and butterfly parts.
 func (hb *HyperButterfly) Decode(v Node) (h int, b butterfly.Node) {
-	q, _ := bits.Mul64(uint64(v)>>uint(hb.bf.Dim()), hb.nRecip)
-	h = int(q)
-	return h, v - h*hb.bSize
+	return v / hb.bSize, v % hb.bSize
 }
 
 // Identity returns the identity node (00…0; t_1 t_2 … t_n) of Remark 7.

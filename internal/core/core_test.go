@@ -49,23 +49,6 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDecodeDivisionFree: Decode's multiply-by-reciprocal quotient
-// equals integer division by |B_n| at the edges of the id range, for
-// every (m, n) New accepts.
-func TestDecodeDivisionFree(t *testing.T) {
-	for m := 0; m <= 30; m++ {
-		for n := 3; n <= butterfly.MaxDim; n++ {
-			hb := MustNew(m, n)
-			bSize := hb.Butterfly().Order()
-			for _, v := range []int{0, bSize - 1, bSize, hb.Order() - 1} {
-				if h, b := hb.Decode(v); h != v/bSize || b != v%bSize {
-					t.Fatalf("HB(%d,%d): Decode(%d) = (%d, %d), want (%d, %d)", m, n, v, h, b, v/bSize, v%bSize)
-				}
-			}
-		}
-	}
-}
-
 func TestEncodePanics(t *testing.T) {
 	hb := MustNew(2, 3)
 	for _, bad := range [][2]int{{4, 0}, {-1, 0}, {0, 24}, {0, -1}} {

@@ -38,14 +38,15 @@ import (
 
 // batchForward is the pooled working set of one forwarded batch.
 type batchForward struct {
-	req    batchRequest // the client's batch: a JSON one decoded, a binary one's header
-	pairs  int          // the batch's pair count
-	alive  []bool       // replica health, read once per batch
-	owners []int        // the owner set of the batch's dims key
-	bin    []byte       // a JSON client's batch in the binary codec
-	answer bytes.Buffer // the answering replica's bytes
-	cols   batchColumns // the answer decoded, for a JSON client
-	out    []byte       // the JSON answer
+	shape  batchBinFrames // the batch's op, dims and pair count; no frames
+	json   bool           // the client sent JSON, decoded into req
+	req    batchRequest   // a JSON client's batch
+	alive  []bool         // replica health, read once per batch
+	owners []int          // the owner set of the batch's dims key
+	bin    []byte         // a JSON client's batch in the binary codec
+	answer bytes.Buffer   // the answering replica's bytes
+	cols   batchColumns   // the answer decoded, for a JSON client
+	out    []byte         // the JSON answer
 }
 
 // forwardBatch validates one buffered /batch POST, forwards it whole
@@ -60,8 +61,8 @@ func (rt *Router) forwardBatch(w http.ResponseWriter, r *http.Request, body []by
 		writeErr(w, err)
 		return
 	}
-	req := &bf.req
-	if req.codec != "bin" {
+	req, op, pairs := &bf.req, bf.shape.op, bf.shape.pairs
+	if bf.json {
 		bf.bin = appendBatchBinRequest(bf.bin[:0], req.op, req.m, req.n, req.faults, req.src, req.dst)
 		body = bf.bin
 	}
@@ -75,14 +76,14 @@ func (rt *Router) forwardBatch(w http.ResponseWriter, r *http.Request, body []by
 	}
 	var err error
 	replica, sent := -1, 0
-	answered := rt.try(int64(bf.pairs), next, func(i int) bool {
+	answered := rt.try(int64(pairs), next, func(i int) bool {
 		if sent++; sent == 1 {
 			rt.subFanout.Add(1)
-			rt.subPairs.Add(uint64(bf.pairs))
+			rt.subPairs.Add(uint64(pairs))
 		} else {
 			rt.subRetries.Add(1)
 		}
-		retry, e := rt.postBatch(r, i, req.op, bf.pairs, body, &bf.answer)
+		retry, e := rt.postBatch(r, i, op, pairs, body, &bf.answer)
 		switch {
 		case e == nil:
 			replica = i
@@ -102,44 +103,41 @@ func (rt *Router) forwardBatch(w http.ResponseWriter, r *http.Request, body []by
 		return
 	}
 
-	out := bf.answer.Bytes()
-	if req.codec != "bin" {
-		if err := decodeBatchBinResponse(out, req.op, bf.pairs, &bf.cols); err != nil {
+	out, ct := bf.answer.Bytes(), ctBatchBin
+	if bf.json {
+		if err := decodeBatchBinResponse(out, op, pairs, &bf.cols); err != nil {
 			writeErr(w, err)
 			return
 		}
 		bf.cols.m, bf.cols.n, bf.cols.faults = req.m, req.n, req.faults
 		bf.out = appendBatchJSON(bf.out[:0], &bf.cols)
-		out = bf.out
+		out, ct = bf.out, ctJSON
 	}
 	w.Header().Set("X-Replica", rt.replicas[replica])
-	writeBody(w, req.contentType(), "", out)
+	writeBody(w, ct, "", out)
 }
 
-// decode checks that a client body's dims can be peeked and that the
-// body parses, and records its shape in bf: a binary body by its
-// framing step alone, a JSON body decoded into bf.req.
+// decode checks a client body and records its shape in bf: a binary
+// body by its framing step alone, a JSON body, whose dims must first
+// be peekable, decoded into bf.req.
 func (bf *batchForward) decode(ct string, body []byte) error {
-	if _, _, ok := peekBatchDims(ct, body); !ok {
-		return badRequest("unreadable batch dims (want explicit non-negative m and n)")
-	}
-	if ct == ctBatchBin {
+	if bf.json = ct != ctBatchBin; !bf.json {
 		f, err := splitBatchBin(body)
 		if err != nil {
 			return err
 		}
-		// The columns stay empty but keep their storage for the next
-		// JSON body this scratch decodes.
-		req := &bf.req
-		req.codec, req.op, req.m, req.n = "bin", f.op, f.m, f.n
-		req.faults, req.src, req.dst = req.faults[:0], req.src[:0], req.dst[:0]
-		bf.pairs = f.pairs
+		// Only the header fields: the frames would pin the body.
+		bf.shape = batchBinFrames{op: f.op, m: f.m, n: f.n, pairs: f.pairs}
 		return nil
 	}
-	if err := parseBatchBody(ct, body, &bf.req); err != nil {
+	if _, _, ok := peekBatchDims(ct, body); !ok {
+		return badRequest("unreadable batch dims (want explicit non-negative m and n)")
+	}
+	req := &bf.req
+	if err := parseBatchBody(ct, body, req); err != nil {
 		return err
 	}
-	bf.pairs = len(bf.req.src)
+	bf.shape = batchBinFrames{op: req.op, m: req.m, n: req.n, pairs: len(req.src)}
 	return nil
 }
 
@@ -151,7 +149,7 @@ func (rt *Router) batchOwner(bf *batchForward) int {
 	for i := range bf.alive {
 		bf.alive[i] = rt.health.Healthy(i)
 	}
-	bf.owners = rt.ring.owners(shardKey(Dims{M: bf.req.m, N: bf.req.n}, 0, 0), rt.replication, bf.alive, bf.owners)
+	bf.owners = rt.ring.owners(shardKey(Dims{M: bf.shape.m, N: bf.shape.n}, 0, 0), rt.replication, bf.alive, bf.owners)
 	best := -1
 	var bestLoad int64
 	for _, o := range bf.owners {

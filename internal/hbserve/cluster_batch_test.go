@@ -113,8 +113,8 @@ func TestForwardBatchDecodeAllocsFlat(t *testing.T) {
 		}); got != 0 {
 			t.Errorf("%d pairs: %v allocs per decode, want 0", pairs, got)
 		}
-		if gs.pairs != pairs {
-			t.Fatalf("%d pairs: recorded %d", pairs, gs.pairs)
+		if gs.shape.pairs != pairs {
+			t.Fatalf("%d pairs: recorded %d", pairs, gs.shape.pairs)
 		}
 	}
 }
