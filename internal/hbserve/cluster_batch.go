@@ -50,10 +50,10 @@ type batchForward struct {
 }
 
 // forwardBatch validates one buffered /batch POST, forwards it whole
-// and relays the checked answer. A body whose dims cannot even be
-// peeked (truncated binary header, JSON with missing or negative m/n, a
-// Content-Type whose body doesn't parse) answers 400 at the router —
-// garbage is rejected at the edge, not forwarded into the fleet.
+// and relays the checked answer. A body its codec refuses (a binary
+// body whose framing is off, JSON with missing or negative m/n or that
+// doesn't parse) answers 400 at the router — garbage is rejected at the
+// edge, not forwarded into the fleet.
 func (rt *Router) forwardBatch(w http.ResponseWriter, r *http.Request, body []byte) {
 	bf := rt.batchPool.Get().(*batchForward)
 	defer rt.batchPool.Put(bf)
